@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "assay/benchmarks.h"
 #include "common/prng.h"
@@ -1577,6 +1579,76 @@ TEST(Sched, FormulationStrengtheningPreservesTheOptimum) {
     ASSERT_EQ(a.status, solve_status::optimal) << ops << " ops";
     ASSERT_EQ(b.status, solve_status::optimal) << ops << " ops";
     EXPECT_NEAR(a.objective, b.objective, 1e-6) << ops << " ops";
+  }
+}
+
+namespace {
+
+// A generated scheduling formulation with a list-schedule warm start,
+// mirroring what schedule_with_ilp builds internally.
+sched::scheduling_ilp make_ilp(const assay::sequencing_graph& graph,
+                               int devices) {
+  sched::list_scheduler_options lo;
+  lo.device_count = devices;
+  sched::ilp_scheduler_options io;
+  io.device_count = devices;
+  io.warm_start = sched::schedule_with_list(graph, lo);
+  return sched::build_scheduling_ilp(graph, io);
+}
+
+struct pinned_trajectory {
+  int operations;
+  std::uint64_t seed;
+  int devices;
+  node_rule rule;
+  long nodes;
+  long simplex_iterations;
+  long dual_simplex_iterations;
+  long strong_branch_probes;
+  double objective;
+};
+
+} // namespace
+
+TEST(Milp, SequentialTrajectoryIsPinned) {
+  // The sequential engine's exact search trajectory on generated
+  // formulations, under both node rules: any change to node processing,
+  // probing, branching, child order or the node-order rule shows up here
+  // as a different node or iteration count. Exact equality throughout.
+  const pinned_trajectory cases[] = {
+      {8, 2, 2, node_rule::dfs, 80, 7893, 5617, 100, 164.5},
+      {8, 2, 2, node_rule::best_estimate, 53, 8902, 6482, 100, 164.5},
+      {8, 4, 2, node_rule::dfs, 88, 8866, 7553, 100, 164.5},
+      {8, 4, 2, node_rule::best_estimate, 75, 10381, 8992, 100, 164.5},
+      {8, 5, 2, node_rule::dfs, 880, 20460, 16586, 100, 154.50000000000003},
+      {8, 5, 2, node_rule::best_estimate, 482, 20899, 17727, 100, 154.5},
+      {9, 1, 2, node_rule::dfs, 91, 9213, 8341, 100, 193.0},
+      {9, 1, 2, node_rule::best_estimate, 89, 10244, 9354, 100, 193.0},
+      {9, 1, 3, node_rule::dfs, 102, 10069, 8529, 100, 183.00000000000003},
+      {9, 1, 3, node_rule::best_estimate, 36, 7440, 5922, 100,
+       183.00000000000003},
+      {10, 1, 2, node_rule::dfs, 44, 7536, 5553, 100, 220.5},
+      {10, 1, 2, node_rule::best_estimate, 32, 8356, 6132, 100,
+       220.49999999999986},
+  };
+  for (const pinned_trajectory& c : cases) {
+    const sched::scheduling_ilp ilp =
+        make_ilp(assay::make_random_assay(c.operations, c.seed), c.devices);
+    solver_options o = quick_options(); // never binds: limits break the pin
+    o.threads = 1;
+    o.node_selection = c.rule;
+    o.warm_start = ilp.warm_assignment;
+    const solution s = solve(ilp.model, o);
+    const std::string label =
+        std::to_string(c.operations) + " ops, seed " + std::to_string(c.seed) +
+        ", " + std::to_string(c.devices) + " devices, " +
+        (c.rule == node_rule::dfs ? "dfs" : "best_estimate");
+    ASSERT_EQ(s.status, solve_status::optimal) << label;
+    EXPECT_EQ(s.nodes_explored, c.nodes) << label;
+    EXPECT_EQ(s.simplex_iterations, c.simplex_iterations) << label;
+    EXPECT_EQ(s.dual_simplex_iterations, c.dual_simplex_iterations) << label;
+    EXPECT_EQ(s.strong_branch_probes, c.strong_branch_probes) << label;
+    EXPECT_EQ(s.objective, c.objective) << label;
   }
 }
 
