@@ -23,6 +23,23 @@ namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
 
+// Tree-search tuning constants.
+/// Interval-arithmetic passes of per-node propagation (root presolve
+/// handles the root).
+constexpr int node_propagation_passes = 3;
+/// Fractional candidates probed per node (most fractional first).
+constexpr int strong_branch_candidates = 8;
+/// Per-direction iteration cap of one strong-branching probe.
+constexpr long strong_branch_iteration_limit = 100;
+/// Strong-branching probes allowed across the whole search.
+constexpr long strong_branch_limit = 100;
+/// Under best_estimate, every Nth backtrack (round, in the deterministic
+/// engine) picks the best-bound open node.
+constexpr long backtrack_interval = 8;
+/// Nodes the deterministic engine expands per synchronized round; its
+/// trajectory depends on this value, never on the thread count.
+constexpr int round_width = 8;
+
 /// Minimization-form image of the user model plus integrality markers.
 struct standard_form {
   lp_problem lp;
@@ -198,10 +215,10 @@ struct bb_node {
   /// branch's own expected degradation plus the cheapest rounding of every
   /// other fractional variable at the parent.
   double estimate = -inf;
-  /// Parent basis for cross-worker warm starts (parallel engines; null in
-  /// the sequential engine, which relies on its one solver's continuity,
-  /// and for the root before any LP was solved). Siblings share the one
-  /// immutable snapshot.
+  /// Parent basis for cross-worker warm starts (the parallel engines;
+  /// null in the sequential engine, whose nodes all re-solve on its one
+  /// warm instance, and for the root before any LP was solved). Siblings
+  /// share the one immutable snapshot.
   std::shared_ptr<const basis_snapshot> warm;
   /// Worker that created this node (-1 for the root); a worker pulling a
   /// pool node produced by another worker counts it as a steal.
@@ -385,9 +402,10 @@ bool propagate_node(const row_view& view, const std::vector<bool>& is_integer,
   return true;
 }
 
-// ------------------------------------------------- parallel tree search
+// ---------------------------------------------------------- tree search
 
-/// Read-only inputs shared by every worker of a parallel tree search.
+/// Read-only inputs shared by every engine (and every worker) of a tree
+/// search.
 struct tree_context {
   const model& m;
   const standard_form& sf;
@@ -397,6 +415,10 @@ struct tree_context {
   const row_view* rows; // null = node propagation off
   const deadline& time_budget;
   int n;
+  /// Whether children carry their parent's basis snapshot: the parallel
+  /// engines re-solve a node on whichever instance picks it up; the
+  /// sequential engine never reloads a basis, so it skips the capture.
+  bool snapshots;
 };
 
 enum class node_kind {
@@ -417,9 +439,9 @@ struct probe_record {
   double cost = 0.0; // degradation per unit of fractional distance
 };
 
-/// Everything a worker learned about one node, handed to the engine's
+/// Everything the kernel learned about one node, handed to the engine's
 /// commit step -- the only place search-global state (pseudocosts,
-/// incumbent, the open pool) is mutated.
+/// incumbent, the open nodes) is mutated.
 struct node_result {
   node_kind kind = node_kind::skipped;
   double bound = -inf; // min-form LP objective
@@ -436,26 +458,46 @@ struct node_result {
   /// Effective node bounds of each fractional variable (post-propagation),
   /// aligned with `fractional` -- the child bound changes branch off these.
   std::vector<std::pair<double, double>> fractional_bounds;
-  std::shared_ptr<const basis_snapshot> basis; // post-solve, pre-probe
-  // Integral candidate, already rounded and feasibility-checked so the
-  // commit path only compares objectives under its lock.
+  /// Post-solve, pre-probe basis (null unless tree_context::snapshots).
+  std::shared_ptr<const basis_snapshot> basis;
+  // Integral candidate, already rounded and evaluated so the commit only
+  // compares objectives (under its lock, in the pool engine).
   std::vector<double> candidate;
-  double candidate_obj = inf; // min-form
-  bool candidate_feasible = false;
+  double candidate_obj = inf; // min-form; inf = infeasible after rounding
 };
 
+/// The integral-candidate check every engine shares (node optima, the warm
+/// start, board adoptions): rounds `x`'s integer entries in place and
+/// returns its min-form objective, or +inf when the rounded point is
+/// infeasible.
+double evaluate_candidate(const model& m, const standard_form& sf,
+                          std::vector<double>& x) {
+  for (std::size_t j = 0; j < sf.is_integer.size(); ++j)
+    if (sf.is_integer[j]) x[j] = std::round(x[j]);
+  if (!m.is_feasible(x, 1e-5)) return inf;
+  return sf.objective_sign * (m.evaluate_objective(x) - sf.objective_constant);
+}
+
+/// This node's share of the search-wide strong-branching probe budget, given
+/// the probes already issued (0 when probing is off).
+long remaining_probes(const solver_options& options, long issued) {
+  if (options.branching != branch_rule::pseudocost || options.reliability <= 0)
+    return 0;
+  return std::max(0L, strong_branch_limit - issued);
+}
+
 /// Fills per-candidate (up_count, down_count) pseudocost observations; the
-/// opportunistic engine snapshots them under its lock, the deterministic
-/// engine reads the round-stable table directly.
+/// opportunistic engine snapshots them under its lock, the sequential and
+/// deterministic engines read the table directly.
 using pc_count_fn = std::function<void(
     const std::vector<int>&, std::vector<std::pair<long, long>>&)>;
 
-/// Process one node on a worker-private simplex instance: per-node
-/// propagation, the LP re-solve (warm from the node's recorded parent
-/// basis), and the strong-branching probes. `reload_basis` false trusts
-/// the solver's current basis (a worker continuing its own dive).
-/// `prune_obj` is the incumbent objective to prune against (+inf when
-/// none) and `probe_allowance` this node's share of the global probe
+/// The node kernel every engine runs: per-node propagation, the LP
+/// re-solve, and the reliability probes. `reload_basis` warm-starts the LP
+/// from the node's recorded parent basis; false trusts the instance's
+/// current basis (the sequential engine, and a pool worker continuing its
+/// own dive). `prune_obj` is the incumbent objective to prune against (+inf
+/// when none) and `probe_allowance` this node's share of the global probe
 /// budget -- both fixed by the engine so the result is a pure function of
 /// its arguments.
 node_result process_node(const tree_context& ctx, simplex_solver& lp,
@@ -474,6 +516,9 @@ node_result process_node(const tree_context& ctx, simplex_solver& lp,
   }
 
   if (ctx.rows != nullptr && !node.changes.empty()) {
+    // Per-node propagation: branching fixes collapse big-M disjunctions,
+    // so a few interval passes often prune the node (or shrink its LP)
+    // before any pivot is spent.
     prop_lower = ctx.root_lower;
     prop_upper = ctx.root_upper;
     for (const bound_change& change : node.changes) {
@@ -481,7 +526,7 @@ node_result process_node(const tree_context& ctx, simplex_solver& lp,
       prop_upper[change.var] = change.upper;
     }
     if (!propagate_node(*ctx.rows, ctx.sf.is_integer, prop_lower, prop_upper,
-                        options.node_propagation_passes)) {
+                        node_propagation_passes)) {
       out.kind = node_kind::prop_pruned;
       return out;
     }
@@ -517,6 +562,8 @@ node_result process_node(const tree_context& ctx, simplex_solver& lp,
     return out;
   }
   if (relax.status == lp_status::iteration_limit) {
+    // Requeueing would loop; the iteration cap is high enough that this
+    // indicates numerical trouble.
     out.kind = node_kind::dropped;
     return out;
   }
@@ -537,36 +584,30 @@ node_result process_node(const tree_context& ctx, simplex_solver& lp,
   }
 
   if (out.fractional.empty()) {
-    // Integral optimum: do the O(nnz) rounding + feasibility check here in
-    // the parallel phase so the commit only compares objectives.
+    // Integral optimum: do the O(nnz) rounding + feasibility check here,
+    // outside any engine lock, so the commit only compares objectives.
     out.kind = node_kind::integral;
     out.candidate = relax.x;
-    for (int j = 0; j < n; ++j)
-      if (ctx.sf.is_integer[j]) out.candidate[j] = std::round(out.candidate[j]);
-    out.candidate_feasible = ctx.m.is_feasible(out.candidate, 1e-5);
-    if (out.candidate_feasible) {
-      const double user_obj = ctx.m.evaluate_objective(out.candidate);
-      out.candidate_obj =
-          ctx.sf.objective_sign * (user_obj - ctx.sf.objective_constant);
-    }
+    out.candidate_obj = evaluate_candidate(ctx.m, ctx.sf, out.candidate);
     return out;
   }
 
   // The children's warm basis: this node's own optimal basis, captured
   // before the probes below disturb it.
-  out.basis = capture_basis(lp, n);
+  if (ctx.snapshots) out.basis = capture_basis(lp, n);
 
-  // Reliability probes (the sequential engine's logic, worker-local): the
-  // candidate order and skip rule mirror solve()'s inline loop.
-  if (options.branching == branch_rule::pseudocost && options.reliability > 0 &&
-      probe_allowance > 0) {
+  // Reliability initialization: before trusting pseudocosts, seed them
+  // with limited strong-branching probes -- warm-started dual re-solves
+  // with a tight iteration cap, most fractional candidates first. An
+  // infeasible probe direction prunes that child outright.
+  if (probe_allowance > 0) {
     std::vector<std::pair<double, int>> order = out.fractional;
     std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
       if (a.first != b.first) return a.first > b.first;
       return a.second < b.second;
     });
-    if (static_cast<int>(order.size()) > options.strong_branch_candidates)
-      order.resize(static_cast<std::size_t>(options.strong_branch_candidates));
+    if (static_cast<int>(order.size()) > strong_branch_candidates)
+      order.resize(static_cast<std::size_t>(strong_branch_candidates));
     std::vector<int> vars;
     vars.reserve(order.size());
     for (const auto& [closeness, j] : order) {
@@ -593,9 +634,8 @@ node_result process_node(const tree_context& ctx, simplex_solver& lp,
           lp.set_variable_bounds(j, floor_val + 1.0, node_upper);
         else
           lp.set_variable_bounds(j, node_lower, floor_val);
-        const lp_result probe = lp.solve(
-            ctx.time_budget, /*warm_start=*/true,
-            options.strong_branch_iteration_limit);
+        const lp_result probe = lp.solve(ctx.time_budget, /*warm_start=*/true,
+                                         strong_branch_iteration_limit);
         lp.set_variable_bounds(j, node_lower, node_upper);
         ++out.probes_run;
         out.iterations += probe.iterations;
@@ -607,11 +647,15 @@ node_result process_node(const tree_context& ctx, simplex_solver& lp,
           out.probe_records.push_back(
               {j, up, degradation / std::max(distance, 1e-6)});
         } else if (probe.status == lp_status::infeasible) {
+          // Infeasibility holds only under this node's bound set, so it
+          // must not pollute the search-global pseudocost averages; the
+          // child is pruned at commit instead.
           if (up)
             local_up_infeasible = true;
           else
             local_down_infeasible = true;
         }
+        // Iteration/time-limited probes carry no trustworthy bound.
       }
       if (local_down_infeasible || local_up_infeasible) {
         out.probed_infeasible_var = j;
@@ -640,18 +684,10 @@ branch_output commit_branch(const tree_context& ctx, const bb_node& node,
                             long& next_node_id) {
   const solver_options& options = ctx.options;
 
-  // Probe observations first, then the parent's own pseudocost record --
-  // the same order as the sequential engine (probes are recorded as they
-  // run, the parent after the branch-variable pick; both precede the
-  // children's estimates).
+  // Probe observations first (in the order the probes ran), then the
+  // branch-variable pick, then the parent's own pseudocost record; all
+  // precede the children's estimates.
   for (const probe_record& p : nr.probe_records) pc.record(p.var, p.up, p.cost);
-  if (!node.changes.empty()) {
-    const bound_change& last = node.changes.back();
-    const double degradation = nr.bound - node.parent_bound;
-    if (node.parent_bound != -inf && degradation >= 0.0)
-      pc.record(last.var, last.lower > ctx.root_lower[last.var],
-                degradation / std::max(node.branch_distance, 1e-6));
-  }
 
   int branch_var = -1;
   std::size_t branch_idx = 0;
@@ -670,6 +706,8 @@ branch_output commit_branch(const tree_context& ctx, const bb_node& node,
       branch_frac = nr.x[j];
     }
   }
+  // A probe that proved one side infeasible makes its variable the best
+  // branch: one child is pruned before it is ever solved.
   if (nr.probed_infeasible_var >= 0) {
     branch_var = nr.probed_infeasible_var;
     for (std::size_t i = 0; i < nr.fractional.size(); ++i)
@@ -679,6 +717,18 @@ branch_output commit_branch(const tree_context& ctx, const bb_node& node,
     nr.down_infeasible = nr.up_infeasible = false;
   }
 
+  // Pseudocost record for the branch that created this node (per unit of
+  // fractional distance, matching the strong-branching probes).
+  if (!node.changes.empty()) {
+    const bound_change& last = node.changes.back();
+    const double degradation = nr.bound - node.parent_bound;
+    if (node.parent_bound != -inf && degradation >= 0.0)
+      pc.record(last.var, last.lower > ctx.root_lower[last.var],
+                degradation / std::max(node.branch_distance, 1e-6));
+  }
+
+  // Completion estimate: the branch direction's expected degradation plus
+  // the cheapest rounding of every other fractional variable.
   const double floor_val = std::floor(branch_frac);
   const double frac = branch_frac - floor_val;
   const double fallback = pc.average();
@@ -721,6 +771,93 @@ branch_output commit_branch(const tree_context& ctx, const bb_node& node,
   out.down_preferred = frac <= 0.5;
   return out;
 }
+
+/// The dive engines' child placement: the child nearest the LP value stays
+/// in hand for the next plunge step, its sibling joins `open` (push_back
+/// keeps dfs mode's LIFO order exact), and each queued child gets its entry
+/// in `bounds`. Children whose side a strong-branching probe proved
+/// infeasible are never queued.
+void plunge(branch_output& br, double bound, std::vector<bb_node>& open,
+            std::optional<bb_node>& hand, std::multiset<double>& bounds) {
+  if (!br.down_infeasible) bounds.insert(bound);
+  if (!br.up_infeasible) bounds.insert(bound);
+  bb_node& preferred = br.down_preferred ? br.down : br.up;
+  bb_node& sibling = br.down_preferred ? br.up : br.down;
+  const bool preferred_pruned =
+      br.down_preferred ? br.down_infeasible : br.up_infeasible;
+  const bool sibling_pruned =
+      br.down_preferred ? br.up_infeasible : br.down_infeasible;
+  if (!sibling_pruned) open.push_back(std::move(sibling));
+  if (!preferred_pruned) hand = std::move(preferred);
+}
+
+// The node-order rule of all three engines.
+
+/// Which open node a selection takes: the newest (LIFO), the best parent
+/// bound, or the best pseudocost completion estimate.
+enum class open_key { newest, bound, estimate };
+
+/// The key of the `turn`-th selection: a backtrack in the dive engines, a
+/// round in the deterministic engine. dfs always takes the newest node.
+/// best_estimate is hybrid backtracking: most turns stay LIFO (the adjacent
+/// open node keeps the warm basis hot); every second one restarts from the
+/// best-estimate node, and every `backtrack_interval`-th from the best-bound
+/// node (pumping the global dual bound). Pure best-first jumping doubles the
+/// LP cost per node -- the warm dual re-solve only pays off between nearby
+/// nodes.
+open_key key_for_turn(node_rule rule, long turn) {
+  if (rule != node_rule::best_estimate) return open_key::newest;
+  if (turn % backtrack_interval == 0) return open_key::bound;
+  return turn % 2 == 0 ? open_key::estimate : open_key::newest;
+}
+
+/// Strict total order of open nodes under `key`; ids are unique, so no
+/// ties remain and a scan or sort under it never depends on where a node
+/// sits in `open`.
+bool comes_first(open_key key, const bb_node& a, const bb_node& b) {
+  switch (key) {
+    case open_key::newest:
+      return a.id > b.id;
+    case open_key::bound:
+      if (a.parent_bound != b.parent_bound)
+        return a.parent_bound < b.parent_bound;
+      if (a.estimate != b.estimate) return a.estimate < b.estimate;
+      return a.id < b.id;
+    case open_key::estimate:
+      if (a.estimate != b.estimate) return a.estimate < b.estimate;
+      if (a.parent_bound != b.parent_bound)
+        return a.parent_bound < b.parent_bound;
+      return a.id < b.id;
+  }
+  return false;
+}
+
+/// Removes and returns a dive engine's next open node. Their `newest` is
+/// the back of `open`, taken in O(1): LIFO over push order, which keeps a
+/// dfs backtrack next to the dive it leaves (a best_estimate pick's
+/// swap-removal can move an older node to the back). The other keys scan
+/// with comes_first. The deterministic engine, whose open list its partial
+/// sort permutes, ranks `newest` by id instead.
+bb_node take_open(std::vector<bb_node>& open, open_key key) {
+  std::size_t pick = open.size() - 1;
+  if (key != open_key::newest) {
+    pick = 0;
+    for (std::size_t i = 1; i < open.size(); ++i)
+      if (comes_first(key, open[i], open[pick])) pick = i;
+  }
+  bb_node node = std::move(open[pick]);
+  open[pick] = std::move(open.back());
+  open.pop_back();
+  return node;
+}
+
+/// How the shared commit step settled a processed node.
+enum class settled {
+  done,      // nothing further: pruned, infeasible, dropped, or no gain
+  improved,  // an integral candidate became the incumbent
+  branch,    // still open: build its children
+  stop,      // the search must stop (deadline mid-node, unbounded LP)
+};
 
 } // namespace
 
@@ -876,6 +1013,9 @@ solution solve(const model& m, const solver_options& options) {
   bool have_incumbent = false;
   double incumbent_obj = inf;
   std::vector<double> incumbent_values;
+  auto user_objective = [&](double min_obj) {
+    return sf.objective_sign * min_obj + sf.objective_constant;
+  };
 
   // Racing-portfolio hookup (ignored in deterministic mode, where adoption
   // timing would break bit-identity): improving incumbents are published to
@@ -883,31 +1023,29 @@ solution solve(const model& m, const solver_options& options) {
   // feasibility re-validation -- wherever this solve polls it.
   incumbent_board* board =
       options.deterministic ? nullptr : options.shared_incumbent.get();
-  std::uint64_t board_seen = 0;
 
-  auto try_incumbent = [&](std::vector<double> candidate) {
-    for (int j = 0; j < n; ++j)
-      if (sf.is_integer[j]) candidate[j] = std::round(candidate[j]);
-    if (!m.is_feasible(candidate, 1e-5)) return false;
-    const double user_obj = m.evaluate_objective(candidate);
-    const double min_obj = sf.objective_sign * (user_obj - sf.objective_constant);
-    if (!have_incumbent || min_obj < incumbent_obj - options.absolute_gap) {
-      have_incumbent = true;
-      incumbent_obj = min_obj;
-      if (board) board->offer(user_obj, candidate);
-      incumbent_values = std::move(candidate);
-      return true;
-    }
-    return false;
+  // Integral-candidate acceptance, shared by every engine and by the
+  // warm-start and board intake: installs a candidate evaluate_candidate()
+  // scored when it improves the incumbent by more than the absolute gap.
+  // Callers hold whatever lock guards the incumbent.
+  auto accept = [&](double min_obj, const std::vector<double>& values) {
+    if (min_obj == inf ||
+        (have_incumbent && min_obj >= incumbent_obj - options.absolute_gap))
+      return false;
+    have_incumbent = true;
+    incumbent_obj = min_obj;
+    incumbent_values = values;
+    return true;
   };
 
   if (options.warm_start) {
     require(static_cast<int>(options.warm_start->size()) == n,
             "milp::solve: warm start has wrong size");
-    if (try_incumbent(*options.warm_start)) {
+    std::vector<double> warm = *options.warm_start;
+    if (accept(evaluate_candidate(m, sf, warm), warm)) {
+      if (board) board->offer(user_objective(incumbent_obj), incumbent_values);
       result.warm_start_accepted = true;
-      result.warm_start_objective =
-          sf.objective_sign * incumbent_obj + sf.objective_constant;
+      result.warm_start_objective = user_objective(incumbent_obj);
       log_at(log_level::info, "milp: warm start accepted, objective ",
              result.warm_start_objective);
     } else {
@@ -916,6 +1054,16 @@ solution solve(const model& m, const solver_options& options) {
   }
 
   pseudocost_table pseudocosts(n);
+  // Pseudocost counts for the probe candidates, read straight from the
+  // table: the sequential engine is alone, and the deterministic engine
+  // only mutates the table while its workers wait.
+  auto table_counts = [&](const std::vector<int>& vars,
+                          std::vector<std::pair<long, long>>& out) {
+    out.resize(vars.size());
+    for (std::size_t i = 0; i < vars.size(); ++i)
+      out[i] = {pseudocosts.up_count[vars[i]],
+                pseudocosts.down_count[vars[i]]};
+  };
 
   // Row view of the tree's LP (base + surviving cuts) for per-node
   // propagation, shared read-only by every engine.
@@ -929,33 +1077,97 @@ solution solve(const model& m, const solver_options& options) {
   bool hit_limit = false;
   bool unbounded = false;
 
-  auto finish = [&](bool tree_open, double open_bound) -> solution {
+  // The gap-closed test of every engine: the incumbent is within the
+  // relative or absolute gap of the best open bound. An empty bound set
+  // means the tree is exhausted.
+  auto gap_closed = [&](const std::multiset<double>& open_bounds) {
+    if (!have_incumbent) return false;
+    if (open_bounds.empty()) return true;
+    const double bound = *open_bounds.begin();
+    const double denom = std::max(1.0, std::abs(incumbent_obj));
+    return (incumbent_obj - bound) / denom <= options.relative_gap ||
+           incumbent_obj - bound <= options.absolute_gap;
+  };
+
+  // The progress line every engine prints, at most every two seconds.
+  stopwatch log_watch;
+  auto log_progress = [&](std::size_t open_nodes) {
+    if (!options.log_progress || log_watch.elapsed_seconds() <= 2.0) return;
+    log_watch.reset();
+    log_at(log_level::info, "milp: nodes=", nodes, " open=", open_nodes,
+           " incumbent=",
+           have_incumbent ? std::to_string(user_objective(incumbent_obj))
+                          : std::string("none"));
+  };
+
+  // The commit step every engine runs on a processed node: its entry in
+  // the engine's open-bound multiset, the node count, the root bound, the
+  // stop flags and the incumbent. Callers hold whatever lock guards that
+  // state. A node the deadline interrupted or the LP iteration limit
+  // dropped keeps its bound entry: its subtree was never searched, so the
+  // dual bound finish() reports must still cover it.
+  auto settle = [&](const bb_node& node, const node_result& nr,
+                    std::multiset<double>& open_bounds,
+                    worker_stats* ws) -> settled {
+    if (nr.kind != node_kind::time_limit && nr.kind != node_kind::dropped)
+      open_bounds.erase(open_bounds.find(node.parent_bound));
+    if (nr.kind == node_kind::skipped)
+      return settled::done; // pruned by its parent bound: not counted
+    ++nodes;
+    if (ws) ++ws->nodes;
+    if (!root_solved && node.id == 0 && nr.bound != -inf) {
+      root_lp_bound = nr.bound;
+      root_solved = true;
+    }
+    switch (nr.kind) {
+      case node_kind::time_limit:
+        hit_limit = true;
+        return settled::stop;
+      case node_kind::unbounded:
+        unbounded = true;
+        return settled::stop;
+      case node_kind::dropped:
+        // A limit was hit: with the node's subtree unsearched, the search
+        // can prove neither optimality nor infeasibility.
+        log_at(log_level::warn, "milp: dropped node after iteration limit");
+        hit_limit = true;
+        return settled::done;
+      case node_kind::integral:
+        if (!accept(nr.candidate_obj, nr.candidate)) return settled::done;
+        if (options.log_progress)
+          log_at(log_level::info, "milp: incumbent ",
+                 user_objective(incumbent_obj), " at node ", nodes);
+        return settled::improved;
+      case node_kind::branched:
+        // An incumbent found since this node's LP solve (by an earlier
+        // commit of the same round, or a racing worker) may prune it.
+        if (have_incumbent && nr.bound >= incumbent_obj - options.absolute_gap)
+          return settled::done;
+        return settled::branch;
+      default:
+        return settled::done; // propagation, bound or LP infeasibility
+    }
+  };
+
+  auto finish = [&](const std::multiset<double>& open_bounds) -> solution {
     result.nodes_explored = nodes;
     result.simplex_iterations = simplex_iterations;
     result.dual_simplex_iterations = dual_iterations;
     result.strong_branch_probes = probes;
     result.seconds = total_watch.elapsed_seconds();
     result.interrupted = hit_limit && time_budget.expired();
-    if (root_solved)
-      result.root_bound =
-          sf.objective_sign * root_lp_bound + sf.objective_constant;
-    if (!tree_open) open_bound = inf;
+    if (root_solved) result.root_bound = user_objective(root_lp_bound);
     if (unbounded) {
       result.status = solve_status::unbounded;
       return result;
     }
     if (have_incumbent) {
       result.values = incumbent_values;
-      result.objective =
-          sf.objective_sign * incumbent_obj + sf.objective_constant;
-      const double bound_min = std::min(incumbent_obj, open_bound);
-      result.best_bound = sf.objective_sign * bound_min + sf.objective_constant;
-      const double denom = std::max(1.0, std::abs(incumbent_obj));
-      const bool gap_ok =
-          open_bound == inf ||
-          (incumbent_obj - open_bound) / denom <= options.relative_gap ||
-          incumbent_obj - open_bound <= options.absolute_gap;
-      const bool proven = !hit_limit && (!tree_open || gap_ok);
+      result.objective = user_objective(incumbent_obj);
+      const double open_bound =
+          open_bounds.empty() ? inf : *open_bounds.begin();
+      result.best_bound = user_objective(std::min(incumbent_obj, open_bound));
+      const bool proven = !hit_limit && gap_closed(open_bounds);
       result.status = proven ? solve_status::optimal : solve_status::feasible;
       return result;
     }
@@ -968,10 +1180,13 @@ solution solve(const model& m, const solver_options& options) {
   };
 
   // ------------------------------------------------------ engine dispatch
-  // threads <= 0 resolves to the hardware; deterministic always takes the
-  // round engine (its trajectory must not depend on the thread count, so
-  // even threads == 1 runs it); otherwise threads > 1 takes the
-  // opportunistic pool engine and threads == 1 the classic sequential loop.
+  // All three engines run the same node kernel (process_node, settle,
+  // commit_branch); they differ only in where the next node comes from and
+  // in what order results are committed. threads <= 0 resolves to the
+  // hardware; deterministic always takes the round engine (its trajectory
+  // must not depend on the thread count, so even threads == 1 runs it);
+  // otherwise threads > 1 takes the opportunistic pool engine and
+  // threads == 1 the sequential engine.
   int threads = options.threads;
   if (threads <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -981,33 +1196,33 @@ solution solve(const model& m, const solver_options& options) {
   result.threads_used = threads;
 
   const lp_problem& tree_lp_problem = tree_problem ? *tree_problem : sf.lp;
+  const bool parallel = options.deterministic || threads > 1;
   const tree_context ctx{m,          sf,
                          options,    root_lower,
                          root_upper, tree_rows ? &*tree_rows : nullptr,
-                         time_budget, n};
+                         time_budget, n,
+                         parallel};
+
+  // Every engine starts from the root (id 0) with one -inf bound entry;
+  // the parallel engines re-solve it from the cut loop's root basis.
+  long next_node_id = 1;
+  bb_node root_node;
+  if (parallel && root_solved) root_node.warm = capture_basis(*lp, n);
+  // One entry per open, in-flight or unresolved node.
+  std::multiset<double> open_bounds{-inf};
 
   if (options.deterministic) {
     // ------------------------------------------ deterministic round engine
-    // Fixed-width rounds: select `deterministic_round_width` open nodes by
-    // a deterministic comparator, process them concurrently on private
-    // simplex instances (every node re-solved from its recorded parent
-    // basis -- load_basis makes that a pure function of the node), then
-    // commit the results in ascending node-id order. Selection, pruning,
-    // pseudocost updates, and incumbent acceptance all happen in the
-    // single-threaded commit phase, so the trajectory depends on the round
-    // width but never on the thread count or on arrival order.
+    // Fixed-width rounds: select `round_width` open nodes by the node-order
+    // rule, process them concurrently on private simplex instances (every
+    // node re-solved from its recorded parent basis -- load_basis makes
+    // that a pure function of the node), then commit the results in
+    // ascending node-id order. Selection, pruning, pseudocost updates, and
+    // incumbent acceptance all happen in the single-threaded commit phase,
+    // so the trajectory depends on the round width but never on the thread
+    // count or on arrival order.
     std::vector<bb_node> open;
-    std::multiset<double> open_bounds;
-    long next_node_id = 0;
-    {
-      bb_node root_node;
-      root_node.id = next_node_id++;
-      root_node.warm = root_solved ? capture_basis(*lp, n) : nullptr;
-      open.push_back(std::move(root_node));
-      open_bounds.insert(-inf);
-    }
-
-    const int width = std::max(1, options.deterministic_round_width);
+    open.push_back(std::move(root_node));
     std::vector<worker_stats> wstats(static_cast<std::size_t>(threads));
 
     // Round batch, shared main -> workers through the generation handshake
@@ -1023,16 +1238,6 @@ solution solve(const model& m, const solver_options& options) {
     int unfinished = 0;
     std::atomic<std::size_t> batch_cursor{0};
     bool shutdown = false;
-
-    // The table is only mutated in the commit phase while the workers wait,
-    // so round-time reads need no lock.
-    auto pc_counts = [&](const std::vector<int>& vars,
-                         std::vector<std::pair<long, long>>& out) {
-      out.resize(vars.size());
-      for (std::size_t i = 0; i < vars.size(); ++i)
-        out[i] = {pseudocosts.up_count[vars[i]],
-                  pseudocosts.down_count[vars[i]]};
-    };
 
     auto round_worker = [&](int w) {
       simplex_solver wlp(tree_lp_problem, options.lp);
@@ -1052,8 +1257,8 @@ solution solve(const model& m, const solver_options& options) {
           if (i >= batch.size()) break;
           node_result nr =
               process_node(ctx, wlp, batch[i], /*reload_basis=*/true,
-                           round_prune_obj, round_probe_allowance, pc_counts,
-                           wl, wu);
+                           round_prune_obj, round_probe_allowance,
+                           table_counts, wl, wu);
           nr.processed_by = w;
           results[i] = std::move(nr);
         }
@@ -1068,62 +1273,30 @@ solution solve(const model& m, const solver_options& options) {
     team.reserve(static_cast<std::size_t>(threads));
     for (int w = 0; w < threads; ++w) team.emplace_back(round_worker, w);
 
-    stopwatch log_watch;
     long round = 0;
     bool stop = false;
     while (!stop && !open.empty()) {
-      const double open_bound = *open_bounds.begin();
-      if (have_incumbent) {
-        const double denom = std::max(1.0, std::abs(incumbent_obj));
-        if ((incumbent_obj - open_bound) / denom <= options.relative_gap ||
-            incumbent_obj - open_bound <= options.absolute_gap)
-          break;
-      }
+      if (gap_closed(open_bounds)) break;
       if (nodes >= options.max_nodes || time_budget.expired()) {
         hit_limit = true;
         break;
       }
 
-      // Deterministic selection: dfs keeps LIFO order (newest id first);
-      // best_estimate alternates estimate-first rounds with periodic
-      // best-bound rounds, mirroring the sequential hybrid backtracking at
-      // round granularity.
-      ++round;
-      bool by_bound = false;
-      bool by_estimate = false;
-      if (options.node_selection == node_rule::best_estimate) {
-        by_bound = options.backtrack_interval > 0 &&
-                   round % options.backtrack_interval == 0;
-        by_estimate = !by_bound && round % 2 == 0;
-      }
-      auto better = [&](const bb_node& a, const bb_node& b) {
-        if (!by_bound && !by_estimate) return a.id > b.id;
-        if (by_bound) {
-          if (a.parent_bound != b.parent_bound)
-            return a.parent_bound < b.parent_bound;
-          if (a.estimate != b.estimate) return a.estimate < b.estimate;
-          return a.id < b.id;
-        }
-        if (a.estimate != b.estimate) return a.estimate < b.estimate;
-        if (a.parent_bound != b.parent_bound)
-          return a.parent_bound < b.parent_bound;
-        return a.id < b.id;
-      };
-      const std::size_t take =
-          std::min<std::size_t>(static_cast<std::size_t>(width), open.size());
+      const open_key key = key_for_turn(options.node_selection, ++round);
+      const std::size_t take = std::min<std::size_t>(
+          static_cast<std::size_t>(round_width), open.size());
       std::partial_sort(open.begin(),
                         open.begin() + static_cast<std::ptrdiff_t>(take),
-                        open.end(), better);
+                        open.end(), [key](const bb_node& a, const bb_node& b) {
+                          return comes_first(key, a, b);
+                        });
       batch.assign(open.begin(),
                    open.begin() + static_cast<std::ptrdiff_t>(take));
       open.erase(open.begin(),
                  open.begin() + static_cast<std::ptrdiff_t>(take));
 
       round_prune_obj = have_incumbent ? incumbent_obj : inf;
-      round_probe_allowance = 0;
-      if (options.branching == branch_rule::pseudocost &&
-          options.reliability > 0 && probes < options.strong_branch_limit)
-        round_probe_allowance = options.strong_branch_limit - probes;
+      round_probe_allowance = remaining_probes(options, probes);
 
       results.assign(batch.size(), node_result{});
       batch_cursor.store(0, std::memory_order_relaxed);
@@ -1153,52 +1326,11 @@ solution solve(const model& m, const solver_options& options) {
         ws.simplex_iterations += nr.iterations;
         ws.dual_simplex_iterations += nr.dual_iterations;
         probes += nr.probes_run;
-        if (nr.kind == node_kind::skipped) {
-          open_bounds.erase(open_bounds.find(bnode.parent_bound));
-          continue; // parent-bound pruned before any work: not counted
-        }
-        if (nr.kind == node_kind::time_limit) {
-          // Unresolved: keep its bound entry so the dual bound stays
-          // conservative, and unwind (determinism is void once a limit
-          // fires mid-search, the sequential engine's caveat too).
-          hit_limit = true;
-          stop = true;
-          continue;
-        }
-        open_bounds.erase(open_bounds.find(bnode.parent_bound));
-        ++nodes;
-        ++ws.nodes;
-        if (!root_solved && bnode.id == 0 && nr.bound != -inf) {
-          root_lp_bound = nr.bound;
-          root_solved = true;
-        }
-        if (nr.kind == node_kind::unbounded) {
-          unbounded = true;
-          stop = true;
-          continue;
-        }
-        if (nr.kind == node_kind::dropped) {
-          log_at(log_level::warn, "milp: dropped node after iteration limit");
-          continue;
-        }
-        if (nr.kind == node_kind::integral) {
-          if (nr.candidate_feasible &&
-              (!have_incumbent ||
-               nr.candidate_obj < incumbent_obj - options.absolute_gap)) {
-            have_incumbent = true;
-            incumbent_obj = nr.candidate_obj;
-            incumbent_values = std::move(nr.candidate);
-            if (options.log_progress)
-              log_at(log_level::info, "milp: incumbent ",
-                     sf.objective_sign * incumbent_obj + sf.objective_constant,
-                     " at node ", nodes);
-          }
-          continue;
-        }
-        if (nr.kind != node_kind::branched) continue; // prop/bound/infeasible
-        if (have_incumbent &&
-            nr.bound >= incumbent_obj - options.absolute_gap)
-          continue; // an earlier commit of this round improved the incumbent
+        // A stop still commits the rest of the round: those nodes are
+        // already processed.
+        const settled s = settle(bnode, nr, open_bounds, &ws);
+        if (s == settled::stop) stop = true;
+        if (s != settled::branch) continue;
         branch_output br =
             commit_branch(ctx, bnode, nr, pseudocosts, next_node_id);
         if (!br.down_infeasible) open_bounds.insert(nr.bound);
@@ -1206,16 +1338,7 @@ solution solve(const model& m, const solver_options& options) {
         if (!br.down_infeasible) open.push_back(std::move(br.down));
         if (!br.up_infeasible) open.push_back(std::move(br.up));
       }
-
-      if (options.log_progress && log_watch.elapsed_seconds() > 2.0) {
-        log_watch.reset();
-        log_at(log_level::info, "milp: nodes=", nodes, " open=", open.size(),
-               " incumbent=",
-               have_incumbent
-                   ? std::to_string(sf.objective_sign * incumbent_obj +
-                                    sf.objective_constant)
-                   : std::string("none"));
-      }
+      log_progress(open.size());
     }
 
     {
@@ -1226,8 +1349,7 @@ solution solve(const model& m, const solver_options& options) {
     for (std::thread& t : team) t.join();
 
     result.workers = std::move(wstats);
-    return finish(!open_bounds.empty(),
-                  open_bounds.empty() ? inf : *open_bounds.begin());
+    return finish(open_bounds);
   }
 
   if (threads > 1) {
@@ -1235,76 +1357,21 @@ solution solve(const model& m, const solver_options& options) {
     // A shared open pool under one mutex. Each worker dives on its own
     // preferred child without touching the pool (warm basis kept hot, the
     // sequential plunge); a finished dive pulls the best pool node by the
-    // node rule -- pulling a node another worker produced counts as a
-    // steal -- and re-solves it from the node's recorded parent basis.
-    // `pool_bounds` holds one entry per open OR in-flight node (erased at
+    // node-order rule -- pulling a node another worker produced counts as
+    // a steal -- and re-solves it from the node's recorded parent basis.
+    // `open_bounds` holds one entry per open OR in-flight node (settled at
     // commit), so the global dual bound and the gap test stay conservative
     // while nodes are being processed.
     std::mutex mu;
     std::condition_variable cv;
     std::vector<bb_node> pool;
-    std::multiset<double> pool_bounds;
-    long next_node_id = 0;
+    pool.push_back(std::move(root_node));
     long backtracks = 0;
     int active = 0;
     bool stop = false;
     std::atomic<double> prune_obj{have_incumbent ? incumbent_obj : inf};
     std::atomic<long> probes_issued{0};
     std::vector<worker_stats> wstats(static_cast<std::size_t>(threads));
-    stopwatch log_watch;
-
-    {
-      bb_node root_node;
-      root_node.id = next_node_id++;
-      root_node.warm = root_solved ? capture_basis(*lp, n) : nullptr;
-      pool.push_back(std::move(root_node));
-      pool_bounds.insert(-inf);
-    }
-
-    // Callers hold mu.
-    auto pool_gap_closed = [&]() {
-      if (!have_incumbent) return false;
-      const double bound = pool_bounds.empty() ? inf : *pool_bounds.begin();
-      if (bound == inf) return true;
-      const double denom = std::max(1.0, std::abs(incumbent_obj));
-      return (incumbent_obj - bound) / denom <= options.relative_gap ||
-             incumbent_obj - bound <= options.absolute_gap;
-    };
-    auto select_pool = [&]() -> bb_node {
-      std::size_t pick = pool.size() - 1; // dfs: LIFO
-      if (options.node_selection == node_rule::best_estimate) {
-        ++backtracks;
-        const bool by_bound = options.backtrack_interval > 0 &&
-                              backtracks % options.backtrack_interval == 0;
-        const bool by_estimate = !by_bound && backtracks % 2 == 0;
-        if (by_bound || by_estimate) {
-          pick = 0;
-          for (std::size_t i = 1; i < pool.size(); ++i) {
-            const bb_node& a = pool[i];
-            const bb_node& b = pool[pick];
-            bool better;
-            if (by_bound) {
-              better = a.parent_bound != b.parent_bound
-                           ? a.parent_bound < b.parent_bound
-                           : (a.estimate != b.estimate
-                                  ? a.estimate < b.estimate
-                                  : a.id < b.id);
-            } else {
-              better = a.estimate != b.estimate
-                           ? a.estimate < b.estimate
-                           : (a.parent_bound != b.parent_bound
-                                  ? a.parent_bound < b.parent_bound
-                                  : a.id < b.id);
-            }
-            if (better) pick = i;
-          }
-        }
-      }
-      bb_node node = std::move(pool[pick]);
-      pool[pick] = std::move(pool.back());
-      pool.pop_back();
-      return node;
-    };
 
     auto worker = [&](int w) {
       simplex_solver wlp(tree_lp_problem, options.lp);
@@ -1317,40 +1384,24 @@ solution solve(const model& m, const solver_options& options) {
       std::uint64_t seen = 0; // per-worker board stamp
       worker_stats& ws = wstats[static_cast<std::size_t>(w)];
 
-      // Only the ≤ strong_branch_candidates probe-candidate counts are
+      // Only the <= strong_branch_candidates probe-candidate counts are
       // snapshotted under the lock (the full table would be a large copy
       // per node).
       auto pc_counts = [&](const std::vector<int>& vars,
                            std::vector<std::pair<long, long>>& out) {
-        out.resize(vars.size());
         std::lock_guard<std::mutex> lock(mu);
-        for (std::size_t i = 0; i < vars.size(); ++i)
-          out[i] = {pseudocosts.up_count[vars[i]],
-                    pseudocosts.down_count[vars[i]]};
+        table_counts(vars, out);
       };
 
       for (;;) {
-        if (board) {
-          double bobj = 0.0;
-          std::vector<double> bvals;
-          if (board->fetch(seen, bobj, bvals)) {
-            // Re-validate outside the lock, adopt under it.
-            for (int j = 0; j < n; ++j)
-              if (sf.is_integer[j]) bvals[j] = std::round(bvals[j]);
-            if (m.is_feasible(bvals, 1e-5)) {
-              const double min_obj =
-                  sf.objective_sign *
-                  (m.evaluate_objective(bvals) - sf.objective_constant);
-              std::lock_guard<std::mutex> lock(mu);
-              if (!have_incumbent ||
-                  min_obj < incumbent_obj - options.absolute_gap) {
-                have_incumbent = true;
-                incumbent_obj = min_obj;
-                incumbent_values = std::move(bvals);
-                prune_obj.store(min_obj, std::memory_order_relaxed);
-              }
-            }
-          }
+        double bobj = 0.0;
+        std::vector<double> bvals;
+        if (board && board->fetch(seen, bobj, bvals)) {
+          // Re-validate outside the lock, adopt under it.
+          const double min_obj = evaluate_candidate(m, sf, bvals);
+          std::lock_guard<std::mutex> lock(mu);
+          if (accept(min_obj, bvals))
+            prune_obj.store(min_obj, std::memory_order_relaxed);
         }
 
         bb_node node;
@@ -1377,23 +1428,19 @@ solution solve(const model& m, const solver_options& options) {
               cv.notify_all();
               break;
             }
-            node = select_pool();
+            node = take_open(
+                pool, key_for_turn(options.node_selection, ++backtracks));
             if (node.producer >= 0 && node.producer != w) ++ws.steals;
             ++active;
             counted = true;
           }
         }
 
-        long allowance = 0;
-        if (options.branching == branch_rule::pseudocost &&
-            options.reliability > 0) {
-          const long issued = probes_issued.load(std::memory_order_relaxed);
-          if (issued < options.strong_branch_limit)
-            allowance = options.strong_branch_limit - issued;
-        }
         node_result nr = process_node(
             ctx, wlp, node, reload, prune_obj.load(std::memory_order_relaxed),
-            allowance, pc_counts, wl, wu);
+            remaining_probes(options,
+                            probes_issued.load(std::memory_order_relaxed)),
+            pc_counts, wl, wu);
         if (nr.probes_run > 0)
           probes_issued.fetch_add(nr.probes_run, std::memory_order_relaxed);
         ws.simplex_iterations += nr.iterations;
@@ -1403,99 +1450,34 @@ solution solve(const model& m, const solver_options& options) {
         std::vector<double> offer_vals;
         {
           std::unique_lock<std::mutex> lock(mu);
-          pool_bounds.erase(pool_bounds.find(node.parent_bound));
-          if (!root_solved && node.id == 0 && nr.bound != -inf) {
-            root_lp_bound = nr.bound;
-            root_solved = true;
-          }
-          switch (nr.kind) {
-            case node_kind::skipped:
-              break; // not counted, matching the sequential engine
-            case node_kind::time_limit:
-              ++nodes;
-              ++ws.nodes;
-              hit_limit = true;
+          switch (settle(node, nr, open_bounds, &ws)) {
+            case settled::stop:
               stop = true;
               break;
-            case node_kind::unbounded:
-              ++nodes;
-              ++ws.nodes;
-              unbounded = true;
-              stop = true;
-              break;
-            case node_kind::dropped:
-              ++nodes;
-              ++ws.nodes;
-              log_at(log_level::warn,
-                     "milp: dropped node after iteration limit");
-              break;
-            case node_kind::prop_pruned:
-            case node_kind::bound_pruned:
-            case node_kind::lp_infeasible:
-              ++nodes;
-              ++ws.nodes;
-              break;
-            case node_kind::integral:
-              ++nodes;
-              ++ws.nodes;
-              if (nr.candidate_feasible &&
-                  (!have_incumbent ||
-                   nr.candidate_obj < incumbent_obj - options.absolute_gap)) {
-                have_incumbent = true;
-                incumbent_obj = nr.candidate_obj;
-                incumbent_values = nr.candidate;
-                prune_obj.store(incumbent_obj, std::memory_order_relaxed);
-                if (board) {
-                  offer_obj = sf.objective_sign * incumbent_obj +
-                              sf.objective_constant;
-                  offer_vals = std::move(nr.candidate);
-                }
-                if (options.log_progress)
-                  log_at(log_level::info, "milp: incumbent ",
-                         sf.objective_sign * incumbent_obj +
-                             sf.objective_constant,
-                         " at node ", nodes);
+            case settled::improved:
+              prune_obj.store(incumbent_obj, std::memory_order_relaxed);
+              if (board) {
+                offer_obj = user_objective(incumbent_obj);
+                offer_vals = incumbent_values;
               }
               break;
-            case node_kind::branched: {
-              ++nodes;
-              ++ws.nodes;
-              if (have_incumbent &&
-                  nr.bound >= incumbent_obj - options.absolute_gap)
-                break; // raced: the incumbent improved during the LP solve
+            case settled::branch: {
               branch_output br =
                   commit_branch(ctx, node, nr, pseudocosts, next_node_id);
               br.down.producer = w;
               br.up.producer = w;
-              if (!br.down_infeasible) pool_bounds.insert(nr.bound);
-              if (!br.up_infeasible) pool_bounds.insert(nr.bound);
-              bb_node& preferred = br.down_preferred ? br.down : br.up;
-              bb_node& sibling = br.down_preferred ? br.up : br.down;
-              const bool preferred_pruned = br.down_preferred
-                                                ? br.down_infeasible
-                                                : br.up_infeasible;
-              const bool sibling_pruned = br.down_preferred
-                                              ? br.up_infeasible
-                                              : br.down_infeasible;
-              if (!sibling_pruned) pool.push_back(std::move(sibling));
-              if (!preferred_pruned) hand = std::move(preferred);
+              plunge(br, nr.bound, pool, hand, open_bounds);
               break;
             }
+            case settled::done:
+              break;
           }
           if (!hand) {
             --active;
             counted = false;
           }
-          if (pool_gap_closed()) stop = true;
-          if (options.log_progress && log_watch.elapsed_seconds() > 2.0) {
-            log_watch.reset();
-            log_at(log_level::info, "milp: nodes=", nodes,
-                   " open=", pool.size(), " incumbent=",
-                   have_incumbent
-                       ? std::to_string(sf.objective_sign * incumbent_obj +
-                                        sf.objective_constant)
-                       : std::string("none"));
-          }
+          if (gap_closed(open_bounds)) stop = true;
+          log_progress(pool.size());
           cv.notify_all();
           if (stop) break;
         }
@@ -1515,103 +1497,27 @@ solution solve(const model& m, const solver_options& options) {
     }
     probes = probes_issued.load(std::memory_order_relaxed);
     result.workers = std::move(wstats);
-    return finish(!pool_bounds.empty(),
-                  pool_bounds.empty() ? inf : *pool_bounds.begin());
+    return finish(open_bounds);
   }
 
   // ------------------------------------------------ sequential tree engine
-  // Open-node pool. The node "in hand" is the dive continuation (explored
-  // without touching the pool, which keeps dfs mode's LIFO order exact);
-  // a finished dive backtracks through select_open().
+  // One warm simplex instance plunges through the tree: the preferred child
+  // stays in hand (explored next without touching `open`, which keeps dfs
+  // mode's LIFO order exact), its sibling joins `open`, and a finished dive
+  // backtracks through the node-order rule. Every node re-solves on the
+  // basis the previous one left, so no snapshot is ever reloaded.
   std::vector<bb_node> open;
-  std::optional<bb_node> in_hand;
-  std::multiset<double> open_bounds; // bounds of open + in-hand nodes
-  long next_node_id = 0;
-  {
-    bb_node root_node;
-    root_node.parent_bound = -inf;
-    root_node.id = next_node_id++;
-    in_hand = std::move(root_node);
-    open_bounds.insert(-inf);
-  }
-
+  std::optional<bb_node> in_hand = std::move(root_node);
   long backtracks = 0;
-  stopwatch log_watch;
-
-  // Reusable per-node propagation bound buffers.
-  std::vector<double> prop_lower;
-  std::vector<double> prop_upper;
-
-  auto select_open = [&]() -> bb_node {
-    std::size_t pick = open.size() - 1; // dfs: LIFO
-    if (options.node_selection == node_rule::best_estimate) {
-      // Hybrid backtracking: most backtracks stay LIFO (the adjacent open
-      // node keeps the warm basis hot); every second one restarts the dive
-      // from the best-estimate node, and every `backtrack_interval`-th from
-      // the best-bound node (pumping the global dual bound). Pure
-      // best-first jumping doubles the LP cost per node -- the warm dual
-      // re-solve only pays off between nearby nodes.
-      ++backtracks;
-      const bool by_bound = options.backtrack_interval > 0 &&
-                            backtracks % options.backtrack_interval == 0;
-      const bool by_estimate = !by_bound && backtracks % 2 == 0;
-      if (by_bound || by_estimate) {
-        pick = 0;
-        for (std::size_t i = 1; i < open.size(); ++i) {
-          const bb_node& a = open[i];
-          const bb_node& b = open[pick];
-          bool better;
-          if (by_bound) {
-            better = a.parent_bound != b.parent_bound
-                         ? a.parent_bound < b.parent_bound
-                         : (a.estimate != b.estimate ? a.estimate < b.estimate
-                                                     : a.id < b.id);
-          } else {
-            better = a.estimate != b.estimate
-                         ? a.estimate < b.estimate
-                         : (a.parent_bound != b.parent_bound
-                                ? a.parent_bound < b.parent_bound
-                                : a.id < b.id);
-          }
-          if (better) pick = i;
-        }
-      }
-    }
-    bb_node node = std::move(open[pick]);
-    open[pick] = std::move(open.back());
-    open.pop_back();
-    return node;
-  };
-
-  auto apply_node_bounds = [&](const bb_node& node) {
-    for (int j = 0; j < n; ++j)
-      lp->set_variable_bounds(j, root_lower[j], root_upper[j]);
-    for (const bound_change& change : node.changes)
-      lp->set_variable_bounds(change.var, change.lower, change.upper);
-  };
-
-  auto best_open_bound = [&]() {
-    double bound = open_bounds.empty() ? inf : *open_bounds.begin();
-    return bound;
-  };
-
-  auto gap_closed = [&]() {
-    if (!have_incumbent) return false;
-    const double bound = best_open_bound();
-    if (bound == inf) return true; // tree exhausted
-    const double denom = std::max(1.0, std::abs(incumbent_obj));
-    return (incumbent_obj - bound) / denom <= options.relative_gap ||
-           incumbent_obj - bound <= options.absolute_gap;
-  };
+  std::uint64_t board_seen = 0;
+  std::vector<double> prop_lower, prop_upper; // reused propagation buffers
 
   while (in_hand || !open.empty()) {
-    if (board) {
-      double bobj = 0.0;
-      std::vector<double> bvals;
-      if (board->fetch(board_seen, bobj, bvals))
-        try_incumbent(std::move(bvals));
-    }
-    if (gap_closed()) break;
+    double bobj = 0.0;
+    std::vector<double> bvals;
+    if (board && board->fetch(board_seen, bobj, bvals))
+      accept(evaluate_candidate(m, sf, bvals), bvals);
+    if (gap_closed(open_bounds)) break;
     if (nodes >= options.max_nodes || time_budget.expired()) {
       hit_limit = true;
       break;
@@ -1622,254 +1528,28 @@ solution solve(const model& m, const solver_options& options) {
       node = std::move(*in_hand);
       in_hand.reset();
     } else {
-      node = select_open();
-    }
-    open_bounds.erase(open_bounds.find(node.parent_bound));
-
-    // Bound-based pruning against the incumbent.
-    if (have_incumbent && node.parent_bound >= incumbent_obj - options.absolute_gap)
-      continue;
-
-    if (tree_rows && !node.changes.empty()) {
-      // Per-node propagation: branching fixes collapse big-M disjunctions,
-      // so a few interval passes often prune the node (or shrink its LP)
-      // before any pivot is spent.
-      prop_lower = root_lower;
-      prop_upper = root_upper;
-      for (const bound_change& change : node.changes) {
-        prop_lower[change.var] = change.lower;
-        prop_upper[change.var] = change.upper;
-      }
-      if (!propagate_node(*tree_rows, sf.is_integer, prop_lower, prop_upper,
-                          options.node_propagation_passes)) {
-        ++nodes; // processed (pruned by propagation, no LP needed)
-        continue;
-      }
-      for (int j = 0; j < n; ++j)
-        lp->set_variable_bounds(j, prop_lower[j], prop_upper[j]);
-    } else {
-      apply_node_bounds(node);
-    }
-    const lp_result relax = lp->solve(time_budget, /*warm_start=*/true);
-    ++nodes;
-    simplex_iterations += relax.iterations;
-    dual_iterations += relax.dual_iterations;
-
-    if (options.log_progress && log_watch.elapsed_seconds() > 2.0) {
-      log_watch.reset();
-      log_at(log_level::info, "milp: nodes=", nodes,
-             " open=", open.size(), " incumbent=",
-             have_incumbent ? std::to_string(sf.objective_sign * incumbent_obj +
-                                             sf.objective_constant)
-                            : std::string("none"));
+      node = take_open(open,
+                       key_for_turn(options.node_selection, ++backtracks));
     }
 
-    if (relax.status == lp_status::time_limit) {
-      hit_limit = true;
-      break;
-    }
-    if (relax.status == lp_status::infeasible) continue;
-    if (relax.status == lp_status::unbounded) {
-      unbounded = true;
-      break;
-    }
-    if (relax.status == lp_status::iteration_limit) {
-      // Treat as unresolved: requeue would loop; drop with a warning. The
-      // iteration cap is high enough that this indicates numerical trouble.
-      log_at(log_level::warn, "milp: dropped node after iteration limit");
-      continue;
-    }
-
-    const double node_bound = relax.objective;
-    if (!root_solved) {
-      root_lp_bound = node_bound;
-      root_solved = true;
-    }
-    if (have_incumbent && node_bound >= incumbent_obj - options.absolute_gap)
-      continue;
-
-    // Collect fractional branching candidates.
-    std::vector<std::pair<double, int>> fractional; // (closeness to 0.5, var)
-    for (int j = 0; j < n; ++j) {
-      if (!sf.is_integer[j]) continue;
-      const double frac = fractional_part(relax.x[j]);
-      if (frac <= int_tol) continue;
-      fractional.emplace_back(0.5 - std::abs(frac - 0.5), j);
-    }
-
-    // Reliability initialization: before trusting pseudocosts, seed them
-    // with limited strong-branching probes -- warm-started dual re-solves
-    // with a tight iteration cap. An infeasible probe direction prunes that
-    // child outright.
-    bool down_infeasible = false;
-    bool up_infeasible = false;
-    int probed_infeasible_var = -1;
-    if (options.branching == branch_rule::pseudocost &&
-        options.reliability > 0 && probes < options.strong_branch_limit &&
-        !fractional.empty()) {
-      std::vector<std::pair<double, int>> order = fractional;
-      std::sort(order.begin(), order.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.first != b.first) return a.first > b.first;
-                  return a.second < b.second;
-                });
-      if (static_cast<int>(order.size()) > options.strong_branch_candidates)
-        order.resize(static_cast<std::size_t>(options.strong_branch_candidates));
-      for (const auto& [closeness, j] : order) {
-        (void)closeness;
-        if (probes >= options.strong_branch_limit) break;
-        if (std::min(pseudocosts.up_count[j], pseudocosts.down_count[j]) >=
-            options.reliability)
-          continue;
-        const double value = relax.x[j];
-        const double floor_val = std::floor(value);
-        const double frac = value - floor_val;
-        const double node_lower = lp->variable_lower(j);
-        const double node_upper = lp->variable_upper(j);
-        bool local_down_infeasible = false;
-        bool local_up_infeasible = false;
-        for (const bool up : {false, true}) {
-          if (time_budget.expired()) break;
-          if (up)
-            lp->set_variable_bounds(j, floor_val + 1.0, node_upper);
-          else
-            lp->set_variable_bounds(j, node_lower, floor_val);
-          const lp_result probe = lp->solve(
-              time_budget, /*warm_start=*/true,
-              options.strong_branch_iteration_limit);
-          lp->set_variable_bounds(j, node_lower, node_upper);
-          ++probes;
-          simplex_iterations += probe.iterations;
-          dual_iterations += probe.dual_iterations;
-          if (probe.status == lp_status::optimal) {
-            const double degradation =
-                std::max(0.0, probe.objective - node_bound);
-            const double distance = up ? 1.0 - frac : frac;
-            pseudocosts.record(j, up,
-                               degradation / std::max(distance, 1e-6));
-          } else if (probe.status == lp_status::infeasible) {
-            // Infeasibility holds only under this node's bound set, so it
-            // must not pollute the search-global pseudocost averages; the
-            // child is pruned below instead.
-            if (up)
-              local_up_infeasible = true;
-            else
-              local_down_infeasible = true;
-          }
-          // Iteration/time-limited probes carry no trustworthy bound.
-        }
-        if (local_down_infeasible || local_up_infeasible) {
-          probed_infeasible_var = j;
-          down_infeasible = local_down_infeasible;
-          up_infeasible = local_up_infeasible;
-        }
-      }
-    }
-
-    // Pick the branching variable.
-    int branch_var = -1;
-    double branch_frac = 0.0;
-    double best_score = -1.0;
-    for (const auto& [closeness, j] : fractional) {
-      double score;
-      if (options.branching == branch_rule::pseudocost) {
-        score = pseudocosts.score(j, relax.x[j] - std::floor(relax.x[j]), 1.0);
-      } else {
-        score = closeness; // most fractional
-      }
-      if (score > best_score) {
-        best_score = score;
-        branch_var = j;
-        branch_frac = relax.x[j];
-      }
-    }
-    // A probe that proved one side infeasible makes its variable the best
-    // branch: one child is pruned before it is ever solved.
-    if (probed_infeasible_var >= 0) {
-      branch_var = probed_infeasible_var;
-      branch_frac = relax.x[branch_var];
-    } else {
-      down_infeasible = up_infeasible = false;
-    }
-
-    if (branch_var < 0) {
-      // Integral LP optimum: candidate incumbent.
-      if (try_incumbent(relax.x) && options.log_progress)
-        log_at(log_level::info, "milp: incumbent ",
-               sf.objective_sign * incumbent_obj + sf.objective_constant,
-               " at node ", nodes);
-      continue;
-    }
-
-    // Record pseudocost data for the parent of this node (per unit of
-    // fractional distance, matching the strong-branching probes).
-    if (!node.changes.empty()) {
-      const bound_change& last = node.changes.back();
-      const double degradation = node_bound - node.parent_bound;
-      if (node.parent_bound != -inf && degradation >= 0.0)
-        pseudocosts.record(last.var, last.lower > root_lower[last.var],
-                           degradation /
-                               std::max(node.branch_distance, 1e-6));
-    }
-
-    const double floor_val = std::floor(branch_frac);
-    const double frac = branch_frac - floor_val;
-
-    // Completion estimate: the branch direction's expected degradation plus
-    // the cheapest rounding of every other fractional variable.
-    const double fallback = pseudocosts.average();
-    double estimate_rest = 0.0;
-    if (options.node_selection == node_rule::best_estimate) {
-      for (const auto& [closeness, j] : fractional) {
-        (void)closeness;
-        if (j == branch_var) continue;
-        const double fj = relax.x[j] - std::floor(relax.x[j]);
-        estimate_rest +=
-            std::min(pseudocosts.down_cost(j, fallback) * fj,
-                     pseudocosts.up_cost(j, fallback) * (1.0 - fj));
-      }
-    }
-
-    bb_node down_child;
-    down_child.changes = node.changes;
-    down_child.changes.push_back(
-        {branch_var, lp->variable_lower(branch_var), floor_val});
-    down_child.parent_bound = node_bound;
-    down_child.id = next_node_id++;
-    down_child.branch_distance = frac;
-    down_child.estimate =
-        node_bound + pseudocosts.down_cost(branch_var, fallback) * frac +
-        estimate_rest;
-
-    bb_node up_child;
-    up_child.changes = node.changes;
-    up_child.changes.push_back(
-        {branch_var, floor_val + 1.0, lp->variable_upper(branch_var)});
-    up_child.parent_bound = node_bound;
-    up_child.id = next_node_id++;
-    up_child.branch_distance = 1.0 - frac;
-    up_child.estimate =
-        node_bound +
-        pseudocosts.up_cost(branch_var, fallback) * (1.0 - frac) +
-        estimate_rest;
-
-    // Plunge: keep the child nearest the LP value in hand; the sibling
-    // joins the open pool (push_back keeps dfs mode's LIFO order exact).
-    // Children whose side a strong-branching probe proved infeasible are
-    // never queued.
-    const bool down_preferred = frac <= 0.5;
-    bb_node& preferred = down_preferred ? down_child : up_child;
-    bb_node& sibling = down_preferred ? up_child : down_child;
-    const bool preferred_pruned =
-        down_preferred ? down_infeasible : up_infeasible;
-    const bool sibling_pruned = down_preferred ? up_infeasible : down_infeasible;
-    if (!sibling_pruned) open.push_back(std::move(sibling));
-    if (!preferred_pruned) in_hand = std::move(preferred);
-    if (!down_infeasible) open_bounds.insert(node_bound);
-    if (!up_infeasible) open_bounds.insert(node_bound);
+    node_result nr = process_node(
+        ctx, *lp, node, /*reload_basis=*/false,
+        have_incumbent ? incumbent_obj : inf,
+        remaining_probes(options, probes), table_counts, prop_lower, prop_upper);
+    simplex_iterations += nr.iterations;
+    dual_iterations += nr.dual_iterations;
+    probes += nr.probes_run;
+    const settled s = settle(node, nr, open_bounds, nullptr);
+    log_progress(open.size());
+    if (s == settled::stop) break;
+    if (s == settled::improved && board)
+      board->offer(user_objective(incumbent_obj), incumbent_values);
+    if (s != settled::branch) continue;
+    branch_output br = commit_branch(ctx, node, nr, pseudocosts, next_node_id);
+    plunge(br, nr.bound, open, in_hand, open_bounds);
   }
 
-  return finish(in_hand.has_value() || !open.empty(), best_open_bound());
+  return finish(open_bounds);
 }
 
 } // namespace transtore::milp

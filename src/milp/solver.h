@@ -106,8 +106,8 @@ private:
 ///     propagation+cuts stack prove optimality (IVD closes in ~12 s).
 ///   * best_estimate: dives like dfs, but alternate backtracks restart the
 ///     dive from the open node with the best pseudocost completion
-///     estimate, and every `backtrack_interval`-th backtrack from the
-///     best-bound node (pumping the global dual bound). Trades LP warmth
+///     estimate, and every eighth backtrack from the best-bound node
+///     (pumping the global dual bound). Trades LP warmth
 ///     for incumbent quality under tight time limits (RA16's incumbent
 ///     improves 323.5 -> 297.5 in the 15 s bench).
 enum class node_rule { dfs, best_estimate };
@@ -143,38 +143,31 @@ struct solver_options {
   /// children are often pruned without solving any LP. Off = root-only
   /// propagation (today's behaviour).
   bool node_propagation = true;
-  /// Propagation passes per node (root presolve handles the root).
-  int node_propagation_passes = 3;
   /// Node selection (see node_rule).
   node_rule node_selection = node_rule::dfs;
-  /// Under best_estimate, every Nth backtrack picks the best-bound open
-  /// node instead of the best-estimate one.
-  int backtrack_interval = 8;
   bool log_progress = false;
   /// LP engine tunables, forwarded to the simplex (allow_dual / pricing are
   /// the ablation switches back to the primal-only seed behaviour).
   simplex_options lp;
   /// Pseudocost reliability: a variable's pseudocosts are initialized by
   /// strong-branching probes (cheap dual re-solves) until each direction
-  /// has this many observations. 0 disables probing.
+  /// has this many observations (at most 100 probes per search, of up to
+  /// 100 iterations each). 0 disables probing.
   int reliability = 4;
-  /// Per-direction iteration cap of one strong-branching probe.
-  long strong_branch_iteration_limit = 100;
-  /// Total strong-branching probes allowed across the whole search.
-  long strong_branch_limit = 100;
-  /// Fractional candidates probed per node (most fractional first).
-  int strong_branch_candidates = 8;
   /// Optional known-feasible assignment used as the initial incumbent.
   std::optional<std::vector<double>> warm_start;
-  /// Worker threads for the branch-and-bound tree search. 1 (default) is
-  /// the classic sequential engine; 0 or negative resolves to
-  /// hardware_concurrency; > 1 engages the shared-pool parallel engine
-  /// (first-come node order, so results are run-to-run nondeterministic
-  /// unless `deterministic` is also set). Each worker owns a private
-  /// simplex instance warm-started from its node's recorded parent basis.
+  /// Worker threads for the branch-and-bound tree search. 1 (default) runs
+  /// the sequential engine: one warm simplex instance plunging through the
+  /// tree. 0 or negative resolves to hardware_concurrency; > 1 engages the
+  /// shared-pool parallel engine (first-come node order, so results are
+  /// run-to-run nondeterministic unless `deterministic` is also set), where
+  /// each worker owns a private simplex instance and re-solves a node it
+  /// pulls from the pool warm from the node's recorded parent basis. All
+  /// engines run the same node kernel; they differ only in where the next
+  /// node comes from and in commit order.
   int threads = 1;
   /// Round-synchronized deterministic parallel search: workers expand a
-  /// fixed-width round of nodes concurrently, then commit the results in
+  /// fixed-width round of eight nodes concurrently, then commit them in
   /// node-id order (selection, incumbent acceptance, and pseudocost
   /// updates all resolve by id, never by arrival time). Results are
   /// bit-identical for ANY `threads` value, including 1 -- but the
@@ -183,9 +176,6 @@ struct solver_options {
   /// holds as long as no time limit / cancellation fires mid-search (the
   /// same caveat as the sequential engine).
   bool deterministic = false;
-  /// Nodes expanded per synchronized round in deterministic mode. The
-  /// search trajectory depends on this value, never on `threads`.
-  int deterministic_round_width = 8;
   /// Cross-solve shared incumbent for racing portfolios (see
   /// incumbent_board). All solves sharing one board must be solving the
   /// same model. Ignored in deterministic mode, where adoption timing

@@ -8,6 +8,8 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "assay/benchmarks.h"
 #include "common/prng.h"
@@ -1649,6 +1651,64 @@ TEST(Milp, SequentialTrajectoryIsPinned) {
     EXPECT_EQ(s.dual_simplex_iterations, c.dual_simplex_iterations) << label;
     EXPECT_EQ(s.strong_branch_probes, c.strong_branch_probes) << label;
     EXPECT_EQ(s.objective, c.objective) << label;
+  }
+}
+
+namespace {
+
+/// The three tree engines: sequential, the opportunistic pool, and the
+/// deterministic rounds.
+std::vector<std::pair<std::string, solver_options>> engine_variants(
+    const solver_options& base) {
+  solver_options pool = base;
+  pool.threads = 2;
+  solver_options rounds = base;
+  rounds.deterministic = true;
+  rounds.threads = 2;
+  return {{"sequential", base}, {"threads2", pool}, {"deterministic", rounds}};
+}
+
+} // namespace
+
+TEST(Milp, InterruptedSearchReportsAnOpenGap) {
+  // CPA's root LP does not finish in half a second, so the root node is
+  // interrupted mid-LP: its bound must stay open, and an unproven solve
+  // must never report a closed gap.
+  const sched::scheduling_ilp ilp = table2_formulation("CPA", 4);
+  solver_options o;
+  o.time_limit_seconds = 0.5;
+  o.cuts = false;
+  o.warm_start = ilp.warm_assignment;
+  for (const auto& [engine, options] : engine_variants(o)) {
+    const solution s = solve(ilp.model, options);
+    if (s.status == solve_status::optimal) continue;
+    ASSERT_TRUE(s.has_solution()) << engine; // the warm start is feasible
+    EXPECT_GT(s.gap(), 0.0) << engine;
+    EXPECT_LT(s.best_bound, s.objective) << engine;
+  }
+}
+
+TEST(Milp, DroppedNodeLeavesTheSearchUnproven) {
+  // A 20-iteration LP cap drops nodes (the root among them) unsolved. A
+  // dropped node's subtree is never searched, so the solve may prove
+  // neither infeasibility nor optimality: PCR's optimum is 114.5.
+  const sched::scheduling_ilp ilp = table2_formulation("PCR", 4);
+  solver_options o = quick_options();
+  o.cuts = false;
+  const solution reference = solve(ilp.model, o);
+  ASSERT_EQ(reference.status, solve_status::optimal);
+  EXPECT_NEAR(reference.objective, 114.5, 1e-6);
+
+  o.lp.max_iterations = 20;
+  for (const auto& [engine, options] : engine_variants(o)) {
+    const solution s = solve(ilp.model, options);
+    EXPECT_TRUE(s.status == solve_status::no_solution ||
+                s.status == solve_status::feasible)
+        << engine << ": status " << static_cast<int>(s.status);
+    if (s.has_solution()) {
+      EXPECT_GE(s.objective, 114.5 - 1e-6) << engine;
+      EXPECT_LE(s.best_bound, 114.5 + 1e-6) << engine;
+    }
   }
 }
 
