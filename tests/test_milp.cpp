@@ -1654,6 +1654,90 @@ TEST(Milp, SequentialTrajectoryIsPinned) {
   }
 }
 
+TEST(Simplex, WarmDualResolvesArePinned) {
+  // The LP kernel's exact trajectory under branch-and-bound style warm
+  // re-solves: the LP of one generated scheduling formulation, a seeded
+  // dive of bound changes (branch down or up on a fractional integer
+  // variable, backtrack on infeasibility or depth), each re-solved warm.
+  // Any change to pivot choice, refactorization timing or the order of
+  // floating-point operations in the factorization, the eta file or the
+  // solves shows up as a different count or objective sum.
+  const sched::scheduling_ilp ilp =
+      make_ilp(assay::make_random_assay(9, 1), 2);
+  std::vector<bool> is_integer;
+  const lp_problem p = model_to_lp(ilp.model, is_integer);
+  std::vector<int> integer_vars;
+  for (int j = 0; j < p.num_vars; ++j)
+    if (is_integer[static_cast<std::size_t>(j)]) integer_vars.push_back(j);
+  ASSERT_FALSE(integer_vars.empty());
+
+  const deadline no_limit(0.0);
+  simplex_solver solver(p, simplex_options{});
+  lp_result last = solver.solve(no_limit, /*warm_start=*/false);
+  ASSERT_EQ(last.status, lp_status::optimal);
+
+  struct saved_bounds {
+    int var;
+    double lower;
+    double upper;
+  };
+  std::vector<saved_bounds> dive;
+  prng r(20261017);
+  long iterations = last.iterations;
+  long dual_solves = 0;
+  long infeasible = 0;
+  double objective_sum = last.objective;
+  for (int step = 0; step < 240; ++step) {
+    std::vector<int> fractional;
+    if (last.status == lp_status::optimal) {
+      for (const int j : integer_vars) {
+        const double v = last.x[static_cast<std::size_t>(j)];
+        if (std::abs(v - std::round(v)) > 1e-6) fractional.push_back(j);
+      }
+    }
+    const bool backtrack = !dive.empty() &&
+                           (fractional.empty() || dive.size() >= 12 ||
+                            r.bernoulli(0.15));
+    if (backtrack) {
+      const saved_bounds b = dive.back();
+      dive.pop_back();
+      solver.set_variable_bounds(b.var, b.lower, b.upper);
+    } else {
+      // Branch on a fractional variable, or fix a random unfixed one when
+      // the relaxation is integral.
+      int var = -1;
+      double value = 0.0;
+      if (!fractional.empty()) {
+        var = fractional[r.index(fractional.size())];
+        value = last.x[static_cast<std::size_t>(var)];
+      } else {
+        var = integer_vars[r.index(integer_vars.size())];
+        value = solver.variable_lower(var) +
+                0.5 * (solver.variable_upper(var) - solver.variable_lower(var));
+      }
+      const double lo = solver.variable_lower(var);
+      const double up = solver.variable_upper(var);
+      dive.push_back({var, lo, up});
+      if (r.bernoulli(0.5))
+        solver.set_variable_bounds(var, lo, std::max(lo, std::floor(value)));
+      else
+        solver.set_variable_bounds(var, std::min(up, std::ceil(value)), up);
+    }
+    last = solver.solve(no_limit, /*warm_start=*/true);
+    iterations += last.iterations;
+    if (last.used_dual) ++dual_solves;
+    if (last.status == lp_status::infeasible) ++infeasible;
+    if (last.status == lp_status::optimal) objective_sum += last.objective;
+  }
+  // The dive must exercise the dual path and its infeasibility proofs.
+  EXPECT_EQ(dual_solves, 238);
+  EXPECT_EQ(infeasible, 31);
+  EXPECT_EQ(iterations, 1338);
+  EXPECT_EQ(solver.stats().refactorizations, 39);
+  EXPECT_EQ(solver.stats().lu_factorizations, 39);
+  EXPECT_EQ(objective_sum, 43680.279720279723); // bit-exact
+}
+
 namespace {
 
 /// The three tree engines: sequential, the opportunistic pool, and the
