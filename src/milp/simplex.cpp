@@ -159,11 +159,29 @@ void simplex_solver::compute_basic_values() {
   for (int p = 0; p < m_; ++p) x_[basis_[p]] = work_pos_[p];
 }
 
-bool simplex_solver::refactorize() {
+void simplex_solver::repair_to_slack_basis() {
+  reset_to_slack_basis();
+  ++stats_.refactorizations;
+  ++stats_.refactor_slack_reset;
+  compute_basic_values();
+}
+
+bool simplex_solver::refactorize(refactor_cause cause) {
   if (!build_base_inverse()) return false;
   etas_.clear();
   eta_nonzeros_ = 0;
   ++stats_.refactorizations;
+  switch (cause) {
+  case refactor_cause::eta_fill: ++stats_.refactor_eta_fill; break;
+  case refactor_cause::interval: ++stats_.refactor_interval; break;
+  case refactor_cause::infeasibility_proof:
+    ++stats_.refactor_infeasibility_proof;
+    break;
+  case refactor_cause::dual_abort: ++stats_.refactor_dual_abort; break;
+  case refactor_cause::phase2_retry: ++stats_.refactor_phase2_retry; break;
+  case refactor_cause::load_basis: ++stats_.refactor_load_basis; break;
+  case refactor_cause::none: break;
+  }
   compute_basic_values();
   // Recompute the incrementally maintained duals from the fresh factors on
   // the next dual iteration (drift control).
@@ -315,11 +333,10 @@ bool simplex_solver::load_basis(const std::vector<int>& basic_columns,
   candidates_.clear();
   pricing_cursor_ = 0;
   basis_valid_ = true;
-  if (refactorize()) return true;
+  if (refactorize(refactor_cause::load_basis)) return true;
   // Singular under every engine: repair to the slack basis so the solver
   // stays usable, and report the rejection.
-  reset_to_slack_basis();
-  compute_basic_values();
+  repair_to_slack_basis();
   return false;
 }
 
@@ -488,9 +505,11 @@ void simplex_solver::record_basis_update(int leaving_pos, double pivot_element,
   etas_.push_back(std::move(e));
 }
 
-bool simplex_solver::should_refactor(int pivots_since_refactor) const {
-  if (pivots_since_refactor >= options_.refactor_interval) return true;
-  if (static_cast<int>(etas_.size()) >= options_.refactor_interval) return true;
+simplex_solver::refactor_cause simplex_solver::refactor_due(
+    int pivots_since_refactor) const {
+  if (pivots_since_refactor >= options_.refactor_interval ||
+      static_cast<int>(etas_.size()) >= options_.refactor_interval)
+    return refactor_cause::interval;
   // Fill trigger: refactor once the eta file outgrows its base
   // representation -- m^2/8 against the dense inverse, a small multiple of
   // the LU factor nonzeros against the sparse factors (whose solves are
@@ -501,7 +520,8 @@ bool simplex_solver::should_refactor(int pivots_since_refactor) const {
                                             static_cast<std::size_t>(m_) / 8)
           : std::max<std::size_t>(
                 1024, 2 * (lu_.factor_nonzeros() + static_cast<std::size_t>(m_)));
-  return eta_nonzeros_ > nnz_cap;
+  return eta_nonzeros_ > nnz_cap ? refactor_cause::eta_fill
+                                 : refactor_cause::none;
 }
 
 // ------------------------------------------------------------ reduced costs
@@ -1115,14 +1135,14 @@ lp_result simplex_solver::solve(const deadline& time_budget, bool warm_start,
     // Singular basis: rebuild from the slack basis and restart the primal
     // from phase 1 (correct, if slow; singularity is rare).
     if (state == mode::dual_method) ++stats_.primal_fallbacks;
-    reset_to_slack_basis();
-    compute_basic_values();
+    repair_to_slack_basis();
     pivots_since_refactor = 0;
     state = basic_feasible() ? mode::phase2 : mode::phase1;
   };
   auto maybe_refactor = [&]() {
-    if (should_refactor(pivots_since_refactor)) {
-      if (refactorize())
+    const refactor_cause cause = refactor_due(pivots_since_refactor);
+    if (cause != refactor_cause::none) {
+      if (refactorize(cause))
         pivots_since_refactor = 0;
       else
         repair_basis();
@@ -1187,7 +1207,7 @@ lp_result simplex_solver::solve(const deadline& time_budget, bool warm_start,
         // eta file; accept them only from a fresh factorization so drift
         // cannot falsely prune a feasible branch-and-bound node.
         if (!etas_.empty()) {
-          if (refactorize())
+          if (refactorize(refactor_cause::infeasibility_proof))
             pivots_since_refactor = 0;
           else
             repair_basis();
@@ -1197,7 +1217,7 @@ lp_result simplex_solver::solve(const deadline& time_budget, bool warm_start,
         break;
       }
       if (out.aborted) {
-        if (refactorize()) {
+        if (refactorize(refactor_cause::dual_abort)) {
           pivots_since_refactor = 0;
           if (++dual_aborts > 2) leave_dual(/*count_fallback=*/true);
         } else {
@@ -1246,7 +1266,7 @@ lp_result simplex_solver::solve(const deadline& time_budget, bool warm_start,
           result.status = lp_status::infeasible;
           break;
         }
-        if (refactorize()) {
+        if (refactorize(refactor_cause::phase2_retry)) {
           pivots_since_refactor = 0;
           state = basic_feasible() ? mode::phase2 : mode::phase1;
         } else {

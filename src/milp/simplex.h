@@ -72,13 +72,22 @@ struct simplex_stats {
   long primal_iterations = 0;
   long dual_iterations = 0;
   long dual_bound_flips = 0;  // nonbasic flips taken by the dual ratio test
-  long refactorizations = 0;
+  long refactorizations = 0; // sum of the refactor_* causes below
   long dual_solves = 0;       // solves that entered the dual method
   long dual_updates = 0;      // incremental dual (y) updates from pivot rows
   long dual_recomputes = 0;   // full dual recomputations (btran) in the dual
   long primal_fallbacks = 0;  // dual aborts recovered by the primal path
   long lu_factorizations = 0; // successful sparse LU factorizations
   long dense_fallbacks = 0;   // singular LU repaired by the dense engine
+
+  // Refactorizations by cause; exactly one is counted per refactorization.
+  long refactor_eta_fill = 0;    // eta file outgrew its nonzero cap
+  long refactor_interval = 0;    // refactor_interval pivots or etas reached
+  long refactor_infeasibility_proof = 0; // fresh factors for a dual proof
+  long refactor_dual_abort = 0;  // ftran'd pivot disagreed with the row
+  long refactor_phase2_retry = 0; // "optimal" basis lost primal feasibility
+  long refactor_load_basis = 0;  // caller-installed basis (load_basis)
+  long refactor_slack_reset = 0; // singular basis repaired to the slack basis
 };
 
 /// Stateful solver: keeps the basis between solves so that branch-and-bound
@@ -207,13 +216,26 @@ private:
 
   [[nodiscard]] int total_columns() const { return n_ + m_; }
 
+  /// Why a refactorization happens (simplex_stats counts each).
+  enum class refactor_cause : unsigned char {
+    none,
+    eta_fill,
+    interval,
+    infeasibility_proof,
+    dual_abort,
+    phase2_retry,
+    load_basis,
+  };
+
   void reset_to_slack_basis();
+  /// Repair after a singular refactorization: slack basis, fresh values.
+  void repair_to_slack_basis();
   void clamp_nonbasic_to_bounds();
   void compute_basic_values();
   /// Rebuilds the basis factorization from the current basis; false when
   /// the basis is (numerically) singular under every available engine --
   /// the caller must repair, e.g. by resetting to the slack basis.
-  [[nodiscard]] bool refactorize();
+  [[nodiscard]] bool refactorize(refactor_cause cause);
   /// Engine-dispatched rebuild without the eta/statistics bookkeeping.
   [[nodiscard]] bool build_base_inverse();
   [[nodiscard]] bool dense_refactorize();
@@ -231,7 +253,7 @@ private:
   void btran_row(int position, std::vector<double>& rho) const; // e_r B^-1
   void record_basis_update(int leaving_pos, double pivot_element,
                            const std::vector<double>& w);
-  [[nodiscard]] bool should_refactor(int pivots_since_refactor) const;
+  [[nodiscard]] refactor_cause refactor_due(int pivots_since_refactor) const;
 
   void compute_duals(const std::vector<double>& basic_cost,
                      std::vector<double>& y) const;

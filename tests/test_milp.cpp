@@ -1736,6 +1736,16 @@ TEST(Simplex, WarmDualResolvesArePinned) {
   EXPECT_EQ(solver.stats().refactorizations, 39);
   EXPECT_EQ(solver.stats().lu_factorizations, 39);
   EXPECT_EQ(objective_sum, 43680.279720279723); // bit-exact
+
+  // Every refactorization is counted under exactly one cause.
+  const simplex_stats& st = solver.stats();
+  EXPECT_EQ(st.refactor_eta_fill + st.refactor_interval +
+                st.refactor_infeasibility_proof + st.refactor_dual_abort +
+                st.refactor_phase2_retry + st.refactor_load_basis +
+                st.refactor_slack_reset,
+            st.refactorizations);
+  EXPECT_EQ(st.refactor_eta_fill, 8);
+  EXPECT_EQ(st.refactor_infeasibility_proof, 31);
 }
 
 namespace {
