@@ -24,9 +24,16 @@
 // product-form eta vectors by the caller (eta-on-LU), and fill/accuracy
 // triggers request a fresh factorize(). All tie-breaking is by lowest
 // index, so repeated factorizations of the same basis are bit-identical.
+//
+// One instance is meant to be refactored many times: the active matrix,
+// the count buckets, the marks and every other elimination workspace are
+// members that keep their capacity across calls, so once they have grown
+// to the largest basis seen a factorize() allocates nothing. A reused
+// instance produces exactly the factors a fresh one would.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -55,6 +62,15 @@ public:
   /// structurally or numerically singular.
   bool factorize(int m, const std::vector<sparse_column>& columns);
 
+  /// The same, with the basis in compressed sparse column form: the
+  /// position-p column holds entries [start[p], start[p+1]) of
+  /// (row[k], value[k]), rows distinct within a column.
+  bool factorize(int m, std::span<const int> start, std::span<const int> row,
+                 std::span<const double> value);
+
+  /// Thresholds used by the next factorize().
+  void set_options(const lu_options& options) { options_ = options; }
+
   /// Solve B x = rhs: rhs indexed by constraint row, x by basis position.
   void ftran(const std::vector<double>& rhs, std::vector<double>& x) const;
 
@@ -73,6 +89,60 @@ private:
   int m_ = 0;
   bool valid_ = false;
 
+  /// One active-matrix entry inside a row.
+  struct row_entry {
+    int col; // basis position
+    double value;
+  };
+
+  /// Elimination workspace of factorize(), reused across calls. Only its
+  /// first m slots are live during a factorization.
+  struct workspace {
+    // Active matrix: exact row-wise storage plus per-column row lists that
+    // may carry stale rows (cancelled entries, pivoted rows) and are
+    // compacted lazily. col_count / row_count are kept exact -- they drive
+    // Markowitz.
+    std::vector<std::vector<row_entry>> rows;
+    std::vector<std::vector<int>> col_rows;
+    std::vector<int> col_count;
+    std::vector<int> row_count;
+    // Column-count buckets with lazy deletion: a column is (re)pushed
+    // whenever its count changes; entries whose recorded count disagrees
+    // are stale.
+    std::vector<std::vector<int>> bucket;
+    std::vector<char> row_done;
+    std::vector<char> col_done;
+    // Dense scratch for the row merges, all-zero between merges.
+    std::vector<double> dense;
+    std::vector<char> present;
+    std::vector<int> pattern;
+    // Valid (row, value) entries of one candidate column: `cached` holds
+    // the best candidate's (column cached_col), `scratch` the one being
+    // examined.
+    std::vector<std::pair<int, double>> cached;
+    std::vector<std::pair<int, double>> scratch;
+    int cached_col = -1;
+    // Row stamps of gather_column (a row listed twice is gathered once).
+    std::vector<int> gather_mark;
+    int gather_stamp = -1;
+    // Column-wise U construction.
+    std::vector<int> step_of_position;
+    std::vector<int> cursor;
+    // Flattened input of the vector-of-columns factorize().
+    std::vector<int> input_start;
+    std::vector<int> input_row;
+    std::vector<double> input_value;
+  };
+  workspace ws_;
+
+  /// Size the workspace for an m x m basis and clear its first m slots.
+  void reset_workspace(int m);
+  /// Gather the valid entries of active column `col` into `out`,
+  /// compacting its row list.
+  void gather_column(int col, std::vector<std::pair<int, double>>& out);
+  /// Build the column-wise copy of U that btran walks.
+  void build_u_columns();
+
   // Pivot sequence: step k eliminated constraint row pivot_row_[k] and
   // basis position pivot_col_[k].
   std::vector<int> pivot_row_;
@@ -84,6 +154,9 @@ private:
   std::vector<int> l_start_; // size m+1
   std::vector<int> l_row_;
   std::vector<double> l_value_;
+  // The steps whose multiplier list is nonempty, in pivot order: the only
+  // ones the solves need to visit (singleton pivots leave no L entries).
+  std::vector<int> l_steps_;
 
   // U rows in pivot order: entries on later-pivoted basis positions.
   std::vector<int> u_start_; // size m+1

@@ -43,7 +43,7 @@ simplex_solver::simplex_solver(const lp_problem& problem,
   basic_position_.assign(total_columns(), -1);
   status_.assign(total_columns(), status::at_lower);
   x_.assign(total_columns(), 0.0);
-  lu_ = basis_lu(options_.lu);
+  lu_.set_options(options_.lu);
   dense_active_ = options_.engine == basis_engine::dense;
   // The O(m^2) dense inverse is what caps the dense engine at ~2500 rows;
   // under the sparse engine it is allocated lazily, only if the numerical
@@ -60,19 +60,22 @@ simplex_solver::simplex_solver(const lp_problem& problem,
 }
 
 void simplex_solver::set_variable_bounds(int var, double lower, double upper) {
-  require(var >= 0 && var < n_, "simplex: bound change on unknown variable");
-  require(lower <= upper, "simplex: crossing bounds");
+  // Branch and bound calls these per node: test before building a message
+  // (require() takes a std::string).
+  if (var < 0 || var >= n_)
+    throw invalid_input_error("simplex: bound change on unknown variable");
+  if (!(lower <= upper)) throw invalid_input_error("simplex: crossing bounds");
   lower_[var] = lower;
   upper_[var] = upper;
 }
 
 double simplex_solver::variable_lower(int var) const {
-  require(var >= 0 && var < n_, "simplex: unknown variable");
+  if (var < 0 || var >= n_) throw invalid_input_error("simplex: unknown variable");
   return lower_[var];
 }
 
 double simplex_solver::variable_upper(int var) const {
-  require(var >= 0 && var < n_, "simplex: unknown variable");
+  if (var < 0 || var >= n_) throw invalid_input_error("simplex: unknown variable");
   return upper_[var];
 }
 
@@ -101,9 +104,10 @@ void simplex_solver::reset_to_slack_basis() {
   // Slack basis matrix is -I, so its inverse is -I as well; the LU
   // factorization of -I is trivial and cannot fail.
   if (options_.engine == basis_engine::sparse_lu) {
-    std::vector<basis_lu::sparse_column> cols(static_cast<std::size_t>(m_));
-    for (int i = 0; i < m_; ++i) cols[static_cast<std::size_t>(i)] = {{i, -1.0}};
-    require(lu_.factorize(m_, cols), "simplex: slack basis factorization");
+    gather_basis_columns();
+    lu_.set_options(options_.lu);
+    require(lu_.factorize(m_, basis_start_, basis_row_, basis_value_),
+            "simplex: slack basis factorization");
     dense_active_ = false;
   } else {
     std::fill(binv_.begin(), binv_.end(), 0.0);
@@ -111,8 +115,7 @@ void simplex_solver::reset_to_slack_basis() {
       binv_[static_cast<std::size_t>(i) * m_ + i] = -1.0;
     dense_active_ = true;
   }
-  etas_.clear();
-  eta_nonzeros_ = 0;
+  clear_etas();
   reset_devex();
   candidates_.clear();
   pricing_cursor_ = 0;
@@ -142,7 +145,7 @@ void simplex_solver::clamp_nonbasic_to_bounds() {
 
 void simplex_solver::compute_basic_values() {
   // Rows are homogeneous (A x - s = 0), so B x_B = -N x_N.
-  std::vector<double> rhs(m_, 0.0);
+  std::vector<double>& rhs = work_rhs_;
   for (int j = 0; j < total_columns(); ++j) {
     if (status_[j] == status::basic) continue;
     const double v = x_[j];
@@ -155,6 +158,7 @@ void simplex_solver::compute_basic_values() {
     }
   }
   base_ftran(rhs, work_pos_);
+  std::fill(rhs.begin(), rhs.end(), 0.0);
   apply_etas_ftran(work_pos_);
   for (int p = 0; p < m_; ++p) x_[basis_[p]] = work_pos_[p];
 }
@@ -168,8 +172,7 @@ void simplex_solver::repair_to_slack_basis() {
 
 bool simplex_solver::refactorize(refactor_cause cause) {
   if (!build_base_inverse()) return false;
-  etas_.clear();
-  eta_nonzeros_ = 0;
+  clear_etas();
   ++stats_.refactorizations;
   switch (cause) {
   case refactor_cause::eta_fill: ++stats_.refactor_eta_fill; break;
@@ -189,30 +192,39 @@ bool simplex_solver::refactorize(refactor_cause cause) {
   return true;
 }
 
+void simplex_solver::gather_basis_columns() {
+  basis_start_.assign(1, 0);
+  basis_row_.clear();
+  basis_value_.clear();
+  for (int p = 0; p < m_; ++p) {
+    const int col = basis_[p];
+    if (col < n_) {
+      const std::size_t first = basis_row_.size();
+      for (int k = problem_.col_start[col]; k < problem_.col_start[col + 1];
+           ++k) {
+        // Merge duplicate row entries (row indices ascend within a
+        // column): basis_lu requires distinct rows per column.
+        if (basis_row_.size() > first &&
+            basis_row_.back() == problem_.row_index[k]) {
+          basis_value_.back() += problem_.value[k];
+        } else {
+          basis_row_.push_back(problem_.row_index[k]);
+          basis_value_.push_back(problem_.value[k]);
+        }
+      }
+    } else {
+      basis_row_.push_back(col - n_);
+      basis_value_.push_back(-1.0);
+    }
+    basis_start_.push_back(static_cast<int>(basis_row_.size()));
+  }
+}
+
 bool simplex_solver::build_base_inverse() {
   if (options_.engine == basis_engine::sparse_lu) {
-    std::vector<basis_lu::sparse_column> cols(static_cast<std::size_t>(m_));
-    for (int p = 0; p < m_; ++p) {
-      const int col = basis_[p];
-      basis_lu::sparse_column& c = cols[static_cast<std::size_t>(p)];
-      if (col < n_) {
-        c.reserve(static_cast<std::size_t>(problem_.col_start[col + 1] -
-                                           problem_.col_start[col]));
-        for (int k = problem_.col_start[col]; k < problem_.col_start[col + 1];
-             ++k) {
-          // Merge duplicate row entries (row indices ascend within a
-          // column): basis_lu requires distinct rows per column.
-          if (!c.empty() && c.back().first == problem_.row_index[k])
-            c.back().second += problem_.value[k];
-          else
-            c.emplace_back(problem_.row_index[k], problem_.value[k]);
-        }
-      } else {
-        c.emplace_back(col - n_, -1.0);
-      }
-    }
-    lu_ = basis_lu(options_.lu); // strict thresholds, even after a retry
-    if (lu_.factorize(m_, cols)) {
+    gather_basis_columns();
+    lu_.set_options(options_.lu); // strict thresholds, even after a retry
+    if (lu_.factorize(m_, basis_start_, basis_row_, basis_value_)) {
       dense_active_ = false;
       ++stats_.lu_factorizations;
       return true;
@@ -223,9 +235,8 @@ bool simplex_solver::build_base_inverse() {
     lu_options relaxed = options_.lu;
     relaxed.suhl_threshold = 0.01;
     relaxed.pivot_tolerance = std::min(relaxed.pivot_tolerance, 1e-13);
-    basis_lu retry(relaxed);
-    if (retry.factorize(m_, cols)) {
-      lu_ = std::move(retry);
+    lu_.set_options(relaxed);
+    if (lu_.factorize(m_, basis_start_, basis_row_, basis_value_)) {
       dense_active_ = false;
       ++stats_.lu_factorizations;
       return true;
@@ -342,27 +353,39 @@ bool simplex_solver::load_basis(const std::vector<int>& basic_columns,
 
 // ----------------------------------------------------- basis inverse algebra
 
+void simplex_solver::clear_etas() {
+  eta_pos_.clear();
+  eta_pivot_.clear();
+  eta_start_.assign(1, 0);
+  eta_index_.clear();
+  eta_value_.clear();
+}
+
 void simplex_solver::apply_etas_ftran(std::vector<double>& v) const {
   // B^-1 = E_k^-1 ... E_1^-1 B0^-1: the dense part was applied by the
   // caller, so run the etas in chronological order. Solving E z = v with E
   // equal to identity except column r (the spike w): z_r = v_r / w_r,
   // z_i = v_i - w_i z_r.
-  for (const eta_vector& e : etas_) {
-    const double t = v[e.pivot_pos] / e.pivot_value;
+  for (std::size_t e = 0; e < eta_pos_.size(); ++e) {
+    const int r = eta_pos_[e];
+    const double t = v[r] / eta_pivot_[e];
     if (t != 0.0) {
-      for (const auto& [pos, val] : e.entries) v[pos] -= val * t;
+      for (int k = eta_start_[e]; k < eta_start_[e + 1]; ++k)
+        v[eta_index_[k]] -= eta_value_[k] * t;
     }
-    v[e.pivot_pos] = t;
+    v[r] = t;
   }
 }
 
 void simplex_solver::apply_etas_btran(std::vector<double>& z) const {
   // Row-vector counterpart: z := z E^-1 changes only component r, with
   // z_r' = (z_r - sum_{i != r} z_i w_i) / w_r; etas run newest-first.
-  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-    double s = z[it->pivot_pos];
-    for (const auto& [pos, val] : it->entries) s -= z[pos] * val;
-    z[it->pivot_pos] = s / it->pivot_value;
+  for (std::size_t e = eta_pos_.size(); e-- > 0;) {
+    const int r = eta_pos_[e];
+    double s = z[r];
+    for (int k = eta_start_[e]; k < eta_start_[e + 1]; ++k)
+      s -= z[eta_index_[k]] * eta_value_[k];
+    z[r] = s / eta_pivot_[e];
   }
 }
 
@@ -465,11 +488,9 @@ void simplex_solver::tableau_row(int position, std::vector<double>& alpha) const
 
 void simplex_solver::record_basis_update(int leaving_pos, double pivot_element,
                                          const std::vector<double>& w) {
-  int nnz = 0;
-  for (int p = 0; p < m_; ++p)
-    if (w[p] != 0.0) ++nnz;
-
-  if (dense_active_ && etas_.empty() && 2 * nnz > m_) {
+  if (dense_active_ && eta_pos_.empty() &&
+      2 * std::count_if(w.begin(), w.begin() + m_,
+                        [](double v) { return v != 0.0; }) > m_) {
     // Dense spike with no pending etas: sparsity-aware in-place update of
     // the explicit inverse (work ~ nnz(w) x nnz(pivot row)). The LU factors
     // are immutable, so under the sparse engine every spike goes to the eta
@@ -493,22 +514,32 @@ void simplex_solver::record_basis_update(int leaving_pos, double pivot_element,
   }
 
   // Product-form update: append the spike as an eta vector, O(fill-in).
-  eta_vector e;
-  e.pivot_pos = leaving_pos;
-  e.pivot_value = pivot_element;
-  e.entries.reserve(static_cast<std::size_t>(nnz > 0 ? nnz - 1 : 0));
+  // The off-pivot nonzeros are compacted without a branch per entry (dual
+  // spikes are about half dense, so that branch would mispredict often):
+  // room for m entries, every entry written, the cursor advanced only past
+  // the kept ones.
+  eta_pos_.push_back(leaving_pos);
+  eta_pivot_.push_back(pivot_element);
+  const std::size_t base = eta_index_.size();
+  eta_index_.resize(base + static_cast<std::size_t>(m_));
+  eta_value_.resize(base + static_cast<std::size_t>(m_));
+  int* index = eta_index_.data() + base;
+  double* value = eta_value_.data() + base;
+  std::size_t kept = 0;
   for (int p = 0; p < m_; ++p) {
-    if (p == leaving_pos || w[p] == 0.0) continue;
-    e.entries.emplace_back(p, w[p]);
+    index[kept] = p;
+    value[kept] = w[p];
+    kept += static_cast<std::size_t>(w[p] != 0.0 && p != leaving_pos);
   }
-  eta_nonzeros_ += e.entries.size() + 1;
-  etas_.push_back(std::move(e));
+  eta_index_.resize(base + kept);
+  eta_value_.resize(base + kept);
+  eta_start_.push_back(static_cast<int>(eta_index_.size()));
 }
 
 simplex_solver::refactor_cause simplex_solver::refactor_due(
     int pivots_since_refactor) const {
   if (pivots_since_refactor >= options_.refactor_interval ||
-      static_cast<int>(etas_.size()) >= options_.refactor_interval)
+      static_cast<int>(eta_pos_.size()) >= options_.refactor_interval)
     return refactor_cause::interval;
   // Fill trigger: refactor once the eta file outgrows its base
   // representation -- m^2/8 against the dense inverse, a small multiple of
@@ -520,7 +551,7 @@ simplex_solver::refactor_cause simplex_solver::refactor_due(
                                             static_cast<std::size_t>(m_) / 8)
           : std::max<std::size_t>(
                 1024, 2 * (lu_.factor_nonzeros() + static_cast<std::size_t>(m_)));
-  return eta_nonzeros_ > nnz_cap ? refactor_cause::eta_fill
+  return eta_nonzeros() > nnz_cap ? refactor_cause::eta_fill
                                  : refactor_cause::none;
 }
 
@@ -1024,7 +1055,7 @@ simplex_solver::dual_outcome simplex_solver::dual_iterate() {
 
   // Apply the accumulated bound flips with one batched ftran.
   if (!flips.empty()) {
-    std::vector<double> rhs(m_, 0.0);
+    std::vector<double>& rhs = work_rhs_;
     for (const auto& [col, move] : flips) {
       if (col < n_) {
         for (int k = problem_.col_start[col]; k < problem_.col_start[col + 1];
@@ -1038,6 +1069,7 @@ simplex_solver::dual_outcome simplex_solver::dual_iterate() {
       x_[col] = status_[col] == status::at_lower ? lower_[col] : upper_[col];
     }
     base_ftran(rhs, work_pos_);
+    std::fill(rhs.begin(), rhs.end(), 0.0);
     apply_etas_ftran(work_pos_);
     for (int p = 0; p < m_; ++p) {
       if (work_pos_[p] != 0.0) x_[basis_[p]] -= work_pos_[p];
@@ -1206,7 +1238,7 @@ lp_result simplex_solver::solve(const deadline& time_budget, bool warm_start,
         // Dual unboundedness proofs rest on alphas computed through the
         // eta file; accept them only from a fresh factorization so drift
         // cannot falsely prune a feasible branch-and-bound node.
-        if (!etas_.empty()) {
+        if (!eta_pos_.empty()) {
           if (refactorize(refactor_cause::infeasibility_proof))
             pivots_since_refactor = 0;
           else

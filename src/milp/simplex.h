@@ -185,13 +185,20 @@ private:
   basis_lu lu_;
   std::vector<double> binv_;
   bool dense_active_ = false;
-  struct eta_vector {
-    int pivot_pos;
-    double pivot_value;
-    std::vector<std::pair<int, double>> entries; // (position, value), != pivot
-  };
-  std::vector<eta_vector> etas_;
-  std::size_t eta_nonzeros_ = 0;
+  // The basis columns handed to lu_, in compressed sparse column form
+  // (rebuilt in place at every refactorization).
+  std::vector<int> basis_start_;
+  std::vector<int> basis_row_;
+  std::vector<double> basis_value_;
+  // Product-form eta file, flat: eta k replaces basis position eta_pos_[k]
+  // with a spike whose pivot entry is eta_pivot_[k] and whose other
+  // nonzeros are [eta_start_[k], eta_start_[k+1]) of eta_index_ (basis
+  // position) / eta_value_.
+  std::vector<int> eta_pos_;
+  std::vector<double> eta_pivot_;
+  std::vector<int> eta_start_{0};
+  std::vector<int> eta_index_;
+  std::vector<double> eta_value_;
 
   // Devex pricing state.
   std::vector<double> devex_weight_; // size n_+m_
@@ -213,6 +220,7 @@ private:
   std::vector<double> work_rho_;  // pivot row e_r B^-1
   mutable std::vector<double> work_pos_; // position-space scratch (const helpers)
   mutable std::vector<double> work_rhs_; // row-space scratch, kept all-zero
+                                         // between uses
 
   [[nodiscard]] int total_columns() const { return n_ + m_; }
 
@@ -238,6 +246,13 @@ private:
   [[nodiscard]] bool refactorize(refactor_cause cause);
   /// Engine-dispatched rebuild without the eta/statistics bookkeeping.
   [[nodiscard]] bool build_base_inverse();
+  /// Load the current basis columns into basis_start_/row_/value_.
+  void gather_basis_columns();
+  void clear_etas();
+  /// Eta-file nonzeros: off-pivot entries plus one pivot per eta.
+  [[nodiscard]] std::size_t eta_nonzeros() const {
+    return eta_index_.size() + eta_pos_.size();
+  }
   [[nodiscard]] bool dense_refactorize();
 
   // Basis-inverse application helpers. base_* applies the representation of

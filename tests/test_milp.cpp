@@ -889,6 +889,95 @@ TEST(BasisLu, DeterministicFactorization) {
   EXPECT_EQ(xa, xb);
 }
 
+namespace {
+
+/// Random sparse basis with elimination work: a permuted nonzero "diagonal"
+/// plus off-diagonal small integers anywhere (so pivots create fill and,
+/// now and then, exact cancellation), and some slack-like unit columns.
+std::vector<basis_lu::sparse_column> random_general_basis(prng& r, int m) {
+  std::vector<int> perm(static_cast<std::size_t>(m));
+  for (int i = 0; i < m; ++i) perm[static_cast<std::size_t>(i)] = i;
+  r.shuffle(perm);
+  const double density = 2.5 / m;
+  std::vector<basis_lu::sparse_column> cols(static_cast<std::size_t>(m));
+  for (int p = 0; p < m; ++p) {
+    basis_lu::sparse_column& c = cols[static_cast<std::size_t>(p)];
+    const int diag = perm[static_cast<std::size_t>(p)];
+    if (r.bernoulli(0.3)) {
+      c.emplace_back(diag, -1.0);
+      continue;
+    }
+    for (int i = 0; i < m; ++i) {
+      if (i == diag)
+        c.emplace_back(i, static_cast<double>(r.uniform_int(1, 5)));
+      else if (r.bernoulli(density))
+        c.emplace_back(i, static_cast<double>(r.uniform_int(-4, 4)));
+    }
+  }
+  return cols;
+}
+
+} // namespace
+
+TEST(BasisLu, ReusedInstanceMatchesFreshInstances) {
+  // One instance refactors a seeded sequence of bases whose size grows and
+  // shrinks, with structurally and numerically singular bases in between
+  // and a stretch under relaxed thresholds: after every factorization its
+  // solves must equal a fresh instance's exactly. Kept workspaces must not
+  // leak state from one factorization into the next.
+  prng r(424242);
+  lu_options relaxed;
+  relaxed.suhl_threshold = 0.01;
+  relaxed.pivot_tolerance = 1e-13;
+  basis_lu reused;
+  int valid_seen = 0;
+  int singular_seen = 0;
+  for (int step = 0; step < 120; ++step) {
+    const int m = step % 7 == 3 ? static_cast<int>(r.uniform_int(60, 90))
+                                : static_cast<int>(r.uniform_int(1, 30));
+    std::vector<basis_lu::sparse_column> cols =
+        r.bernoulli(0.3) ? random_sparse_basis(r.next(), m)
+                         : random_general_basis(r, m);
+    switch (step % 5) {
+    case 1: // structurally singular: an empty column
+      cols[r.index(cols.size())].clear();
+      break;
+    case 3: // numerically singular: one column repeats another
+      if (m >= 2) cols[1] = cols[0];
+      break;
+    default:
+      break;
+    }
+    const lu_options options = (step / 10) % 3 == 2 ? relaxed : lu_options{};
+    reused.set_options(options);
+    basis_lu fresh(options);
+    const bool ok = reused.factorize(m, cols);
+    ASSERT_EQ(ok, fresh.factorize(m, cols)) << "step " << step << " m " << m;
+    ASSERT_EQ(reused.valid(), ok);
+    if (!ok) {
+      ++singular_seen;
+      continue;
+    }
+    ++valid_seen;
+    EXPECT_EQ(reused.factor_nonzeros(), fresh.factor_nonzeros());
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<double> rhs(static_cast<std::size_t>(m));
+      for (double& v : rhs)
+        v = r.bernoulli(0.5) ? r.uniform_real(-5.0, 5.0) : 0.0;
+      std::vector<double> got;
+      std::vector<double> want;
+      reused.ftran(rhs, got);
+      fresh.ftran(rhs, want);
+      EXPECT_EQ(got, want) << "ftran step " << step;
+      reused.btran(rhs, got);
+      fresh.btran(rhs, want);
+      EXPECT_EQ(got, want) << "btran step " << step;
+    }
+  }
+  EXPECT_GT(valid_seen, 40);
+  EXPECT_GT(singular_seen, 30);
+}
+
 // ----------------------------------- differential LP harness (both engines)
 
 namespace {
