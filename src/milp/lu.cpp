@@ -149,48 +149,14 @@ bool basis_lu::factorize(int m, std::span<const int> start,
     long best_cost = std::numeric_limits<long>::max();
     int examined = 0;
 
-    // A live column can never sit in bucket 0: count 0 means every entry
-    // cancelled, i.e. the basis became numerically singular.
-    for (const int j : bucket[0])
-      if (!col_done[j] && col_count[j] == 0) return false;
-
-    // Singleton column: the first live entry of bucket 1 always wins (its
-    // Markowitz cost is zero), so it needs no candidate scoring.
-    {
-      std::vector<int>& b = bucket[1];
-      std::size_t idx = 0;
-      while (idx < b.size()) {
-        const int j = b[idx];
-        if (col_done[j] || col_count[j] != 1) {
-          b[idx] = b.back(); // stale: drop (order is still deterministic)
-          b.pop_back();
-          continue;
-        }
-        ++idx;
-        gather_column(j, w.scratch);
-        double colmax = 0.0;
-        for (const auto& [i, v] : w.scratch) colmax = std::max(colmax, std::abs(v));
-        if (colmax < options_.pivot_tolerance)
-          return false; // numerically dependent column
-        const double admissible =
-            std::max(options_.pivot_tolerance, options_.suhl_threshold * colmax);
-        for (const auto& [i, v] : w.scratch) {
-          if (std::abs(v) < admissible) continue;
-          if (best_row < 0 || i < best_row) {
-            best_row = i;
-            best_value = v;
-          }
-        }
-        if (best_row < 0) continue; // a Suhl threshold above 1 admits nothing
-        best_cost = 0;
-        best_col = j;
-        w.cached_col = j;
-        std::swap(w.cached, w.scratch);
-        break;
+    for (int count = 0; count <= m && best_cost > 0; ++count) {
+      if (count == 0) {
+        // A live column can never sit in bucket 0: count 0 means every
+        // entry cancelled, i.e. the basis became numerically singular.
+        for (const int j : bucket[0])
+          if (!col_done[j] && col_count[j] == 0) return false;
+        continue;
       }
-    }
-
-    for (int count = 2; count <= m && best_cost > 0; ++count) {
       std::vector<int>& b = bucket[static_cast<std::size_t>(count)];
       std::size_t idx = 0;
       while (idx < b.size()) {
@@ -231,10 +197,11 @@ bool basis_lu::factorize(int m, std::span<const int> start,
           w.cached_col = j;
           std::swap(w.cached, w.scratch);
         }
-        if (best_cost == 0 || examined >= options_.search_columns) break;
+        if (best_cost == 0) break;
+        if (count > 1 && examined >= options_.search_columns) break;
       }
-      if (best_col >= 0 &&
-          (best_cost == 0 || examined >= options_.search_columns))
+      if (best_col >= 0 && (best_cost == 0 ||
+                            (count > 1 && examined >= options_.search_columns)))
         break;
     }
     if (best_col < 0) return false; // no admissible pivot anywhere
