@@ -6,9 +6,9 @@
 
 #include "common/error.h"
 
-// The per-entry and per-solve checks below test before naming their error:
-// require() takes its message as a std::string, which a literal this long
-// would heap-allocate on every call.
+// The checks below test before naming their error: require() takes its
+// message as a std::string, which a literal this long would heap-allocate
+// on every call, and factorize() and the solves must not allocate.
 
 namespace transtore::milp {
 
@@ -68,7 +68,8 @@ void basis_lu::gather_column(int col, std::vector<std::pair<int, double>>& out) 
 }
 
 bool basis_lu::factorize(int m, const std::vector<sparse_column>& columns) {
-  require(static_cast<int>(columns.size()) == m, "basis_lu: bad column count");
+  if (static_cast<int>(columns.size()) != m)
+    throw invalid_input_error("basis_lu: bad column count");
   workspace& w = ws_;
   w.input_start.assign(1, 0);
   w.input_row.clear();
@@ -86,8 +87,8 @@ bool basis_lu::factorize(int m, const std::vector<sparse_column>& columns) {
 bool basis_lu::factorize(int m, std::span<const int> start,
                          std::span<const int> row,
                          std::span<const double> value) {
-  require(static_cast<int>(start.size()) == m + 1,
-          "basis_lu: bad column count");
+  if (static_cast<int>(start.size()) != m + 1)
+    throw invalid_input_error("basis_lu: bad column count");
   m_ = m;
   valid_ = false;
 

@@ -60,8 +60,8 @@ simplex_solver::simplex_solver(const lp_problem& problem,
 }
 
 void simplex_solver::set_variable_bounds(int var, double lower, double upper) {
-  // Branch and bound calls these per node: test before building a message
-  // (require() takes a std::string).
+  // Branching calls these between warm re-solves: test before naming the
+  // error, since require() would heap-allocate its message on every call.
   if (var < 0 || var >= n_)
     throw invalid_input_error("simplex: bound change on unknown variable");
   if (!(lower <= upper)) throw invalid_input_error("simplex: crossing bounds");

@@ -220,7 +220,6 @@ private:
   std::vector<double> work_rho_;  // pivot row e_r B^-1
   mutable std::vector<double> work_pos_; // position-space scratch (const helpers)
   mutable std::vector<double> work_rhs_; // row-space scratch, kept all-zero
-                                         // between uses
 
   [[nodiscard]] int total_columns() const { return n_ + m_; }
 
