@@ -15,7 +15,6 @@
 #include "api/pipeline.h"
 #include "assay/benchmarks.h"
 #include "common/json.h"
-#include "core/flow.h"
 
 namespace transtore::bench {
 
@@ -147,10 +146,10 @@ inline std::vector<assay_config> harness_configs(bool smoke) {
 
 /// Default flow options for a config; `storage_aware` toggles the paper's
 /// storage optimization (Fig. 9 compares both settings).
-inline core::flow_options make_options(const assay_config& c,
-                                       bool storage_aware = true,
-                                       double ilp_seconds = 5.0) {
-  core::flow_options o;
+inline api::pipeline_options make_options(const assay_config& c,
+                                          bool storage_aware = true,
+                                          double ilp_seconds = 5.0) {
+  api::pipeline_options o;
   o.device_count = c.devices;
   o.grid_width = c.grid;
   o.grid_height = c.grid;
@@ -166,15 +165,15 @@ inline core::flow_options make_options(const assay_config& c,
 /// cannot hold the workload. Returns the result and notes the grid actually
 /// used in `grid_used`. Throws capacity_error when even the largest retry
 /// fails (the historical bench contract).
-inline core::flow_result run_config(const assay_config& c,
-                                    core::flow_options o, int& grid_used) {
+inline api::flow_result run_config(const assay_config& c,
+                                   api::pipeline_options o, int& grid_used) {
   o.grid_width = c.grid;
   o.grid_height = c.grid;
   o.grid_growth = 2;
   auto outcome = api::pipeline(assay::make_benchmark(c.name), o).run();
   if (!outcome.has_value()) {
-    // Re-raise under the exception type the old blocking flow would have
-    // thrown, so failures keep their meaning for callers and readers.
+    // Re-raise under the exception taxonomy of common/error.h, so failures
+    // keep their meaning for callers and readers.
     switch (outcome.code()) {
       case api::status::capacity: throw capacity_error(outcome.message());
       case api::status::invalid_input:
@@ -183,7 +182,7 @@ inline core::flow_result run_config(const assay_config& c,
       default: throw internal_error(outcome.message());
     }
   }
-  core::flow_result r = std::move(outcome).take();
+  api::flow_result r = std::move(outcome).take();
   grid_used = r.architecture.result.grid().width();
   if (grid_used != c.grid)
     std::fprintf(stderr, "[bench] %s: paper grid %dx%d too small, used %dx%d\n",
@@ -194,7 +193,7 @@ inline core::flow_result run_config(const assay_config& c,
 /// Flatten a flow run into the shared bench-JSON record shape so every
 /// harness lands in the same BENCH_<tool>.json trail.
 inline bench_record flow_record(const assay_config& c, int grid_used,
-                                const core::flow_result& r) {
+                                const api::flow_result& r) {
   bench_record rec;
   rec.assay = c.name;
   rec.config = "d" + std::to_string(c.devices) + "_g" +

@@ -28,10 +28,11 @@ int main(int argc, char** argv) {
   std::vector<bench::bench_record> records;
 
   for (const auto& config : bench::harness_configs(args.smoke)) {
-    core::flow_options o = bench::make_options(config, true, args.ilp_seconds);
+    api::pipeline_options o =
+        bench::make_options(config, true, args.ilp_seconds);
     o.run_baseline = true;
     int grid_used = config.grid;
-    const core::flow_result r = bench::run_config(config, o, grid_used);
+    const api::flow_result r = bench::run_config(config, o, grid_used);
     const int ours_te = r.scheduling.best.makespan();
     const int ours_valves = r.architecture.result.valve_count();
     const auto& b = *r.baseline;

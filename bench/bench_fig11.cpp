@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   const bench::assay_config config{"RA30", 2, 4};
   const auto graph = assay::make_benchmark(config.name);
   int grid_used = config.grid;
-  const core::flow_result r = bench::run_config(
+  const api::flow_result r = bench::run_config(
       config, bench::make_options(config, true, args.ilp_seconds), grid_used);
   const sched::schedule& s = r.scheduling.best;
 

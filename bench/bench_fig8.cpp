@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   std::vector<bench::bench_record> records;
   for (const auto& config : bench::harness_configs(args.smoke)) {
     int grid_used = config.grid;
-    const core::flow_result r = bench::run_config(
+    const api::flow_result r = bench::run_config(
         config, bench::make_options(config, true, args.ilp_seconds),
         grid_used);
     const arch::chip& chip = r.architecture.result;

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
       continue;
     for (const bool storage_aware : {false, true}) {
       int grid_used = config.grid;
-      const core::flow_result r = bench::run_config(
+      const api::flow_result r = bench::run_config(
           config,
           bench::make_options(config, storage_aware, args.ilp_seconds),
           grid_used);

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   for (const auto& config : bench::harness_configs(args.smoke)) {
     const auto graph = assay::make_benchmark(config.name);
     int grid_used = config.grid;
-    const core::flow_result r = bench::run_config(
+    const api::flow_result r = bench::run_config(
         config, bench::make_options(config, true, args.ilp_seconds),
         grid_used);
     records.push_back(bench::flow_record(config, grid_used, r));

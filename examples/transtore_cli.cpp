@@ -54,56 +54,43 @@
 // deadline hit / cancelled (best-effort results, when available, are still
 // printed).
 //
-// Serve protocol (one JSON object per line; see src/api/README.md):
-//   {"id":1,"op":"synth","assay":"PCR","options":{...},"priority":0,
-//    "deadline":30}                    -> {"id":1,"status":"ok",
-//                                          "cache_hit":false,...,
-//                                          "result":{...flow document...}}
+// serve speaks the line-delimited JSON protocol of src/api/protocol.h
+// (schema in src/api/README.md) on stdin/stdout, or with --socket PATH /
+// --tcp PORT on listeners that multiplex many connections:
+//   {"id":1,"op":"synth","assay":"PCR","options":{...},"deadline":30}
 //   {"id":2,"op":"recover","assay":"PCR","at":0.5,"fault":"auto"}
-//                                      -> {"id":2,"status":"ok|degraded",
-//                                          "rung":...,"recovery":{...}}
 //   {"op":"stats"} | {"op":"ping"} | {"op":"shutdown"}
 //
 // <assay> is a built-in name (PCR, IVD, CPA, RA30, RA70, RA100) or a path
 // to a sequencing-graph file in the src/assay/io.h text format.
+#include <climits>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <fstream>
-#include <iostream>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "api/executor.h"
 #include "api/pipeline.h"
+#include "api/protocol.h"
 #include "api/recover.h"
 #include "api/result_cache.h"
-#include "api/serialize.h"
 #include "api/serve.h"
 #include "arch/fault.h"
 #include "assay/benchmarks.h"
 #include "assay/io.h"
-#include "common/json.h"
-#include "core/report.h"
 #include "phys/layout.h"
 #include "sim/fault_injector.h"
 
 namespace {
 
 using namespace transtore;
-
-bool is_builtin(const std::string& spec) {
-  for (const assay::benchmark_resources& r : assay::benchmark_resource_table())
-    if (spec == r.name) return true;
-  return false;
-}
 
 int usage() {
   std::fprintf(
@@ -123,7 +110,8 @@ int usage() {
 }
 
 std::optional<assay::sequencing_graph> load_assay(const std::string& spec) {
-  if (is_builtin(spec)) return assay::make_benchmark(spec);
+  if (assay::find_benchmark_resources(spec) != nullptr)
+    return assay::make_benchmark(spec);
   try {
     return assay::load_sequencing_graph(spec);
   } catch (const ts_error& e) {
@@ -230,21 +218,21 @@ std::shared_ptr<api::result_cache> make_cache(const cli_args& args,
   return std::make_shared<api::result_cache>(co);
 }
 
-/// Per-assay device/grid defaults from the paper's resource table, unless
-/// the command line pinned them. Shared by `synth --all` and serve so
-/// their built-in-assay configurations (and hence cache keys) cannot
-/// drift apart.
-void apply_benchmark_resources(api::pipeline_options& options,
-                               const std::string& assay,
-                               const cli_args& args) {
-  for (const assay::benchmark_resources& r : assay::benchmark_resource_table())
-    if (assay == r.name) {
-      if (!args.devices_set) options.device_count = r.devices;
-      if (!args.grid_set) {
-        options.grid_width = r.grid;
-        options.grid_height = r.grid;
-      }
-    }
+/// Parse an integer flag value in [min, max] into `out`; false (after
+/// printing "error: <flag> expects <expects>, got '<value>'") otherwise.
+template <typename T>
+bool parse_count(const std::string& flag, const char* value,
+                 const char* expects, T& out, long long min,
+                 long long max = LLONG_MAX) {
+  char* end = nullptr;
+  const long long n = std::strtoll(value, &end, 10);
+  if (end == value || *end != '\0' || n < min || n > max) {
+    std::fprintf(stderr, "error: %s expects %s, got '%s'\n", flag.c_str(),
+                 expects, value);
+    return false;
+  }
+  out = static_cast<T>(n);
+  return true;
 }
 
 /// Parse flags from argv[from..). Returns false (after a diagnostic) on
@@ -325,41 +313,21 @@ bool parse_flags(int argc, char** argv, int from, cli_args& args) {
         return false;
       }
     } else if (arg == "--queue") {
-      if ((value = next()) == nullptr) return false;
-      char* end = nullptr;
-      const long long queue = std::strtoll(value, &end, 10);
-      if (end == value || *end != '\0' || queue < 0) {
-        std::fprintf(stderr,
-                     "error: --queue expects a non-negative integer "
-                     "(0 = unbounded), got '%s'\n",
-                     value);
+      if ((value = next()) == nullptr ||
+          !parse_count(arg, value, "a non-negative integer (0 = unbounded)",
+                       args.queue_capacity, 0))
         return false;
-      }
-      args.queue_capacity = static_cast<std::size_t>(queue);
     } else if (arg == "--cache-capacity") {
-      if ((value = next()) == nullptr) return false;
-      char* end = nullptr;
-      const long long capacity = std::strtoll(value, &end, 10);
-      if (end == value || *end != '\0' || capacity < 1) {
-        std::fprintf(stderr,
-                     "error: --cache-capacity expects a positive integer, "
-                     "got '%s'\n",
-                     value);
+      if ((value = next()) == nullptr ||
+          !parse_count(arg, value, "a positive integer", args.cache_capacity,
+                       1))
         return false;
-      }
-      args.cache_capacity = static_cast<std::size_t>(capacity);
     } else if (arg == "--cache-bytes") {
-      if ((value = next()) == nullptr) return false;
-      char* end = nullptr;
-      const long long bytes = std::strtoll(value, &end, 10);
-      if (end == value || *end != '\0' || bytes < 0) {
-        std::fprintf(stderr,
-                     "error: --cache-bytes expects a non-negative byte "
-                     "budget (0 = unbounded), got '%s'\n",
-                     value);
+      if ((value = next()) == nullptr ||
+          !parse_count(arg, value,
+                       "a non-negative byte budget (0 = unbounded)",
+                       args.cache_bytes, 0))
         return false;
-      }
-      args.cache_bytes = static_cast<std::size_t>(bytes);
     } else if (arg == "--cache-dir") {
       if ((value = next()) == nullptr) return false;
       args.cache_dir = value;
@@ -367,29 +335,15 @@ bool parse_flags(int argc, char** argv, int from, cli_args& args) {
       if ((value = next()) == nullptr) return false;
       args.socket_path = value;
     } else if (arg == "--tcp") {
-      if ((value = next()) == nullptr) return false;
-      char* end = nullptr;
-      const long port = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || port < 0 || port > 65535) {
-        std::fprintf(stderr,
-                     "error: --tcp expects a port in [0, 65535] "
-                     "(0 = ephemeral), got '%s'\n",
-                     value);
+      if ((value = next()) == nullptr ||
+          !parse_count(arg, value, "a port in [0, 65535] (0 = ephemeral)",
+                       args.tcp_port, 0, 65535))
         return false;
-      }
-      args.tcp_port = static_cast<int>(port);
     } else if (arg == "--max-inflight") {
-      if ((value = next()) == nullptr) return false;
-      char* end = nullptr;
-      const long long cap = std::strtoll(value, &end, 10);
-      if (end == value || *end != '\0' || cap < 0) {
-        std::fprintf(stderr,
-                     "error: --max-inflight expects a non-negative cap "
-                     "(0 = unbounded), got '%s'\n",
-                     value);
+      if ((value = next()) == nullptr ||
+          !parse_count(arg, value, "a non-negative cap (0 = unbounded)",
+                       args.max_inflight, 0))
         return false;
-      }
-      args.max_inflight = static_cast<std::size_t>(cap);
     } else if (arg == "--threads") {
       if ((value = next()) == nullptr) return false;
       args.options.solver_threads = std::atoi(value);
@@ -481,7 +435,8 @@ int run_synth_all(const cli_args& args) {
     j.name = c.name;
     j.graph = assay::make_benchmark(c.name);
     j.options = args.options;
-    apply_benchmark_resources(j.options, c.name, args);
+    api::apply_benchmark_resources(j.options, c.name, args.devices_set,
+                                   args.grid_set);
     jobs.push_back(std::move(j));
   }
 
@@ -605,628 +560,65 @@ int run_synth_single(const cli_args& args,
 }
 
 // ------------------------------------------------------------------- serve
-//
-// Long-lived service front end: one JSON object per request line on stdin,
-// one JSON response line on stdout (stderr carries human logs). Request
-// schema and semantics are documented in src/api/README.md.
-//
-// The read loop never blocks on a solve: synth requests are submitted to
-// the executor's service queue immediately (so a streaming client fills
-// all workers, priorities reorder the backlog, and a bounded --queue can
-// actually reject with queue_full), while a responder thread emits one
-// response per request in request order. stats and shutdown are sequence
-// points: their responses flow through the same ordered queue, so a stats
-// reply reflects every request before it and the shutdown ack is the last
-// line written.
 
-std::string error_response(const std::string& id_raw, const char* code,
-                           const std::string& message) {
-  json_writer w;
-  w.begin_object();
-  if (!id_raw.empty()) w.key("id").value_raw(id_raw);
-  w.field("status", code);
-  w.field("message", message);
-  w.end_object();
-  return w.str();
-}
-
-std::string stats_response(const std::string& id_raw,
-                           const api::executor& pool,
-                           const api::result_cache& cache,
-                           const api::serve_front* front) {
-  // Both snapshots are internally atomic: occupancy (entries/bytes,
-  // pending/running) is captured under the same lock as the counters, so
-  // the cross-invariants (lookups == hits + misses, submitted ==
-  // completed + running + pending + unredeemed) hold in every response no
-  // matter what runs concurrently.
-  const api::cache_stats stats = cache.stats();
-  const api::executor_stats exec = pool.stats();
-  json_writer w;
-  w.begin_object();
-  if (!id_raw.empty()) w.key("id").value_raw(id_raw);
-  w.field("status", "ok");
-  w.field("op", "stats");
-  w.key("cache").begin_object();
-  w.field("lookups", static_cast<long>(stats.lookups));
-  w.field("memory_hits", static_cast<long>(stats.memory_hits));
-  w.field("disk_hits", static_cast<long>(stats.disk_hits));
-  w.field("misses", static_cast<long>(stats.misses));
-  w.field("coalesced_hits", static_cast<long>(stats.coalesced_hits));
-  w.field("stores", static_cast<long>(stats.stores));
-  w.field("evictions", static_cast<long>(stats.evictions));
-  w.field("bytes_evicted", static_cast<long>(stats.bytes_evicted));
-  w.field("disk_errors", static_cast<long>(stats.disk_errors));
-  w.field("negative_hits", static_cast<long>(stats.negative_hits));
-  w.field("negative_stores", static_cast<long>(stats.negative_stores));
-  w.field("negative_evictions", static_cast<long>(stats.negative_evictions));
-  w.field("negative_entries", static_cast<long>(stats.negative_entries));
-  w.field("entries", static_cast<long>(stats.entries));
-  w.field("bytes", static_cast<long>(stats.bytes));
-  w.end_object();
-  w.key("executor").begin_object();
-  w.field("workers", pool.workers());
-  w.field("pending", static_cast<long>(exec.pending));
-  w.field("running", static_cast<long>(exec.running));
-  w.field("submitted", static_cast<long>(exec.submitted));
-  w.field("completed", static_cast<long>(exec.completed));
-  w.field("rejected_queue_full",
-          static_cast<long>(exec.rejected_queue_full));
-  w.field("cache_hits", static_cast<long>(exec.cache_hits));
-  w.end_object();
-  if (front != nullptr) {
-    const api::serve_stats s = front->stats();
-    w.key("serve").begin_object();
-    w.field("connections_accepted",
-            static_cast<long>(s.connections_accepted));
-    w.field("connections_open", static_cast<long>(s.connections_open));
-    w.field("requests", static_cast<long>(s.requests));
-    w.field("responses", static_cast<long>(s.responses));
-    w.field("shed", static_cast<long>(s.shed));
-    w.field("framing_errors", static_cast<long>(s.framing_errors));
-    w.field("bytes_in", static_cast<long>(s.bytes_in));
-    w.field("bytes_out", static_cast<long>(s.bytes_out));
-    w.begin_array("connection_requests");
-    for (const std::uint64_t r : s.open_connection_requests)
-      w.value(static_cast<long>(r));
-    w.end_array();
-    w.key("latency").begin_object();
-    for (const auto& [op, h] : s.latency) {
-      w.key(op).begin_object();
-      w.field("count", static_cast<long>(h.count));
-      w.field("total_ms", h.total_ms);
-      w.field("max_ms", h.max_ms);
-      w.begin_array("buckets");
-      for (const std::uint64_t b : h.buckets)
-        w.value(static_cast<long>(b));
-      w.end_array();
-      w.end_object();
-    }
-    w.end_object();
-    w.end_object();
-  }
-  // Legacy top-level mirrors of the executor snapshot.
-  w.field("workers", pool.workers());
-  w.field("pending", static_cast<long>(exec.pending));
-  w.end_object();
-  return w.str();
-}
-
-std::string synth_response(const std::string& id_raw,
-                           const api::job_outcome& outcome,
-                           const assay::sequencing_graph& graph,
-                           const api::pipeline_options& options) {
-  json_writer w;
-  w.begin_object();
-  if (!id_raw.empty()) w.key("id").value_raw(id_raw);
-  w.field("status", api::to_string(outcome.code));
-  if (!outcome.message.empty()) w.field("message", outcome.message);
-  w.field("assay", outcome.name);
-  w.field("cache_hit", outcome.cache_hit);
-  w.field("seconds", outcome.seconds);
-  if (outcome.result_json)
-    w.key("result").value_raw(*outcome.result_json);
-  else if (outcome.flow)
-    // Best-effort outcomes (time_limit/cancelled) are not cached, so no
-    // stored document exists; serialize on the fly.
-    w.key("result").value_raw(
-        api::serialize_flow(graph, options, *outcome.flow));
-  w.end_object();
-  return w.str();
-}
-
-/// One enqueued response, emitted in request order by the responder.
-struct serve_item {
-  enum class action {
-    respond, // `ready` is the complete response (errors, ping, shutdown ack)
-    synth,   // wait on `ticket`, then build the response
-    recover, // wait on `ticket`, then run fault recovery on the result
-    stats,   // computed at dequeue time, after every prior request resolved
-  };
-  action act = action::respond;
-  /// Metric label for the serve front end's per-op latency histograms
-  /// (static strings only -- the item outlives admit_request's locals).
-  const char* op = "error";
-  bool shed = false; // rejected by the bounded executor queue
-  std::string id_raw;
-  std::string ready;
-  api::executor::ticket ticket = 0;
-  assay::sequencing_graph graph;   // synth: identity for best-effort docs
-  api::pipeline_options options;
-  // recover only: the requested fault ("auto" = pick a survivable one).
-  bool fault_auto = true;
-  arch::fault_set faults;
-  double fault_at = 0.5;
-};
-
-/// Canonical negative-cache scenario tag for one (faults, fault_time).
-std::string scenario_tag(const arch::fault_set& f, int fault_time) {
-  auto ints = [](const char* label, const std::vector<int>& ids) {
-    std::string out;
-    if (ids.empty()) return out;
-    out += std::string(" ") + label + "=";
-    for (std::size_t i = 0; i < ids.size(); ++i)
-      out += (i ? "," : "") + std::to_string(ids[i]);
-    return out;
-  };
-  return "recover t=" + std::to_string(fault_time) +
-         ints("devices", f.devices) + ints("valves", f.valves) +
-         ints("edges", f.edges) + ints("storage", f.storage);
-}
-
-/// Build the response to a `recover` request once the base synthesis
-/// resolved. Runs on the responder thread: the recovery ladder itself is
-/// cheap next to a cold synthesis, and responses stay in request order.
-std::string recover_response(const serve_item& item,
-                             const api::job_outcome& outcome,
-                             api::result_cache& cache) {
-  if (!outcome.flow || outcome.code != api::status::ok)
-    return error_response(item.id_raw, api::to_string(outcome.code),
-                          outcome.message.empty()
-                              ? "base synthesis did not complete"
-                              : outcome.message);
-  const api::flow_result& flow = *outcome.flow;
-  const sched::schedule& s = flow.scheduling.best;
-
-  api::recovery_request req;
-  req.graph = item.graph;
-  req.options = item.options;
-  req.original = flow;
-  if (item.fault_auto) {
-    const auto scenario = sim::choose_fault_scenario(
-        item.graph, s, flow.architecture.result, flow.architecture.workload,
-        item.fault_at);
-    if (!scenario)
-      return error_response(item.id_raw, "infeasible",
-                            "no survivable fault scenario for this design");
-    req.faults = scenario->faults;
-    req.fault_time = scenario->fault_time;
-  } else {
-    req.faults = item.faults;
-    req.fault_time =
-        std::max(0, static_cast<int>(std::floor(s.makespan() *
-                                                item.fault_at)));
-  }
-  req.faults.normalize();
-
-  // Recovery outcomes are deterministic per (graph, options, scenario):
-  // structurally impossible recoveries are answered from the negative tier.
-  const api::cache_key key = api::make_cache_key(
-      item.graph, item.options, scenario_tag(req.faults, req.fault_time));
-  if (const auto negative = cache.lookup_negative(key))
-    return error_response(item.id_raw, api::to_string(negative->code),
-                          negative->message);
-
-  auto rec = api::recover(req);
-  if (!rec.has_value()) {
-    cache.store_negative(key, api::result_cache::negative_entry{
-                                  rec.code(), rec.message()});
-    return error_response(item.id_raw, api::to_string(rec.code()),
-                          rec.message());
-  }
-  const api::recovery_result& r = rec.value();
-  json_writer w;
-  w.begin_object();
-  if (!item.id_raw.empty()) w.key("id").value_raw(item.id_raw);
-  w.field("status", api::to_string(rec.code()));
-  if (!rec.message().empty()) w.field("message", rec.message());
-  w.field("assay", item.graph.name());
-  w.field("cache_hit", outcome.cache_hit);
-  w.field("rung", api::to_string(r.rung));
-  w.field("fault_time", r.fault_time);
-  w.field("original_makespan", r.original_makespan);
-  w.field("recovered_makespan", r.recovered_makespan);
-  w.field("completed", static_cast<long>(r.completed_ops.size()));
-  w.field("rescheduled", static_cast<long>(r.rescheduled_ops.size()));
-  w.key("recovery").value_raw(api::to_json(item.graph, item.options, r));
-  w.end_object();
-  return w.str();
-}
-
-/// Parse + submit one request line; never blocks on a solve. Returns the
-/// item to enqueue. Sets `quit` on a shutdown request.
-serve_item admit_request(const std::string& line, const cli_args& args,
-                         api::executor& pool, bool& quit) {
-  serve_item item;
-  try {
-    const json_value req = json_value::parse(line);
-    require(req.is_object(), "request must be a JSON object");
-    if (const json_value* id = req.find("id")) {
-      json_writer w;
-      write_value(w, *id);
-      item.id_raw = w.str();
-    }
-    const json_value* op = req.find("op");
-    const std::string name = op ? op->as_string() : "synth";
-
-    if (name == "stats") {
-      item.act = serve_item::action::stats;
-      item.op = "stats";
-      return item;
-    }
-    if (name == "ping" || name == "shutdown") {
-      quit = name == "shutdown";
-      item.op = quit ? "shutdown" : "ping";
-      json_writer w;
-      w.begin_object();
-      if (!item.id_raw.empty()) w.key("id").value_raw(item.id_raw);
-      w.field("status", "ok");
-      w.field("op", name);
-      w.end_object();
-      item.ready = w.str();
-      return item;
-    }
-    if (name != "synth" && name != "recover") {
-      item.ready = error_response(item.id_raw, "invalid_input",
-                                  "unknown op \"" + name + "\"");
-      return item;
-    }
-    const bool recovering = name == "recover";
-    item.op = recovering ? "recover" : "synth";
-
-    // Graph: a built-in name, or an inline assay in the io.h text format.
-    const json_value* assay_name = req.find("assay");
-    const json_value* graph_text = req.find("graph");
-    if ((assay_name != nullptr) == (graph_text != nullptr)) {
-      item.ready = error_response(
-          item.id_raw, "invalid_input",
-          name + " request needs exactly one of \"assay\" (built-in name) "
-          "or \"graph\" (sequencing-graph text)");
-      return item;
-    }
-
-    api::job j;
-    api::pipeline_options base = args.options;
-    if (assay_name != nullptr) {
-      const std::string& assay = assay_name->as_string();
-      if (!is_builtin(assay)) {
-        item.ready = error_response(item.id_raw, "invalid_input",
-                                    "unknown built-in assay \"" + assay +
-                                        "\" (see bench-names)");
-        return item;
-      }
-      j.graph = assay::make_benchmark(assay);
-      // The paper's per-assay resource table, unless the request overrides.
-      apply_benchmark_resources(base, assay, args);
-    } else {
-      j.graph = assay::parse_sequencing_graph(graph_text->as_string());
-    }
-
-    if (const json_value* options = req.find("options"))
-      j.options = api::options_from_value(*options, base);
-    else
-      j.options = base;
-    if (const json_value* priority = req.find("priority"))
-      j.priority = priority->as_int();
-
-    if (recovering) {
-      // The injected fault: "auto" (default) or an explicit resource set.
-      if (const json_value* at = req.find("at")) {
-        item.fault_at = at->as_double();
-        require(item.fault_at >= 0.0 && item.fault_at <= 1.0,
-                "\"at\" must be a fraction in [0, 1]");
-      }
-      if (const json_value* fault = req.find("fault")) {
-        if (fault->is_string()) {
-          require(fault->as_string() == "auto",
-                  "\"fault\" must be \"auto\" or a fault object");
-        } else {
-          // A partial object is fine: absent resource kinds are healthy.
-          item.fault_auto = false;
-          auto ints = [](const json_value* a) {
-            std::vector<int> out;
-            if (a != nullptr)
-              for (const json_value& e : a->elements())
-                out.push_back(e.as_int());
-            return out;
-          };
-          item.faults.devices = ints(fault->find("devices"));
-          item.faults.valves = ints(fault->find("valves"));
-          item.faults.edges = ints(fault->find("edges"));
-          item.faults.storage = ints(fault->find("storage"));
-          require(!item.faults.empty(), "\"fault\" names no resources");
-        }
-      }
-    }
-
-    api::run_context ctx;
-    if (const json_value* deadline = req.find("deadline"))
-      ctx.set_deadline(deadline->as_double());
-    else if (args.deadline_seconds > 0.0)
-      ctx.set_deadline(args.deadline_seconds);
-
-    item.graph = j.graph;
-    item.options = j.options;
-    auto ticket = pool.submit(std::move(j), ctx);
-    if (!ticket.has_value()) {
-      item.shed = ticket.code() == api::status::queue_full;
-      item.ready = error_response(item.id_raw, api::to_string(ticket.code()),
-                                  ticket.message());
-      return item;
-    }
-    item.act = recovering ? serve_item::action::recover
-                          : serve_item::action::synth;
-    item.ticket = ticket.value();
-    return item;
-  } catch (const ts_error& e) {
-    item.ready = error_response(item.id_raw, "invalid_input", e.what());
-    return item;
-  } catch (const std::exception& e) {
-    item.ready = error_response(item.id_raw, "internal", e.what());
-    return item;
-  }
-}
-
-/// Best-effort extraction of the request's raw "id" member, for responses
-/// built without full admission (load shedding happens before parsing the
-/// request body).
-std::string request_id_raw(const std::string& line) {
-  try {
-    const json_value req = json_value::parse(line);
-    if (!req.is_object()) return "";
-    if (const json_value* id = req.find("id")) {
-      json_writer w;
-      write_value(w, *id);
-      return w.str();
-    }
-  } catch (...) {
-  }
-  return "";
-}
-
-/// Socket serve mode: an api::serve_front multiplexes many concurrent
-/// unix/TCP connections onto the one executor and shared cache. Requests
-/// are admitted exactly as in stdio mode (admit_request); deferred
-/// responses resolve in request order on each connection's writer thread,
-/// so stats/shutdown stay sequence points per connection. With
-/// --max-inflight, a connection that outruns its responses is shed with a
-/// structured queue_full error instead of queueing unbounded work.
-int run_serve_socket(const cli_args& args) {
-  std::shared_ptr<api::result_cache> cache = make_cache(args, /*always=*/true);
+/// Long-lived service: the wire protocol of api/protocol.h on one
+/// api::serve_front -- a single session over stdin/stdout by default, or
+/// unix/TCP listeners (--socket/--tcp) multiplexing many connections onto
+/// the same executor and shared result cache.
+int run_serve(const cli_args& args) {
   api::executor_options pool_options;
   pool_options.workers = args.workers;
   pool_options.queue_capacity = args.queue_capacity;
-  pool_options.cache = cache;
+  pool_options.cache = make_cache(args, /*always=*/true);
   api::executor pool(pool_options);
 
-  api::serve_front* front_ptr = nullptr; // set before start(); see below
-
+  api::protocol_options protocol;
+  protocol.base = args.options;
+  protocol.devices_pinned = args.devices_set;
+  protocol.grid_pinned = args.grid_set;
+  protocol.deadline_seconds = args.deadline_seconds;
+  protocol.log = [](const std::string& line) {
+    std::fprintf(stderr, "%s\n", line.c_str());
+  };
   api::serve_options so;
   so.unix_path = args.socket_path;
   so.tcp_port = args.tcp_port;
   so.max_inflight = args.max_inflight;
-  so.framing_error = [](const char* code, const std::string& message) {
-    return error_response("", code, message);
-  };
+  so.framing_error = api::protocol_error;
+  api::serve_front front(so, api::make_protocol_handler(protocol, pool));
 
-  auto handler = [&args, &pool, &cache, &front_ptr](
-                     const std::string& line,
-                     const api::serve_request_info& info) -> api::serve_reply {
-    api::serve_reply reply;
-    if (info.overloaded) {
-      reply.op = "shed";
-      reply.shed = true;
-      reply.line = error_response(
-          request_id_raw(line), "queue_full",
-          "connection " + std::to_string(info.connection) + " has " +
-              std::to_string(info.inflight) +
-              " responses in flight (cap " +
-              std::to_string(args.max_inflight) +
-              "); wait for a response before sending more");
-      return reply;
-    }
-    bool quit = false;
-    serve_item item = admit_request(line, args, pool, quit);
-    reply.op = item.op;
-    reply.shed = item.shed;
-    switch (item.act) {
-      case serve_item::action::respond:
-        reply.line = std::move(item.ready);
-        if (quit) {
-          reply.shutdown_server = true;
-          reply.close_connection = true;
-        }
-        break;
-      case serve_item::action::stats: {
-        const std::string id_raw = item.id_raw;
-        reply.finish = [id_raw, &pool, &cache, &front_ptr] {
-          return stats_response(id_raw, pool, *cache, front_ptr);
-        };
-        break;
-      }
-      case serve_item::action::synth:
-      case serve_item::action::recover: {
-        auto it = std::make_shared<serve_item>(std::move(item));
-        reply.finish = [it, &pool, &cache] {
-          const api::job_outcome outcome = pool.wait(it->ticket);
-          if (it->act == serve_item::action::recover) {
-            std::fprintf(stderr, "[serve] %-6s recover (base %s, %s)\n",
-                         outcome.name.c_str(), api::to_string(outcome.code),
-                         outcome.cache_hit ? "hit" : "miss");
-            return recover_response(*it, outcome, *cache);
-          }
-          std::fprintf(stderr, "[serve] %-6s %-10s %s %.2fs\n",
-                       outcome.name.c_str(), api::to_string(outcome.code),
-                       outcome.cache_hit ? "hit " : "miss", outcome.seconds);
-          return synth_response(it->id_raw, outcome, it->graph, it->options);
-        };
-        break;
-      }
-    }
-    return reply;
-  };
-
-  api::serve_front front(so, handler);
-  front_ptr = &front; // requests cannot arrive before start()
-  const std::string err = front.start();
-  if (!err.empty()) {
-    std::fprintf(stderr, "error: %s\n", err.c_str());
-    return 1;
+  const std::string queue = args.queue_capacity > 0
+                                ? std::to_string(args.queue_capacity)
+                                : "unbounded";
+  std::string error;
+  if (args.socket_path.empty() && args.tcp_port < 0) {
+    std::fprintf(stderr,
+                 "[serve] ready: %d workers, queue %s, cache %zu entries%s%s\n",
+                 pool.workers(), queue.c_str(), args.cache_capacity,
+                 args.cache_dir.empty() ? "" : ", disk ",
+                 args.cache_dir.c_str());
+    // Until stdin ends or a {"op":"shutdown"} is acknowledged.
+    error = front.serve_stream(STDIN_FILENO, STDOUT_FILENO);
+  } else if ((error = front.start()).empty()) {
+    const std::string tcp =
+        front.tcp_port() >= 0
+            ? "tcp 127.0.0.1:" + std::to_string(front.tcp_port()) + ", "
+            : "";
+    std::fprintf(stderr,
+                 "[serve] listening: %s%s%s%d workers, queue %s, "
+                 "max-inflight %s\n",
+                 args.socket_path.c_str(), args.socket_path.empty() ? "" : ", ",
+                 tcp.c_str(), pool.workers(), queue.c_str(),
+                 args.max_inflight > 0
+                     ? std::to_string(args.max_inflight).c_str()
+                     : "unbounded");
+    front.wait(); // until a connection sends {"op":"shutdown"}
   }
-  std::fprintf(stderr,
-               "[serve] listening: %s%s%s%d workers, queue %s, "
-               "max-inflight %s\n",
-               args.socket_path.empty() ? "" : args.socket_path.c_str(),
-               args.socket_path.empty() ? "" : ", ",
-               front.tcp_port() >= 0
-                   ? ("tcp 127.0.0.1:" + std::to_string(front.tcp_port()) +
-                      ", ")
-                         .c_str()
-                   : "",
-               pool.workers(),
-               args.queue_capacity > 0
-                   ? std::to_string(args.queue_capacity).c_str()
-                   : "unbounded",
-               args.max_inflight > 0
-                   ? std::to_string(args.max_inflight).c_str()
-                   : "unbounded");
-  front.wait(); // until a connection sends {"op":"shutdown"}
   front.stop();
   pool.shutdown();
-  return 0;
-}
-
-int run_serve(const cli_args& args) {
-  if (!args.socket_path.empty() || args.tcp_port >= 0)
-    return run_serve_socket(args);
-  std::shared_ptr<api::result_cache> cache = make_cache(args, /*always=*/true);
-  api::executor_options pool_options;
-  pool_options.workers = args.workers;
-  pool_options.queue_capacity = args.queue_capacity;
-  pool_options.cache = cache;
-  api::executor pool(pool_options);
-
-  std::fprintf(stderr,
-               "[serve] ready: %d workers, queue %s, cache %zu entries%s%s\n",
-               pool.workers(),
-               args.queue_capacity > 0
-                   ? std::to_string(args.queue_capacity).c_str()
-                   : "unbounded",
-               args.cache_capacity, args.cache_dir.empty() ? "" : ", disk ",
-               args.cache_dir.c_str());
-
-  std::mutex queue_lock;
-  std::condition_variable queue_ready;
-  std::deque<serve_item> queue;
-  bool closed = false;
-
-  std::thread responder([&] {
-    for (;;) {
-      serve_item item;
-      {
-        std::unique_lock<std::mutex> guard(queue_lock);
-        queue_ready.wait(guard,
-                         [&] { return closed || !queue.empty(); });
-        if (queue.empty()) return; // closed and drained
-        item = std::move(queue.front());
-        queue.pop_front();
-      }
-      std::string response;
-      switch (item.act) {
-        case serve_item::action::respond: response = item.ready; break;
-        case serve_item::action::stats:
-          response = stats_response(item.id_raw, pool, *cache,
-                                    /*front=*/nullptr);
-          break;
-        case serve_item::action::synth: {
-          const api::job_outcome outcome = pool.wait(item.ticket);
-          std::fprintf(stderr, "[serve] %-6s %-10s %s %.2fs\n",
-                       outcome.name.c_str(), api::to_string(outcome.code),
-                       outcome.cache_hit ? "hit " : "miss", outcome.seconds);
-          response = synth_response(item.id_raw, outcome, item.graph,
-                                    item.options);
-          break;
-        }
-        case serve_item::action::recover: {
-          const api::job_outcome outcome = pool.wait(item.ticket);
-          response = recover_response(item, outcome, *cache);
-          std::fprintf(stderr, "[serve] %-6s recover (base %s, %s)\n",
-                       outcome.name.c_str(), api::to_string(outcome.code),
-                       outcome.cache_hit ? "hit" : "miss");
-          break;
-        }
-      }
-      std::fwrite(response.data(), 1, response.size(), stdout);
-      std::fputc('\n', stdout);
-      std::fflush(stdout);
-    }
-  });
-
-  // Hardened read loop: a hard per-line size cap and explicit handling of
-  // input that ends mid-line. Malformed lines of any kind produce one
-  // structured error response and the loop carries on -- a misbehaving
-  // client can never kill the service or make it exit non-zero.
-  constexpr std::size_t max_request_line = std::size_t{1} << 20; // 1 MiB
-  auto enqueue = [&](serve_item item) {
-    {
-      std::lock_guard<std::mutex> guard(queue_lock);
-      queue.push_back(std::move(item));
-    }
-    queue_ready.notify_one();
-  };
-  std::string line;
-  bool quit = false;
-  while (!quit) {
-    line.clear();
-    bool oversized = false;
-    bool newline_seen = false;
-    int c;
-    while ((c = std::cin.get()) != EOF) {
-      if (c == '\n') {
-        newline_seen = true;
-        break;
-      }
-      if (line.size() < max_request_line) line.push_back(static_cast<char>(c));
-      else oversized = true; // keep consuming up to the newline
-    }
-    if (line.empty() && !newline_seen) break; // clean EOF at a line boundary
-    if (oversized) {
-      serve_item item;
-      item.ready = error_response(
-          "", "invalid_input", "request line exceeds the 1 MiB limit");
-      enqueue(std::move(item));
-      if (!newline_seen) break;
-      continue;
-    }
-    if (!newline_seen) {
-      // EOF struck mid-line: the request is truncated by definition (the
-      // protocol is newline-delimited), so answer it as such and stop.
-      serve_item item;
-      item.ready = error_response(
-          "", "invalid_input", "input ended mid-line (truncated request)");
-      enqueue(std::move(item));
-      break;
-    }
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    enqueue(admit_request(line, args, pool, quit));
-  }
-  {
-    std::lock_guard<std::mutex> guard(queue_lock);
-    closed = true;
-  }
-  queue_ready.notify_all();
-  responder.join(); // drains every accepted request, shutdown ack last
-  pool.shutdown();
-  return 0;
+  if (error.empty()) return 0;
+  std::fprintf(stderr, "error: %s\n", error.c_str());
+  return 1;
 }
 
 int run_sched(const cli_args& args, const assay::sequencing_graph& graph) {

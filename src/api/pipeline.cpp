@@ -1,5 +1,6 @@
 #include "api/pipeline.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -125,6 +126,24 @@ void write_layout_section(json_writer& w, const phys::layout_result& layout) {
   w.end_object();
 }
 
+void check_range(const char* field, long value, long lo, long hi) {
+  if (value < lo || value > hi)
+    throw invalid_input_error("pipeline_options." + std::string(field) +
+                              " = " + std::to_string(value) +
+                              " is outside [" + std::to_string(lo) + ", " +
+                              std::to_string(hi) + "]");
+}
+
+/// The architecture knobs one synthesize call runs with (the options, or
+/// the call's overrides of them).
+void check_arch_ranges(int width, int height, int growth, int attempts) {
+  check_range("grid_width", width, 2, max_grid_side);
+  check_range("grid_height", height, 2, max_grid_side);
+  check_range("grid_growth", growth, 0,
+              max_grid_side - std::max(width, height));
+  check_range("arch_attempts", attempts, 1, max_arch_attempts);
+}
+
 void write_assay_header(json_writer& w, const assay::sequencing_graph& g) {
   w.field("assay", g.name());
   w.field("operations", g.operation_count());
@@ -211,6 +230,13 @@ result<scheduled> pipeline::schedule(const run_context& ctx) const {
     ctx.report("schedule", "start " + state_->graph.name());
     state_->graph.validate();
     const pipeline_options& o = state_->options;
+    check_range("device_count", o.device_count, 1, max_device_count);
+    check_range("heuristic_restarts", o.heuristic_restarts, 1,
+                max_heuristic_restarts);
+    check_range("local_search_iterations", o.local_search_iterations, 0,
+                max_local_search_iterations);
+    check_arch_ranges(o.grid_width, o.grid_height, o.grid_growth,
+                      o.arch_attempts);
 
     // Failed devices shrink the schedulable pool: the schedule is built
     // directly on the surviving count (device ids stay compact; fault ids
@@ -302,6 +328,7 @@ result<synthesized> scheduled::synthesize(const synthesize_overrides& over,
     ao.faults = o.faults;
     ao.faults.devices.clear();
     const int growth = over.grid_growth.value_or(o.grid_growth);
+    check_arch_ranges(ao.grid_width, ao.grid_height, growth, ao.attempts);
 
     synthesized stage;
     stage.state_ = state_;

@@ -8,7 +8,7 @@
 //   auto synthesized = scheduled->synthesize(ctx);      // Section 3.2
 //   auto compressed  = synthesized->compress(ctx);      // Section 3.3
 //   auto verified    = compressed->verify(ctx);         // simulator replay
-//   core::flow_result r = verified->result();
+//   api::flow_result r = verified->result();
 //
 // Every stage returns api::result<Stage> (see result.h): no exceptions
 // cross the api boundary, deadline/cancel outcomes are structured, and a
@@ -20,8 +20,6 @@
 //   auto s = p.schedule().take();
 //   for (int g : {4, 5, 6})
 //     auto chip = s.synthesize({.grid_width = g, .grid_height = g}, ctx);
-//
-// core::run_flow() remains as a thin blocking shim over this pipeline.
 #pragma once
 
 #include <memory>
@@ -39,12 +37,22 @@
 
 namespace transtore::api {
 
-/// Complete configuration of one pipeline run (the former
-/// core::flow_options; core keeps an alias to this type).
+/// Bounds on the size knobs of pipeline_options. A stage rejects values
+/// outside them with status::invalid_input before doing any work: far
+/// beyond these sizes a run exhausts memory or time instead of answering.
+/// The grid bound covers growth: max(grid_width, grid_height) +
+/// grid_growth <= max_grid_side.
+inline constexpr int max_device_count = 64;
+inline constexpr int max_grid_side = 128;
+inline constexpr int max_arch_attempts = 1000;
+inline constexpr int max_heuristic_restarts = 10000;
+inline constexpr int max_local_search_iterations = 10'000'000;
+
+/// Complete configuration of one pipeline run.
 struct pipeline_options {
   // Resources (paper: "maximum numbers of devices allowed in the chip").
-  int device_count = 1;
-  int grid_width = 4;
+  int device_count = 1; // [1, max_device_count]
+  int grid_width = 4;   // [2, max_grid_side], as is grid_height
   int grid_height = 4;
 
   // Timing model.
@@ -56,9 +64,10 @@ struct pipeline_options {
   bool storage_aware = true; // false = "optimize execution time only"
   sched::schedule_engine schedule_engine = sched::schedule_engine::combined;
   double sched_ilp_time_limit = 10.0;
-  int heuristic_restarts = 24;
+  int heuristic_restarts = 24; // [1, max_heuristic_restarts]
   /// Simulated-annealing improvement iterations after the constructive
-  /// schedulers (sched::scheduler_options::local_search_iterations).
+  /// schedulers (sched::scheduler_options::local_search_iterations);
+  /// [0, max_local_search_iterations].
   int local_search_iterations = 6000;
   /// Worker threads for the scheduling MILP's branch-and-bound tree search
   /// (sched::scheduler_options::solver_threads): 1 = sequential, 0 = all
@@ -77,10 +86,11 @@ struct pipeline_options {
   // Architecture.
   arch::synthesis_engine arch_engine = arch::synthesis_engine::heuristic;
   double arch_ilp_time_limit = 20.0;
-  int arch_attempts = 8;
+  int arch_attempts = 8; // [1, max_arch_attempts]
   /// On capacity failure, retry synthesis up to this many times with a
   /// one-step-larger grid (0 = fail immediately, the paper's fixed-grid
-  /// protocol). The grid actually used is visible in the chip.
+  /// protocol). The grid actually used is visible in the chip. At least 0,
+  /// and the grown grid stays within max_grid_side.
   int grid_growth = 0;
   /// Resources known to be failed before the run starts (arch/fault.h).
   /// Failed devices shrink the schedulable device pool; failed valves,
@@ -97,8 +107,7 @@ struct pipeline_options {
   std::uint64_t seed = 1;
 };
 
-/// Aggregated outputs of a full run (the former core::flow_result; core
-/// keeps an alias to this type).
+/// Aggregated outputs of a full run.
 struct flow_result {
   sched::scheduling_result scheduling;
   arch::arch_result architecture;
@@ -250,7 +259,7 @@ public:
   /// The aggregate result (total_seconds = sum of recorded stage times).
   [[nodiscard]] flow_result result() const;
 
-  /// Full JSON document (same shape as core::to_json).
+  /// Full JSON document (same shape as api::to_json).
   [[nodiscard]] std::string to_json(bool include_timing = true) const;
 
 private:
@@ -307,8 +316,7 @@ public:
 
   /// One-shot convenience: schedule -> synthesize -> compress -> verify
   /// (verification and baseline per options). Equivalent to the staged
-  /// calls; core::run_flow is a shim over this. Consults the cache when one
-  /// is attached.
+  /// calls. Consults the cache when one is attached.
   [[nodiscard]] result<flow_result> run(const run_context& ctx = {}) const;
 
   /// run() plus cache bookkeeping: reports whether the result came from the

@@ -130,26 +130,31 @@ result_cache::result_cache(result_cache_options options)
   if (options_.memory_entries == 0) options_.memory_entries = 1;
 }
 
+// Every lookup is counted under the same lock hold as its outcome (memory
+// hit, disk hit or miss), so no stats() snapshot ever sees a lookup
+// without its outcome: lookups == memory_hits + disk_hits + misses.
+
 result_cache::entry_ptr result_cache::lookup(const cache_key& key) {
   {
     std::lock_guard<std::mutex> guard(lock_);
-    ++stats_.lookups;
     const auto it = index_.find(key.canonical);
     if (it != index_.end() && it->second->identity == key.identity) {
+      ++stats_.lookups;
       ++stats_.memory_hits;
       touch(it->second);
       return it->second->value;
     }
+    if (options_.disk_dir.empty()) {
+      ++stats_.lookups;
+      ++stats_.misses;
+      return nullptr;
+    }
   }
   // Disk probe outside the lock: deserialization is the expensive part and
   // concurrent probes for different keys should not serialize.
-  if (options_.disk_dir.empty()) {
-    std::lock_guard<std::mutex> guard(lock_);
-    ++stats_.misses;
-    return nullptr;
-  }
   entry_ptr from_disk = disk_lookup(key);
   std::lock_guard<std::mutex> guard(lock_);
+  ++stats_.lookups;
   if (!from_disk) {
     ++stats_.misses;
     return nullptr;
@@ -164,11 +169,11 @@ result_cache::flight result_cache::lookup_or_lead(
     const std::function<bool()>& give_up) {
   {
     std::unique_lock<std::mutex> guard(lock_);
-    ++stats_.lookups;
     bool waited = false;
     for (;;) {
       const auto it = index_.find(key.canonical);
       if (it != index_.end() && it->second->identity == key.identity) {
+        ++stats_.lookups;
         ++stats_.memory_hits;
         if (waited) ++stats_.coalesced_hits; // rode a leader's solve
         touch(it->second);
@@ -183,13 +188,18 @@ result_cache::flight result_cache::lookup_or_lead(
       // and a leader that died without abort_flight cannot park us forever.
       flight_done_.wait_for(guard, std::chrono::milliseconds(50));
       waited = true;
-      if (give_up && give_up()) return flight::bypass;
+      if (give_up && give_up()) {
+        ++stats_.lookups; // served without the cache: a miss
+        ++stats_.misses;
+        return flight::bypass;
+      }
     }
   }
   // Leader path: probe the disk tier before conceding a miss.
   if (!options_.disk_dir.empty()) {
     if (entry_ptr from_disk = disk_lookup(key)) {
       std::lock_guard<std::mutex> guard(lock_);
+      ++stats_.lookups;
       ++stats_.disk_hits;
       insert_locked(key, from_disk);
       inflight_.erase(key.canonical);
@@ -199,6 +209,7 @@ result_cache::flight result_cache::lookup_or_lead(
     }
   }
   std::lock_guard<std::mutex> guard(lock_);
+  ++stats_.lookups;
   ++stats_.misses;
   return flight::leader;
 }

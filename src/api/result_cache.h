@@ -106,6 +106,7 @@ struct cache_stats {
   std::uint64_t lookups = 0;
   std::uint64_t memory_hits = 0;
   std::uint64_t disk_hits = 0;
+  /// Includes lookups that gave up waiting on a concurrent solve (bypass).
   std::uint64_t misses = 0;
   std::uint64_t stores = 0;
   std::uint64_t evictions = 0;

@@ -33,14 +33,18 @@ class run_context {
 public:
   run_context() : created_(clock::now()) {}
 
-  /// Absolute wall-clock budget measured from now; <= 0 clears it.
+  /// Absolute wall-clock budget measured from now; <= 0 clears it, and so
+  /// does a budget the clock cannot represent (beyond ~292 years, or
+  /// infinite): converting it to clock ticks would overflow.
   run_context& set_deadline(double seconds) {
-    if (seconds > 0.0)
-      deadline_ = clock::now() + std::chrono::duration_cast<clock::duration>(
-                                     std::chrono::duration<double>(seconds));
-    else
-      deadline_ = {};
-    has_deadline_ = seconds > 0.0;
+    const clock::time_point now = clock::now();
+    const double room =
+        std::chrono::duration<double>(clock::time_point::max() - now).count();
+    has_deadline_ = seconds > 0.0 && seconds < room - 1.0;
+    deadline_ = has_deadline_
+                    ? now + std::chrono::duration_cast<clock::duration>(
+                                std::chrono::duration<double>(seconds))
+                    : clock::time_point{};
     return *this;
   }
   run_context& set_cancel(cancel_token token) {

@@ -12,6 +12,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -35,11 +36,12 @@ void record_latency(op_latency& h, double ms) {
   ++h.buckets[b];
 }
 
-/// Write the whole buffer; MSG_NOSIGNAL so a vanished client is an error
-/// return (EPIPE), never a SIGPIPE. Returns false once the peer is gone.
-bool send_all(int fd, const char* data, std::size_t size) {
+/// Write the whole buffer to a socket or any other descriptor. The writer
+/// thread blocks SIGPIPE, so a vanished reader is an error return (EPIPE),
+/// never a signal. Returns false once the peer is gone.
+bool write_all(int fd, const char* data, std::size_t size) {
   while (size > 0) {
-    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+    const ssize_t n = ::write(fd, data, size);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -66,7 +68,9 @@ struct serve_front::impl {
   };
 
   struct session {
-    int fd = -1;
+    int in_fd = -1;
+    int out_fd = -1;  // the same socket as in_fd for a connection
+    bool stream = false; // serve_stream(): the caller owns both descriptors
     std::uint64_t id = 0;
     std::uint64_t requests = 0; // admitted (mirrors metrics under impl lock)
     std::mutex lock;
@@ -80,6 +84,7 @@ struct serve_front::impl {
     std::thread writer;
   };
 
+  serve_front* self = nullptr;
   serve_options options;
   serve_handler handler;
 
@@ -101,13 +106,14 @@ struct serve_front::impl {
   void accept_loop();
   void reader_loop(session& s);
   void writer_loop(session& s);
-  void admit(session& s, const std::string& line);
+  bool admit(session& s, const std::string& line);
   void enqueue(session& s, pending p);
   void request_shutdown();
 };
 
 serve_front::serve_front(serve_options options, serve_handler handler)
     : impl_(new impl) {
+  impl_->self = this;
   impl_->options = std::move(options);
   impl_->handler = std::move(handler);
 }
@@ -217,7 +223,8 @@ void serve_front::impl::accept_loop() {
       const int client = ::accept(fds[i].fd, nullptr, nullptr);
       if (client < 0) continue; // transient; poll again
       auto s = std::make_unique<session>();
-      s->fd = client;
+      s->in_fd = client;
+      s->out_fd = client;
       session& ref = *s;
       {
         std::lock_guard<std::mutex> guard(lock);
@@ -248,9 +255,12 @@ void serve_front::impl::enqueue(session& s, pending p) {
 
 /// Admit one complete line: consult the handler (with backpressure state)
 /// and queue its reply for the writer. Runs on the reader thread; the
-/// handler must not block on a solve.
-void serve_front::impl::admit(session& s, const std::string& line) {
+/// handler must not block on a solve. Returns true when the reply ends the
+/// session, so the reader stops reading: the writer may already have
+/// popped the reply, so only its flags here tell.
+bool serve_front::impl::admit(session& s, const std::string& line) {
   serve_request_info info;
+  info.front = self;
   std::size_t inflight;
   {
     std::lock_guard<std::mutex> guard(s.lock);
@@ -263,6 +273,7 @@ void serve_front::impl::admit(session& s, const std::string& line) {
     info.connection = s.id;
     info.sequence = s.requests;
     info.inflight = inflight;
+    info.max_inflight = options.max_inflight;
     info.overloaded =
         options.max_inflight > 0 && inflight >= options.max_inflight;
   }
@@ -284,7 +295,9 @@ void serve_front::impl::admit(session& s, const std::string& line) {
     std::lock_guard<std::mutex> guard(lock);
     ++metrics.framing_errors;
   }
+  const bool closing = p.close_connection || p.shutdown_server;
   enqueue(s, std::move(p));
+  return closing;
 }
 
 void serve_front::impl::reader_loop(session& s) {
@@ -293,7 +306,7 @@ void serve_front::impl::reader_loop(session& s) {
   char buf[4096];
   bool closing = false;
   while (!closing) {
-    const ssize_t n = ::read(s.fd, buf, sizeof(buf));
+    const ssize_t n = ::read(s.in_fd, buf, sizeof(buf));
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
@@ -343,11 +356,7 @@ void serve_front::impl::reader_loop(session& s) {
         }
         enqueue(s, std::move(p));
       } else if (line.find_first_not_of(" \t\r") != std::string::npos) {
-        admit(s, line);
-        std::lock_guard<std::mutex> guard(s.lock);
-        if (!s.queue.empty() && (s.queue.back().close_connection ||
-                                 s.queue.back().shutdown_server))
-          closing = true;
+        closing = admit(s, line);
       }
       line.clear();
       oversized = false;
@@ -363,6 +372,14 @@ void serve_front::impl::reader_loop(session& s) {
 // ------------------------------------------------------------------ writer
 
 void serve_front::impl::writer_loop(session& s) {
+  // A write to a pipe or socket whose reader is gone raises SIGPIPE on the
+  // writing thread. Blocked here, it stays pending on this thread (and is
+  // discarded when the thread exits) while write() fails with EPIPE, which
+  // drains the session like any other disconnect.
+  sigset_t pipe_signal;
+  sigemptyset(&pipe_signal);
+  sigaddset(&pipe_signal, SIGPIPE);
+  pthread_sigmask(SIG_BLOCK, &pipe_signal, nullptr);
   for (;;) {
     pending p;
     {
@@ -387,7 +404,7 @@ void serve_front::impl::writer_loop(session& s) {
     bool wrote = false;
     if (!text.empty() && !s.write_failed) {
       text.push_back('\n');
-      if (send_all(s.fd, text.data(), text.size()))
+      if (write_all(s.out_fd, text.data(), text.size()))
         wrote = true;
       else
         s.write_failed = true; // only the writer thread touches this
@@ -411,7 +428,7 @@ void serve_front::impl::writer_loop(session& s) {
     }
     if (p.shutdown_server) request_shutdown();
     if (p.close_connection || p.shutdown_server) {
-      ::shutdown(s.fd, SHUT_RDWR);
+      if (!s.stream) ::shutdown(s.out_fd, SHUT_RDWR);
       std::lock_guard<std::mutex> guard(s.lock);
       if (s.reader_done && s.queue.empty()) break;
     }
@@ -426,6 +443,32 @@ void serve_front::impl::request_shutdown() {
     shutdown_requested = true;
   }
   shutdown_cv.notify_all();
+}
+
+// ------------------------------------------------------------------ stream
+
+std::string serve_front::serve_stream(int in_fd, int out_fd) {
+  impl& im = *impl_;
+  if (!im.options.framing_error)
+    return "serve_front: options.framing_error is required";
+  auto owned = std::make_unique<impl::session>();
+  impl::session& s = *owned;
+  s.in_fd = in_fd;
+  s.out_fd = out_fd;
+  s.stream = true;
+  {
+    std::lock_guard<std::mutex> guard(im.lock);
+    if (im.stopping) return "serve_front: stopped";
+    s.id = im.next_connection++;
+    ++im.metrics.connections_accepted;
+    im.sessions.push_back(std::move(owned));
+  }
+  s.writer = std::thread([&im, &s] { im.writer_loop(s); });
+  im.reader_loop(s);
+  s.writer.join();
+  std::lock_guard<std::mutex> guard(im.lock);
+  std::erase_if(im.sessions, [&s](const auto& p) { return p.get() == &s; });
+  return "";
 }
 
 // ----------------------------------------------------------------- control
@@ -464,23 +507,23 @@ void serve_front::stop() {
   for (int& fd : im.wake_pipe)
     if (fd >= 0) ::close(fd), fd = -1;
 
-  // Close only the read side of every session: readers see EOF and stop,
-  // writers drain every already-admitted response (still in order) and
-  // then exit.
+  // Close only the read side of every connection: readers see EOF and
+  // stop, writers drain every already-admitted response (still in order)
+  // and then exit. Stream sessions belong to their serve_stream() caller.
   std::vector<impl::session*> open;
   {
     std::lock_guard<std::mutex> guard(im.lock);
-    for (auto& s : im.sessions) open.push_back(s.get());
+    for (auto& s : im.sessions)
+      if (!s->stream) open.push_back(s.get());
   }
-  for (impl::session* s : open) ::shutdown(s->fd, SHUT_RD);
+  for (impl::session* s : open) ::shutdown(s->in_fd, SHUT_RD);
   for (impl::session* s : open) {
     if (s->reader.joinable()) s->reader.join();
     if (s->writer.joinable()) s->writer.join();
-    ::close(s->fd);
-    s->fd = -1;
+    ::close(s->in_fd);
   }
   std::lock_guard<std::mutex> guard(im.lock);
-  im.sessions.clear();
+  std::erase_if(im.sessions, [](const auto& s) { return !s->stream; });
 }
 
 serve_stats serve_front::stats() const {

@@ -1,12 +1,15 @@
-// Socket serve front end: a unix-domain (and optional loopback-TCP)
-// listener that multiplexes many concurrent line-delimited-JSON
-// connections onto one request handler -- in practice one api::executor
-// and one shared api::result_cache behind `transtore_cli serve`.
+// Serve front end: the one transport behind `transtore_cli serve`. It
+// runs line-delimited sessions -- one per accepted unix-domain (or
+// loopback-TCP) connection, or a single session over an already-open
+// descriptor pair such as stdin/stdout -- and multiplexes them onto one
+// request handler (in practice the wire protocol of api/protocol.h over
+// one api::executor and one shared api::result_cache).
 //
 // The front end owns the transport and nothing else:
 //
 //  * an accept loop (one thread, poll over every listener plus a wake
-//    pipe) hands each connection to a session;
+//    pipe) hands each connection to a session; serve_stream() runs one
+//    session over descriptors the caller owns;
 //  * each session runs a reader thread (framing: the hardened 1 MiB
 //    per-line cap, oversized/truncated lines answered with a structured
 //    error built by the caller's framing_error hook) and a writer thread
@@ -53,11 +56,15 @@ struct serve_reply {
   bool shutdown_server = false;   // unblock wait() after writing
 };
 
+class serve_front;
+
 /// Per-request context passed to the handler.
 struct serve_request_info {
+  const serve_front* front = nullptr; // the front end serving the request
   std::uint64_t connection = 0; // 1-based connection id
   std::uint64_t sequence = 0;   // 1-based request number on this connection
   std::size_t inflight = 0;     // admitted, response not yet written
+  std::size_t max_inflight = 0; // serve_options::max_inflight
   bool overloaded = false;      // inflight at max_inflight: please shed
 };
 
@@ -128,13 +135,26 @@ public:
   /// options.tcp_port >= 0; ephemeral requests read back the real port).
   [[nodiscard]] int tcp_port() const;
 
+  /// Serve one session over an already-open descriptor pair (stdin and
+  /// stdout, a pipe pair, a socketpair) and block until it ends: the input
+  /// reached EOF, or a reply set close_connection or shutdown_server, and
+  /// every admitted reply has been written. The session runs the same
+  /// reader and writer as a socket connection (framing, ordering,
+  /// max_inflight, stats) but never closes or shuts down its descriptors,
+  /// and a vanished reader of a non-socket `out_fd` is a write error, not
+  /// a SIGPIPE. No start() is needed. Returns an empty string on success,
+  /// otherwise a description of why no session ran.
+  [[nodiscard]] std::string serve_stream(int in_fd, int out_fd);
+
   /// Block until a handler reply set shutdown_server or stop() ran.
   void wait();
 
-  /// Stop accepting, close the read side of every session (pending
-  /// responses still resolve and get written, in order), join every
-  /// thread, close and unlink listeners. Idempotent; also run by the
-  /// destructor.
+  /// Stop accepting, close the read side of every connection session
+  /// (pending responses still resolve and get written, in order), join
+  /// every thread, close and unlink listeners. A serve_stream() session is
+  /// left alone: its caller's descriptors are never shut down, joined or
+  /// closed here, and it must return before the front end is destroyed.
+  /// Idempotent; also run by the destructor.
   void stop();
 
   [[nodiscard]] serve_stats stats() const;

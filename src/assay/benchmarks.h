@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 
 #include "assay/sequencing_graph.h"
 
@@ -73,6 +74,14 @@ benchmark_resource_table() {
       {"RA30", 2, 4},  {"IVD", 2, 4},  {"PCR", 1, 4},
   }};
   return table;
+}
+
+/// The table row of a built-in assay, or null for any other name.
+[[nodiscard]] inline const benchmark_resources* find_benchmark_resources(
+    const std::string& name) {
+  for (const benchmark_resources& r : benchmark_resource_table())
+    if (name == r.name) return &r;
+  return nullptr;
 }
 
 } // namespace transtore::assay

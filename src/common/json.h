@@ -1,13 +1,13 @@
 // Minimal JSON support shared across the library:
 //
 //  * json_writer -- streaming writer (objects, arrays, strings, numbers)
-//    with correct escaping. Used by the flow-result serializer
-//    (core/report.h), the staged-API serializers (api/pipeline.h,
-//    api/serialize.h), and the bench harnesses.
+//    with correct escaping. Used by the flow-result and staged-API
+//    serializers (api/pipeline.h, api/serialize.h), the serve protocol
+//    (api/protocol.h), and the bench harnesses.
 //  * json_value  -- a parsed document tree with a recursive-descent reader,
 //    the counterpart that lets schedules, chips, and pipeline stage values
-//    cross a process boundary (api/serialize.h) and lets the service front
-//    end (`transtore_cli serve`) read line-delimited requests.
+//    cross a process boundary (api/serialize.h) and lets the serve
+//    protocol read line-delimited requests.
 #pragma once
 
 #include <cstddef>

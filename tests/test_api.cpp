@@ -6,15 +6,16 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "api/executor.h"
 #include "api/pipeline.h"
 #include "api/result_cache.h"
 #include "assay/benchmarks.h"
-#include "core/flow.h"
-#include "core/report.h"
 #include "milp/solver.h"
 #include "sched/ilp_scheduler.h"
 #include "sched/list_scheduler.h"
@@ -35,7 +36,7 @@ executor_options with_workers(int workers) {
   return o;
 }
 
-TEST(ApiPipeline, StagedMatchesOneShotAndShim) {
+TEST(ApiPipeline, StagedMatchesOneShot) {
   const auto graph = assay::make_pcr();
   const pipeline_options o = heuristic_options();
 
@@ -53,13 +54,10 @@ TEST(ApiPipeline, StagedMatchesOneShotAndShim) {
   auto one_shot = p.run();
   ASSERT_TRUE(one_shot.ok()) << one_shot.message();
 
-  const core::flow_result shim = core::run_flow(graph, o);
-
-  // Byte-identical deterministic metrics across all three paths (timing
-  // fields excluded: wall clocks differ by construction).
-  const std::string staged_json = to_json(graph, staged, false);
-  EXPECT_EQ(staged_json, to_json(graph, one_shot.value(), false));
-  EXPECT_EQ(staged_json, core::to_json(graph, shim, false));
+  // Byte-identical deterministic metrics across both paths (timing fields
+  // excluded: wall clocks differ by construction).
+  EXPECT_EQ(to_json(graph, staged, false),
+            to_json(graph, one_shot.value(), false));
   EXPECT_TRUE(staged.stats.has_value());
 }
 
@@ -111,6 +109,76 @@ TEST(ApiPipeline, InvalidInputIsStructured) {
   EXPECT_FALSE(s.has_value());
   EXPECT_EQ(s.code(), status::invalid_input);
   EXPECT_FALSE(s.message().empty());
+
+  // Out-of-range size knobs are rejected up front, before any stage works
+  // on them (a 100000-wide grid would otherwise exhaust memory, a negative
+  // device count would read as "every device is failed").
+  const auto graph = assay::make_pcr();
+  const std::vector<std::pair<const char*, void (*)(pipeline_options&)>>
+      out_of_range = {
+          {"device_count", [](pipeline_options& o) { o.device_count = -3; }},
+          {"device_count", [](pipeline_options& o) { o.device_count = 0; }},
+          {"device_count",
+           [](pipeline_options& o) { o.device_count = max_device_count + 1; }},
+          {"grid_width", [](pipeline_options& o) { o.grid_width = 100000; }},
+          {"grid_height", [](pipeline_options& o) { o.grid_height = 100000; }},
+          {"grid_width", [](pipeline_options& o) { o.grid_width = 1; }},
+          {"grid_height", [](pipeline_options& o) { o.grid_height = -4; }},
+          {"grid_growth", [](pipeline_options& o) { o.grid_growth = -1; }},
+          {"grid_growth",
+           [](pipeline_options& o) {
+             o.grid_width = max_grid_side - 1;
+             o.grid_growth = 2;
+           }},
+          {"arch_attempts", [](pipeline_options& o) { o.arch_attempts = 0; }},
+          {"arch_attempts",
+           [](pipeline_options& o) {
+             o.arch_attempts = max_arch_attempts + 1;
+           }},
+          {"heuristic_restarts",
+           [](pipeline_options& o) { o.heuristic_restarts = -1; }},
+          {"heuristic_restarts",
+           [](pipeline_options& o) {
+             o.heuristic_restarts = max_heuristic_restarts + 1;
+           }},
+          {"local_search_iterations",
+           [](pipeline_options& o) { o.local_search_iterations = -1; }},
+          {"local_search_iterations",
+           [](pipeline_options& o) {
+             o.local_search_iterations = max_local_search_iterations + 1;
+           }},
+      };
+  for (const auto& [field, apply] : out_of_range) {
+    pipeline_options o = heuristic_options();
+    apply(o);
+    const auto started = std::chrono::steady_clock::now();
+    auto outcome = pipeline(graph, o).run();
+    EXPECT_EQ(outcome.code(), status::invalid_input) << field;
+    EXPECT_NE(outcome.message().find(field), std::string::npos)
+        << outcome.message();
+    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            started)
+                  .count(),
+              5.0)
+        << field;
+  }
+
+  // The same bounds hold for the per-call overrides of synthesize().
+  auto scheduled_pcr = pipeline(graph, heuristic_options()).schedule();
+  ASSERT_TRUE(scheduled_pcr.ok()) << scheduled_pcr.message();
+  synthesize_overrides over;
+  over.grid_width = 100000;
+  EXPECT_EQ(scheduled_pcr->synthesize(over).code(), status::invalid_input);
+
+  // The bounds themselves are accepted.
+  pipeline_options edge = heuristic_options(max_device_count);
+  edge.grid_width = max_grid_side - 2;
+  edge.grid_height = 2;
+  edge.grid_growth = 2;
+  edge.arch_attempts = max_arch_attempts;
+  edge.heuristic_restarts = 1;
+  edge.local_search_iterations = 0;
+  EXPECT_TRUE(pipeline(graph, edge).schedule().ok());
 }
 
 TEST(ApiPipeline, CapacityIsStructured) {
@@ -125,12 +193,27 @@ TEST(ApiPipeline, CapacityIsStructured) {
   EXPECT_EQ(outcome.code(), status::capacity);
 }
 
-TEST(ApiPipeline, ShimStillThrows) {
-  assay::sequencing_graph empty("empty");
-  EXPECT_THROW(core::run_flow(empty, {}), invalid_input_error);
-}
-
 // ---------------------------------------------------------------- deadline
+
+TEST(ApiDeadline, BudgetBeyondTheClockRangeMeansNoDeadline) {
+  // 1e10 s is past the ~9.2e9 s a nanosecond steady_clock can represent;
+  // such a budget (and an infinite one) must read as "no deadline", not
+  // wrap around into one that has already expired.
+  for (const double seconds :
+       {1e10, 1e300, std::numeric_limits<double>::infinity()}) {
+    const run_context ctx = run_context::with_deadline(seconds);
+    EXPECT_FALSE(ctx.has_deadline()) << seconds;
+    EXPECT_FALSE(ctx.deadline_expired()) << seconds;
+    EXPECT_FALSE(ctx.interrupted()) << seconds;
+  }
+  const run_context ordinary = run_context::with_deadline(1e6);
+  EXPECT_TRUE(ordinary.has_deadline());
+  EXPECT_FALSE(ordinary.deadline_expired());
+
+  auto outcome = pipeline(assay::make_benchmark("IVD"), heuristic_options(2))
+                     .run(run_context::with_deadline(1e10));
+  EXPECT_EQ(outcome.code(), status::ok) << outcome.message();
+}
 
 TEST(ApiDeadline, CpaIlpDeadlineReturnsTimeLimitWithHeuristicResult) {
   // The acceptance scenario: a 1s deadline on a CPA ILP solve must come

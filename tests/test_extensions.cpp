@@ -1,10 +1,10 @@
-// Tests for the extensions layered over the paper's core flow: schedule
+// Tests for the extensions layered over the paper's synthesis flow: schedule
 // local search, the dedicated-storage timing mode, and the JSON reporter.
 #include <gtest/gtest.h>
 
+#include "api/pipeline.h"
 #include "assay/benchmarks.h"
-#include "core/flow.h"
-#include "core/report.h"
+#include "common/json.h"
 #include "sched/list_scheduler.h"
 #include "sched/local_search.h"
 #include "sched/timing.h"
@@ -69,11 +69,12 @@ TEST(DedicatedTiming, MultiPortUnitIsFasterThanSinglePort) {
 
 TEST(JsonReport, WellFormedAndComplete) {
   const auto graph = assay::make_pcr();
-  core::flow_options o;
+  api::pipeline_options o;
   o.schedule_engine = sched::schedule_engine::heuristic;
   o.run_baseline = true;
-  const core::flow_result r = core::run_flow(graph, o);
-  const std::string json = core::to_json(graph, r);
+  const auto r = api::pipeline(graph, o).run();
+  ASSERT_TRUE(r.ok()) << r.message();
+  const std::string json = api::to_json(graph, r.value());
   // Structural sanity: balanced braces/brackets, key fields present.
   long depth = 0;
   bool in_string = false;
@@ -102,7 +103,7 @@ TEST(JsonReport, WellFormedAndComplete) {
 }
 
 TEST(JsonReport, EscapesSpecialCharacters) {
-  core::json_writer w;
+  json_writer w;
   w.begin_object();
   w.field("text", std::string("a\"b\\c\nd"));
   w.end_object();
@@ -110,7 +111,7 @@ TEST(JsonReport, EscapesSpecialCharacters) {
 }
 
 TEST(JsonReport, NumbersAndBooleans) {
-  core::json_writer w;
+  json_writer w;
   w.begin_object();
   w.field("i", 42);
   w.field("d", 2.5);

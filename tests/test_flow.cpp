@@ -1,17 +1,26 @@
-// Integration tests for the end-to-end synthesis flow.
+// Integration tests for the end-to-end synthesis flow through
+// api::pipeline::run().
 #include <gtest/gtest.h>
 
+#include "api/pipeline.h"
 #include "assay/benchmarks.h"
-#include "core/flow.h"
 
-namespace transtore::core {
+namespace transtore::api {
 namespace {
+
+/// The completed flow; fails the test unless the run finished ok.
+flow_result completed_flow(const assay::sequencing_graph& graph,
+                          const pipeline_options& options) {
+  auto outcome = pipeline(graph, options).run();
+  EXPECT_TRUE(outcome.ok()) << outcome.message();
+  return outcome.has_value() ? std::move(outcome).take() : flow_result{};
+}
 
 TEST(Flow, PcrEndToEnd) {
   const auto graph = assay::make_pcr();
-  flow_options o;
+  pipeline_options o;
   o.schedule_engine = sched::schedule_engine::heuristic;
-  const flow_result r = run_flow(graph, o);
+  const flow_result r = completed_flow(graph, o);
   EXPECT_LE(r.scheduling.best.makespan(), 290); // at worst Fig. 2(b)
   EXPECT_TRUE(r.stats.has_value());
   EXPECT_GT(r.architecture.result.used_edge_count(), 0);
@@ -20,10 +29,10 @@ TEST(Flow, PcrEndToEnd) {
 
 TEST(Flow, ReportMentionsEveryStage) {
   const auto graph = assay::make_pcr();
-  flow_options o;
+  pipeline_options o;
   o.schedule_engine = sched::schedule_engine::heuristic;
   o.run_baseline = true;
-  const flow_result r = run_flow(graph, o);
+  const flow_result r = completed_flow(graph, o);
   const std::string report = r.report(graph);
   EXPECT_NE(report.find("schedule:"), std::string::npos);
   EXPECT_NE(report.find("architecture:"), std::string::npos);
@@ -34,40 +43,42 @@ TEST(Flow, ReportMentionsEveryStage) {
 
 TEST(Flow, BaselineComparisonAvailable) {
   const auto graph = assay::make_benchmark("IVD");
-  flow_options o;
+  pipeline_options o;
   o.device_count = 2;
   o.schedule_engine = sched::schedule_engine::heuristic;
   o.run_baseline = true;
-  const flow_result r = run_flow(graph, o);
+  const flow_result r = completed_flow(graph, o);
   ASSERT_TRUE(r.baseline.has_value());
   EXPECT_GE(r.baseline->makespan, r.scheduling.best.makespan());
 }
 
 TEST(Flow, StorageAwareNeverWorseOnCacheTime) {
   const auto graph = assay::make_pcr();
-  flow_options aware;
+  pipeline_options aware;
   aware.schedule_engine = sched::schedule_engine::heuristic;
-  flow_options blind = aware;
+  pipeline_options blind = aware;
   blind.storage_aware = false;
   blind.heuristic_restarts = 1;
-  const flow_result a = run_flow(graph, aware);
-  const flow_result b = run_flow(graph, blind);
+  const flow_result a = completed_flow(graph, aware);
+  const flow_result b = completed_flow(graph, blind);
   EXPECT_LE(a.scheduling.best.total_cache_time(),
             b.scheduling.best.total_cache_time());
 }
 
 TEST(Flow, CombinedEngineRunsIlpOnSmallAssays) {
   const auto graph = assay::make_pcr();
-  flow_options o;
+  pipeline_options o;
   o.schedule_engine = sched::schedule_engine::combined;
   o.sched_ilp_time_limit = 10;
-  const flow_result r = run_flow(graph, o);
+  const flow_result r = completed_flow(graph, o);
   EXPECT_TRUE(r.scheduling.used_ilp);
 }
 
 TEST(Flow, RejectsEmptyGraph) {
   assay::sequencing_graph g("empty");
-  EXPECT_THROW(run_flow(g, flow_options{}), invalid_input_error);
+  const auto outcome = pipeline(g, pipeline_options{}).run();
+  EXPECT_FALSE(outcome.has_value());
+  EXPECT_EQ(outcome.code(), status::invalid_input);
 }
 
 TEST(Flow, Table2ConfigsComplete) {
@@ -80,16 +91,16 @@ TEST(Flow, Table2ConfigsComplete) {
   for (const config& c : {config{"PCR", 1, 4}, config{"IVD", 2, 4},
                           config{"RA30", 2, 4}}) {
     const auto graph = assay::make_benchmark(c.name);
-    flow_options o;
+    pipeline_options o;
     o.device_count = c.devices;
     o.grid_width = c.grid;
     o.grid_height = c.grid;
     o.schedule_engine = sched::schedule_engine::heuristic;
-    const flow_result r = run_flow(graph, o);
+    const flow_result r = completed_flow(graph, o);
     EXPECT_GT(r.scheduling.best.makespan(), 0) << c.name;
     EXPECT_LE(r.architecture.result.edge_ratio(), 1.0) << c.name;
   }
 }
 
 } // namespace
-} // namespace transtore::core
+} // namespace transtore::api
