@@ -135,6 +135,52 @@ TEST(Placement, DeterministicForSeed) {
   EXPECT_EQ(a, b);
 }
 
+TEST(Placement, TrajectoryIsPinned) {
+  // The annealer's exact result at fixed seeds: any change to its RNG
+  // draws, move set, cost model or acceptance test shows up here as
+  // different nodes or a different cost.
+  struct pinned_case {
+    int operations;
+    std::uint64_t seed;
+    int devices;
+    int side;
+    int iterations;
+    bool ban_nodes;
+    std::vector<int> nodes;
+    long cost;
+  };
+  const pinned_case cases[] = {
+      {12, 3, 2, 4, 4000, false, {6, 9}, 11},
+      {20, 5, 3, 5, 4000, false, {18, 12, 8}, 27},
+      {30, 7, 4, 6, 4000, false, {21, 14, 16, 9}, 36},
+      {25, 9, 4, 5, 100, false, {6, 12, 18, 16}, 40},
+      {30, 11, 3, 6, 4000, true, {14, 26, 19}, 38},
+      {40, 13, 6, 6, 4000, true, {8, 20, 25, 13, 22, 10}, 76},
+  };
+  for (const pinned_case& c : cases) {
+    sched::list_scheduler_options lo;
+    lo.device_count = c.devices;
+    lo.restarts = 4;
+    const routing_workload w = derive_workload(sched::schedule_with_list(
+        assay::make_random_assay(c.operations, c.seed), lo));
+    const connection_grid g(c.side, c.side);
+    placement_options o;
+    o.seed = c.seed;
+    o.iterations = c.iterations;
+    if (c.ban_nodes) {
+      // Ban the middle column: placement must work around it.
+      o.banned_nodes.assign(static_cast<std::size_t>(g.node_count()), false);
+      for (int y = 0; y < g.height(); ++y)
+        o.banned_nodes[static_cast<std::size_t>(g.node_at(c.side / 2, y))] =
+            true;
+    }
+    const std::vector<int> nodes = place_devices(g, w, o);
+    const long cost = placement_cost(g, w, nodes);
+    EXPECT_EQ(nodes, c.nodes) << c.operations << " ops, seed " << c.seed;
+    EXPECT_EQ(cost, c.cost) << c.operations << " ops, seed " << c.seed;
+  }
+}
+
 // ------------------------------------------------------------------ router
 
 TEST(Router, RoutesPcrOnPaperGrid) {
