@@ -69,21 +69,15 @@ public:
   explicit operator bool() const { return has_value(); }
 
   [[nodiscard]] const T& value() const& {
-    check(value_.has_value(), "api::result: value() on empty result (" +
-                                  std::string(to_string(status_)) + ": " +
-                                  message_ + ")");
+    if (!value_.has_value()) throw_empty("value");
     return *value_;
   }
   [[nodiscard]] T& value() & {
-    check(value_.has_value(), "api::result: value() on empty result (" +
-                                  std::string(to_string(status_)) + ": " +
-                                  message_ + ")");
+    if (!value_.has_value()) throw_empty("value");
     return *value_;
   }
   [[nodiscard]] T&& take() && {
-    check(value_.has_value(), "api::result: take() on empty result (" +
-                                  std::string(to_string(status_)) + ": " +
-                                  message_ + ")");
+    if (!value_.has_value()) throw_empty("take");
     return std::move(*value_);
   }
   const T* operator->() const { return &value(); }
@@ -101,6 +95,12 @@ public:
 private:
   result(status code, std::optional<T> value, std::string message)
       : status_(code), value_(std::move(value)), message_(std::move(message)) {}
+
+  [[noreturn]] void throw_empty(const char* accessor) const {
+    throw internal_error(std::string("api::result: ") + accessor +
+                         "() on empty result (" + to_string(status_) + ": " +
+                         message_ + ")");
+  }
 
   status status_;
   std::optional<T> value_;

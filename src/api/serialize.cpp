@@ -418,12 +418,13 @@ void write_header(json_writer& w, const char* kind,
 [[nodiscard]] json_value parse_document(const std::string& text,
                                         const char* kind) {
   json_value doc = json_value::parse(text);
-  require(doc.at("format").as_int() == flow_format_version,
-          "serialize: unsupported format version " +
-              doc.at("format").number_text());
-  require(doc.at("kind").as_string() == kind,
-          "serialize: document kind \"" + doc.at("kind").as_string() +
-              "\" is not \"" + kind + "\"");
+  if (doc.at("format").as_int() != flow_format_version)
+    throw invalid_input_error("serialize: unsupported format version " +
+                              doc.at("format").number_text());
+  if (doc.at("kind").as_string() != kind)
+    throw invalid_input_error("serialize: document kind \"" +
+                              doc.at("kind").as_string() + "\" is not \"" +
+                              kind + "\"");
   return doc;
 }
 
@@ -607,19 +608,20 @@ pipeline_options options_from_value(const json_value& v,
         const char* const first = text.data();
         const char* const last = first + text.size();
         const auto [p, ec] = std::from_chars(first, last, seed);
-        require(ec == std::errc() && p == last && !text.empty(),
-                "serialize: seed \"" + text +
-                    "\" is not an unsigned integer");
+        if (ec != std::errc() || p != last || text.empty())
+          throw invalid_input_error("serialize: seed \"" + text +
+                                    "\" is not an unsigned integer");
         o.seed = seed;
       } else {
         const long seed = value.as_long();
         // Above 2^53 every double is integral, so as_long cannot detect
         // that the JSON number was silently snapped to a neighbour; the
         // writer emits such seeds as strings, and readers insist on it.
-        require(seed >= 0 && seed <= (1L << 53),
-                "serialize: seed " + value.number_text() +
-                    " must be in [0, 2^53] (pass larger seeds as a decimal "
-                    "string)");
+        if (seed < 0 || seed > (1L << 53))
+          throw invalid_input_error(
+              "serialize: seed " + value.number_text() +
+              " must be in [0, 2^53] (pass larger seeds as a decimal "
+              "string)");
         o.seed = static_cast<std::uint64_t>(seed);
       }
     } else {

@@ -69,8 +69,9 @@ chip chip_from_value(const json_value& v) {
   connection_grid grid(width, height);
   std::vector<int> device_nodes = int_array_from(v.at("device_nodes"));
   for (int node : device_nodes)
-    require(node >= 0 && node < grid.node_count(),
-            "chip_io: device node " + std::to_string(node) + " out of range");
+    if (node < 0 || node >= grid.node_count())
+      throw invalid_input_error("chip_io: device node " +
+                                std::to_string(node) + " out of range");
   chip c(std::move(grid), std::move(device_nodes));
   for (const json_value& e : v.at("paths").elements()) {
     routed_path p;
@@ -86,9 +87,9 @@ chip chip_from_value(const json_value& v) {
     cache_placement cp;
     cp.cache_id = e.at("cache_id").as_int();
     cp.edge = e.at("edge").as_int();
-    require(cp.edge >= 0 && cp.edge < c.grid().edge_count(),
-            "chip_io: cache edge " + std::to_string(cp.edge) +
-                " out of range");
+    if (cp.edge < 0 || cp.edge >= c.grid().edge_count())
+      throw invalid_input_error("chip_io: cache edge " +
+                                std::to_string(cp.edge) + " out of range");
     cp.hold = {e.at("begin").as_int(), e.at("end").as_int()};
     c.caches.push_back(cp);
   }
@@ -97,9 +98,9 @@ chip chip_from_value(const json_value& v) {
 
 chip chip_from_json(const std::string& text) {
   const json_value doc = json_value::parse(text);
-  require(doc.at("format").as_int() == chip_format_version,
-          "chip_io: unsupported format version " +
-              doc.at("format").number_text());
+  if (doc.at("format").as_int() != chip_format_version)
+    throw invalid_input_error("chip_io: unsupported format version " +
+                              doc.at("format").number_text());
   require(doc.at("kind").as_string() == "chip",
           "chip_io: document kind is not \"chip\"");
   return chip_from_value(doc.at("chip"));

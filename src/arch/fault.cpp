@@ -13,11 +13,12 @@ void sort_unique(std::vector<int>& values) {
 }
 
 void require_in_range(const std::vector<int>& values, int limit,
-                      const std::string& what) {
+                      const char* what) {
   for (int v : values)
-    require(v >= 0 && v < limit,
-            "fault_set: " + what + " id " + std::to_string(v) +
-                " out of range [0, " + std::to_string(limit) + ")");
+    if (v < 0 || v >= limit)
+      throw invalid_input_error(std::string("fault_set: ") + what + " id " +
+                                std::to_string(v) + " out of range [0, " +
+                                std::to_string(limit) + ")");
 }
 
 void write_int_array(json_writer& w, const std::string& key,
@@ -114,9 +115,9 @@ fault_set fault_set_from_value(const json_value& v) {
 
 fault_set fault_set_from_json(const std::string& text) {
   const json_value doc = json_value::parse(text);
-  require(doc.at("format").as_int() == fault_format_version,
-          "fault_set: unsupported format version " +
-              doc.at("format").number_text());
+  if (doc.at("format").as_int() != fault_format_version)
+    throw invalid_input_error("fault_set: unsupported format version " +
+                              doc.at("format").number_text());
   require(doc.at("kind").as_string() == "faults",
           "fault_set: document kind is not \"faults\"");
   return fault_set_from_value(doc.at("faults"));

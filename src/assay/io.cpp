@@ -85,7 +85,8 @@ std::string to_text(const sequencing_graph& graph) {
 
 sequencing_graph load_sequencing_graph(const std::string& path) {
   std::ifstream in(path);
-  require(in.good(), "cannot open sequencing graph file: " + path);
+  if (!in.good())
+    throw invalid_input_error("cannot open sequencing graph file: " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return parse_sequencing_graph(buffer.str());

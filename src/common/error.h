@@ -5,6 +5,12 @@
 // exhaustion -- are reported by throwing one of the exception types below.
 // Violations of internal invariants are reported through check() with a
 // message and indicate a bug in this library, not in the caller.
+//
+// require() and check() take a string literal, so a passing check costs
+// one branch and no allocation; they sit on hot paths (the annealers, the
+// timing model, the LP kernel). A message that has to be composed (an
+// index, a key, a file position) tests first and builds its text only on
+// the failing path: `if (!ok) throw invalid_input_error("..." + key);`.
 #pragma once
 
 #include <stdexcept>
@@ -51,13 +57,13 @@ public:
 };
 
 /// Throw invalid_input_error unless `condition` holds.
-inline void require(bool condition, const std::string& message) {
+inline void require(bool condition, const char* message) {
   if (!condition) throw invalid_input_error(message);
 }
 
 /// Throw internal_error unless `condition` holds. Use for invariants that
 /// only a bug in this library can break.
-inline void check(bool condition, const std::string& message) {
+inline void check(bool condition, const char* message) {
   if (!condition) throw internal_error(message);
 }
 

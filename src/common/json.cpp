@@ -388,9 +388,10 @@ namespace {
 }
 
 void require_kind(const json_value& v, json_value::kind want) {
-  require(v.type() == want,
-          std::string("json: expected ") + kind_name(want) + ", got " +
-              kind_name(v.type()));
+  if (v.type() != want)
+    throw invalid_input_error(std::string("json: expected ") +
+                              kind_name(want) + ", got " +
+                              kind_name(v.type()));
 }
 } // namespace
 
@@ -410,18 +411,19 @@ long json_value::as_long() const {
   // Upper bound is exclusive: double(LONG_MAX) rounds UP to 2^63, so the
   // <= comparison would admit 2^63 itself and the cast below would
   // overflow (UB) instead of reporting the structured error.
-  require(rounded == number_ &&
-              number_ >= static_cast<double>(std::numeric_limits<long>::min()) &&
-              number_ < 9223372036854775808.0 /* 2^63 */,
-          "json: number " + text_ + " is not an integral long");
+  if (!(rounded == number_ &&
+        number_ >= static_cast<double>(std::numeric_limits<long>::min()) &&
+        number_ < 9223372036854775808.0 /* 2^63 */))
+    throw invalid_input_error("json: number " + text_ +
+                              " is not an integral long");
   return static_cast<long>(number_);
 }
 
 int json_value::as_int() const {
   const long v = as_long();
-  require(v >= std::numeric_limits<int>::min() &&
-              v <= std::numeric_limits<int>::max(),
-          "json: number " + text_ + " does not fit an int");
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max())
+    throw invalid_input_error("json: number " + text_ + " does not fit an int");
   return static_cast<int>(v);
 }
 
@@ -442,8 +444,9 @@ std::size_t json_value::size() const {
 
 const json_value& json_value::operator[](std::size_t index) const {
   require_kind(*this, kind::array);
-  require(index < elements_.size(),
-          "json: array index " + std::to_string(index) + " out of range");
+  if (index >= elements_.size())
+    throw invalid_input_error("json: array index " + std::to_string(index) +
+                              " out of range");
   return elements_[index];
 }
 
@@ -461,7 +464,8 @@ const json_value* json_value::find(const std::string& key) const {
 
 const json_value& json_value::at(const std::string& key) const {
   const json_value* v = find(key);
-  require(v != nullptr, "json: missing key \"" + key + "\"");
+  if (v == nullptr)
+    throw invalid_input_error("json: missing key \"" + key + "\"");
   return *v;
 }
 

@@ -6,10 +6,6 @@
 
 #include "common/error.h"
 
-// The checks below test before naming their error: require() takes its
-// message as a std::string, which a literal this long would heap-allocate
-// on every call, and factorize() and the solves must not allocate.
-
 namespace transtore::milp {
 
 void basis_lu::reset_workspace(int m) {
@@ -68,8 +64,7 @@ void basis_lu::gather_column(int col, std::vector<std::pair<int, double>>& out) 
 }
 
 bool basis_lu::factorize(int m, const std::vector<sparse_column>& columns) {
-  if (static_cast<int>(columns.size()) != m)
-    throw invalid_input_error("basis_lu: bad column count");
+  require(static_cast<int>(columns.size()) == m, "basis_lu: bad column count");
   workspace& w = ws_;
   w.input_start.assign(1, 0);
   w.input_row.clear();
@@ -87,8 +82,8 @@ bool basis_lu::factorize(int m, const std::vector<sparse_column>& columns) {
 bool basis_lu::factorize(int m, std::span<const int> start,
                          std::span<const int> row,
                          std::span<const double> value) {
-  if (static_cast<int>(start.size()) != m + 1)
-    throw invalid_input_error("basis_lu: bad column count");
+  require(static_cast<int>(start.size()) == m + 1,
+          "basis_lu: bad column count");
   m_ = m;
   valid_ = false;
 
@@ -126,8 +121,7 @@ bool basis_lu::factorize(int m, std::span<const int> start,
          k < start[static_cast<std::size_t>(p) + 1]; ++k) {
       const int i = row[static_cast<std::size_t>(k)];
       const double v = value[static_cast<std::size_t>(k)];
-      if (i < 0 || i >= m)
-        throw invalid_input_error("basis_lu: row index out of range");
+      require(i >= 0 && i < m, "basis_lu: row index out of range");
       if (v == 0.0) continue;
       rows[i].push_back({p, v});
       col_rows[p].push_back(i);
@@ -315,8 +309,7 @@ void basis_lu::build_u_columns() {
 
 void basis_lu::ftran(const std::vector<double>& rhs,
                      std::vector<double>& x) const {
-  if (!valid_)
-    throw invalid_input_error("basis_lu: ftran without a valid factorization");
+  require(valid_, "basis_lu: ftran without a valid factorization");
   work_.assign(rhs.begin(), rhs.end());
   // Apply the elimination steps: v[row] -= mult * v[pivot_row_[k]].
   for (const int k : l_steps_) {
@@ -340,8 +333,7 @@ void basis_lu::ftran(const std::vector<double>& rhs,
 
 void basis_lu::btran(const std::vector<double>& z,
                      std::vector<double>& y) const {
-  if (!valid_)
-    throw invalid_input_error("basis_lu: btran without a valid factorization");
+  require(valid_, "basis_lu: btran without a valid factorization");
   // Forward solve U^T w = z; w is indexed by pivot step.
   for (int k = 0; k < m_; ++k) {
     double s = z[pivot_col_[k]];

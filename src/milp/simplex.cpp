@@ -60,22 +60,19 @@ simplex_solver::simplex_solver(const lp_problem& problem,
 }
 
 void simplex_solver::set_variable_bounds(int var, double lower, double upper) {
-  // Branching calls these between warm re-solves: test before naming the
-  // error, since require() would heap-allocate its message on every call.
-  if (var < 0 || var >= n_)
-    throw invalid_input_error("simplex: bound change on unknown variable");
-  if (!(lower <= upper)) throw invalid_input_error("simplex: crossing bounds");
+  require(var >= 0 && var < n_, "simplex: bound change on unknown variable");
+  require(lower <= upper, "simplex: crossing bounds");
   lower_[var] = lower;
   upper_[var] = upper;
 }
 
 double simplex_solver::variable_lower(int var) const {
-  if (var < 0 || var >= n_) throw invalid_input_error("simplex: unknown variable");
+  require(var >= 0 && var < n_, "simplex: unknown variable");
   return lower_[var];
 }
 
 double simplex_solver::variable_upper(int var) const {
-  if (var < 0 || var >= n_) throw invalid_input_error("simplex: unknown variable");
+  require(var >= 0 && var < n_, "simplex: unknown variable");
   return upper_[var];
 }
 

@@ -146,8 +146,9 @@ void schedule::validate(const assay::sequencing_graph& graph) const {
                 return a.begin < b.begin;
               });
     for (std::size_t i = 1; i < intervals.size(); ++i)
-      check(intervals[i].begin >= intervals[i - 1].end,
-            "schedule: overlapping activity on device " + std::to_string(d));
+      if (intervals[i].begin < intervals[i - 1].end)
+        throw internal_error("schedule: overlapping activity on device " +
+                             std::to_string(d));
   }
 }
 

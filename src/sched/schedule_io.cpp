@@ -143,9 +143,9 @@ schedule schedule_from_value(const json_value& v) {
 
 schedule schedule_from_json(const std::string& text) {
   const json_value doc = json_value::parse(text);
-  require(doc.at("format").as_int() == schedule_format_version,
-          "schedule_io: unsupported format version " +
-              doc.at("format").number_text());
+  if (doc.at("format").as_int() != schedule_format_version)
+    throw invalid_input_error("schedule_io: unsupported format version " +
+                              doc.at("format").number_text());
   require(doc.at("kind").as_string() == "schedule",
           "schedule_io: document kind is not \"schedule\"");
   return schedule_from_value(doc.at("schedule"));
