@@ -8,66 +8,83 @@
 namespace transtore::arch {
 namespace {
 
-/// Device-pair communication weights from the workload.
-std::vector<std::vector<int>> pair_weights(const routing_workload& w) {
-  std::vector<std::vector<int>> weight(
-      static_cast<std::size_t>(w.device_count),
-      std::vector<int>(static_cast<std::size_t>(w.device_count), 0));
-  for (const auto& task : w.tasks) {
-    if (task.kind == task_kind::direct)
-      ++weight[static_cast<std::size_t>(task.from_device)]
-              [static_cast<std::size_t>(task.to_device)];
+/// The workload-invariant half of the placement cost, computed once per
+/// place_devices call, plus the scratch one evaluation reuses.
+class cost_model {
+public:
+  cost_model(const connection_grid& grid, const routing_workload& w)
+      : grid_(grid), devices_(w.device_count),
+        weight_(static_cast<std::size_t>(devices_) * devices_, 0),
+        traffic_(static_cast<std::size_t>(devices_), 0),
+        is_device_node_(static_cast<std::size_t>(grid.node_count()), 0) {
+    // Device-pair communication weights: direct tasks count the device
+    // pair; cached transfers count source->target.
+    for (const auto& task : w.tasks)
+      if (task.kind == task_kind::direct)
+        ++weight_[pair(task.from_device, task.to_device)];
+    for (const auto& cache : w.caches)
+      ++weight_[pair(cache.source_device, cache.target_device)];
+    // Port-starvation weights: a device's transport/storage traffic.
+    for (const auto& task : w.tasks) {
+      if (task.from_device >= 0)
+        ++traffic_[static_cast<std::size_t>(task.from_device)];
+      if (task.to_device >= 0 && task.to_device != task.from_device)
+        ++traffic_[static_cast<std::size_t>(task.to_device)];
+    }
   }
-  for (const auto& cache : w.caches)
-    ++weight[static_cast<std::size_t>(cache.source_device)]
-            [static_cast<std::size_t>(cache.target_device)];
-  return weight;
-}
+
+  /// The cost of one placement (one grid node per device).
+  long cost(const std::vector<int>& device_nodes) {
+    long cost = 0;
+    for (int a = 0; a < devices_; ++a)
+      for (int b = 0; b < devices_; ++b) {
+        const int weight = weight_[pair(a, b)];
+        if (weight == 0) continue;
+        cost += static_cast<long>(weight) *
+                std::max(1, grid_.distance(
+                                device_nodes[static_cast<std::size_t>(a)],
+                                device_nodes[static_cast<std::size_t>(b)]));
+      }
+    // Port-starvation term: a device with heavy transport/storage traffic
+    // needs incident channel segments; penalize low-degree (corner/border)
+    // nodes in proportion to the device's traffic so a busy device is not
+    // walled in by held storage segments.
+    for (int node : device_nodes)
+      is_device_node_[static_cast<std::size_t>(node)] = 1;
+    for (int a = 0; a < devices_; ++a) {
+      long usable_ports = 0;
+      for (const auto& [edge, neighbor] :
+           grid_.incidences(device_nodes[static_cast<std::size_t>(a)])) {
+        (void)edge;
+        if (!is_device_node_[static_cast<std::size_t>(neighbor)])
+          ++usable_ports;
+      }
+      cost += (4 - usable_ports) * traffic_[static_cast<std::size_t>(a)];
+    }
+    for (int node : device_nodes)
+      is_device_node_[static_cast<std::size_t>(node)] = 0;
+    return cost;
+  }
+
+private:
+  [[nodiscard]] std::size_t pair(int a, int b) const {
+    return static_cast<std::size_t>(a) * static_cast<std::size_t>(devices_) +
+           static_cast<std::size_t>(b);
+  }
+
+  const connection_grid& grid_;
+  int devices_;
+  std::vector<int> weight_;   // devices x devices, row-major
+  std::vector<long> traffic_; // per device
+  std::vector<char> is_device_node_; // per grid node; all 0 between calls
+};
 
 } // namespace
 
 long placement_cost(const connection_grid& grid,
                     const routing_workload& workload,
                     const std::vector<int>& device_nodes) {
-  long cost = 0;
-  const auto weight = pair_weights(workload);
-  const int d = workload.device_count;
-  for (int a = 0; a < d; ++a)
-    for (int b = 0; b < d; ++b) {
-      if (weight[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] ==
-          0)
-        continue;
-      cost += static_cast<long>(
-                  weight[static_cast<std::size_t>(a)]
-                        [static_cast<std::size_t>(b)]) *
-              std::max(1, grid.distance(device_nodes[static_cast<std::size_t>(a)],
-                                        device_nodes[static_cast<std::size_t>(b)]));
-    }
-  // Port-starvation term: a device with heavy transport/storage traffic
-  // needs incident channel segments; penalize low-degree (corner/border)
-  // nodes in proportion to the device's traffic so a busy device is not
-  // walled in by held storage segments.
-  std::vector<long> traffic(static_cast<std::size_t>(d), 0);
-  for (const auto& task : workload.tasks) {
-    if (task.from_device >= 0)
-      ++traffic[static_cast<std::size_t>(task.from_device)];
-    if (task.to_device >= 0 && task.to_device != task.from_device)
-      ++traffic[static_cast<std::size_t>(task.to_device)];
-  }
-  std::vector<bool> is_device_node(
-      static_cast<std::size_t>(grid.node_count()), false);
-  for (int node : device_nodes)
-    is_device_node[static_cast<std::size_t>(node)] = true;
-  for (int a = 0; a < d; ++a) {
-    long usable_ports = 0;
-    for (const auto& [edge, neighbor] :
-         grid.incidences(device_nodes[static_cast<std::size_t>(a)])) {
-      (void)edge;
-      if (!is_device_node[static_cast<std::size_t>(neighbor)]) ++usable_ports;
-    }
-    cost += (4 - usable_ports) * traffic[static_cast<std::size_t>(a)];
-  }
-  return cost;
+  return cost_model(grid, workload).cost(device_nodes);
 }
 
 std::vector<int> place_devices(const connection_grid& grid,
@@ -123,7 +140,8 @@ std::vector<int> place_devices(const connection_grid& grid,
                              false);
   for (int n : nodes) occupied[static_cast<std::size_t>(n)] = true;
 
-  long cost = placement_cost(grid, workload, nodes);
+  cost_model model(grid, workload);
+  long cost = model.cost(nodes);
   std::vector<int> best = nodes;
   long best_cost = cost;
 
@@ -132,10 +150,11 @@ std::vector<int> place_devices(const connection_grid& grid,
       std::pow(0.01 / options.initial_temperature,
                1.0 / std::max(1, options.iterations));
 
+  std::vector<int> candidate;
   for (int iter = 0; iter < options.iterations; ++iter) {
     // Move one device to a random free node, or swap two devices.
     const int d = static_cast<int>(rng.index(static_cast<std::size_t>(devices)));
-    std::vector<int> candidate = nodes;
+    candidate = nodes;
     if (devices >= 2 && rng.bernoulli(0.3)) {
       int d2 = static_cast<int>(rng.index(static_cast<std::size_t>(devices)));
       while (d2 == d)
@@ -149,13 +168,13 @@ std::vector<int> place_devices(const connection_grid& grid,
         continue;
       candidate[static_cast<std::size_t>(d)] = target;
     }
-    const long candidate_cost = placement_cost(grid, workload, candidate);
+    const long candidate_cost = model.cost(candidate);
     const long delta = candidate_cost - cost;
     if (delta <= 0 ||
         rng.uniform_real() < std::exp(-static_cast<double>(delta) /
                                       std::max(1e-9, temperature))) {
       for (int n : nodes) occupied[static_cast<std::size_t>(n)] = false;
-      nodes = candidate;
+      nodes.swap(candidate);
       for (int n : nodes) occupied[static_cast<std::size_t>(n)] = true;
       cost = candidate_cost;
       if (cost < best_cost) {

@@ -3,7 +3,14 @@
 // The cost is the workload-weighted sum of Manhattan distances between
 // communicating devices (direct tasks count the device pair; cached
 // transfers count source->target since the storage segment will be chosen
-// near the consumer). Deterministic in the seed.
+// near the consumer), plus a port-starvation term that charges each device
+// its traffic for every grid neighbour another device occupies or the grid
+// border removes. Deterministic in the seed.
+//
+// The pair weights and per-device traffic depend only on the workload, so
+// place_devices computes them once per call; each annealing move is then
+// scored from those tables with reused scratch (the candidate node vector
+// and the per-node device marks), and the loop allocates nothing.
 #pragma once
 
 #include <cstdint>
