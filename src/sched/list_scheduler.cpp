@@ -23,13 +23,18 @@ std::vector<int> remaining_path(const assay::sequencing_graph& graph) {
   return path;
 }
 
-schedule greedy_pass(const assay::sequencing_graph& graph,
-                     const list_scheduler_options& options,
-                     const std::vector<int>& priority, prng& rng,
-                     double noise) {
-  timeline_builder builder(graph, options.device_count, options.timing);
+/// One greedy construction on `builder` (reset first). Returns objective
+/// (6) of the result under `final_beta`, from the committed placements;
+/// builder.build() assembles the schedule itself.
+double greedy_pass(const assay::sequencing_graph& graph,
+                   const list_scheduler_options& options,
+                   const std::vector<int>& priority, prng& rng, double noise,
+                   double final_beta, timeline_builder& builder) {
+  builder.reset();
   const int n = graph.operation_count();
   const double beta = options.storage_aware ? options.beta : 0.0;
+  int makespan = 0;
+  long cache_time = 0;
 
   for (int step = 0; step < n; ++step) {
     int best_op = -1;
@@ -66,9 +71,12 @@ schedule greedy_pass(const assay::sequencing_graph& graph,
       }
     }
     check(best_op >= 0, "list scheduler: no ready operation (cycle?)");
-    builder.commit(best_op, best_device);
+    const timeline_builder::placement done =
+        builder.commit(best_op, best_device);
+    makespan = std::max(makespan, done.end);
+    cache_time += done.cache_time_added;
   }
-  return builder.build();
+  return objective_value(options.alpha, final_beta, makespan, cache_time);
 }
 
 } // namespace
@@ -88,6 +96,7 @@ schedule schedule_with_list(const assay::sequencing_graph& graph,
   double best_objective = std::numeric_limits<double>::infinity();
 
   const deadline budget(options.time_budget_seconds, options.cancel);
+  timeline_builder builder(graph, options.device_count, options.timing);
   for (int attempt = 0; attempt < options.restarts; ++attempt) {
     if (attempt > 0 && budget.expired()) break;
     // First pass is pure greedy; later passes add increasing noise.
@@ -95,11 +104,11 @@ schedule schedule_with_list(const assay::sequencing_graph& graph,
         attempt == 0 ? 0.0
                      : options.timing.transport_time *
                            (0.5 + 2.0 * rng.uniform_real());
-    schedule candidate = greedy_pass(graph, options, priority, rng, noise);
-    const double objective = candidate.objective(options.alpha, final_beta);
+    const double objective = greedy_pass(graph, options, priority, rng, noise,
+                                         final_beta, builder);
     if (objective < best_objective) {
       best_objective = objective;
-      best = std::move(candidate);
+      builder.build_into(best);
     }
   }
   best.validate(graph);

@@ -5,7 +5,7 @@
 
 #include "common/prng.h"
 #include "common/stopwatch.h"
-#include "sched/moves.h" // position_feasible shared with metaheuristics.cpp
+#include "sched/moves.h" // relocate_op shared with metaheuristics.cpp
 
 namespace transtore::sched {
 
@@ -17,10 +17,15 @@ schedule improve_schedule(const assay::sequencing_graph& graph,
   const int devices = start.device_count;
   prng rng(options.seed);
 
+  // One binding, moved in place: a rejected move is undone, an accepted
+  // one kept. Each candidate is scored by one reused timer.
   binding current = extract_binding(start, devices);
+  reserve_queues(current, current.device_of.size());
   double current_cost = start.objective(options.alpha, options.beta);
   binding best = current;
   double best_cost = current_cost;
+  binding_timer timer(graph, devices, timing);
+  relocation move;
 
   double temperature = options.initial_temperature;
   const double cooling =
@@ -31,51 +36,36 @@ schedule improve_schedule(const assay::sequencing_graph& graph,
   const deadline budget(options.time_budget_seconds, options.cancel);
   for (int iter = 0; iter < options.iterations; ++iter) {
     if ((iter & 255) == 0 && budget.expired()) break;
-    binding candidate = current;
-    // Pick a random operation and a move.
-    const int op = static_cast<int>(rng.index(candidate.device_of.size()));
-    const int from_device = candidate.device_of[static_cast<std::size_t>(op)];
-    auto& from_queue =
-        candidate.device_order[static_cast<std::size_t>(from_device)];
-    const auto it = std::find(from_queue.begin(), from_queue.end(), op);
-    check(it != from_queue.end(), "improve_schedule: binding corrupt");
-    from_queue.erase(it);
-
+    // Pick a random operation and a move: a new device (sometimes) and a
+    // position in its queue after the op's removal.
+    const int op = static_cast<int>(rng.index(current.device_of.size()));
+    const int from_device = current.device_of[static_cast<std::size_t>(op)];
     const int to_device =
         devices > 1 && rng.bernoulli(0.35)
             ? static_cast<int>(rng.index(static_cast<std::size_t>(devices)))
             : from_device;
-    auto& to_queue =
-        candidate.device_order[static_cast<std::size_t>(to_device)];
-    const std::size_t position = rng.index(to_queue.size() + 1);
-    if (!position_feasible(graph, to_queue, op, position)) {
-      // Undo and retry next iteration (cheap rejection).
-      auto& q = candidate.device_order[static_cast<std::size_t>(from_device)];
-      (void)q;
+    const std::size_t slots =
+        current.device_order[static_cast<std::size_t>(to_device)].size() +
+        (to_device == from_device ? 0 : 1);
+    if (!relocate_op(graph, current, op, to_device, rng.index(slots),
+                     move) ||
+        !timer.time(current)) {
+      // Precedence-infeasible or a cross-device deadlock: reject.
+      undo_relocation(current, move);
       temperature *= cooling;
       continue;
     }
-    to_queue.insert(to_queue.begin() + static_cast<std::ptrdiff_t>(position),
-                    op);
-    candidate.device_of[static_cast<std::size_t>(op)] = to_device;
-
-    schedule timed;
-    try {
-      timed = refine_timing(graph, candidate, devices, timing);
-    } catch (const invalid_input_error&) {
-      temperature *= cooling;
-      continue; // cross-device deadlock; reject
-    }
-    const double cost = timed.objective(options.alpha, options.beta);
+    const double cost = timer.objective(options.alpha, options.beta);
     const double delta = cost - current_cost;
     if (delta <= 0.0 ||
         rng.uniform_real() < std::exp(-delta / std::max(1e-9, temperature))) {
-      current = std::move(candidate);
       current_cost = cost;
       if (cost < best_cost) {
         best_cost = cost;
         best = current;
       }
+    } else {
+      undo_relocation(current, move);
     }
     temperature *= cooling;
   }

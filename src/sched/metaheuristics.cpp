@@ -54,12 +54,14 @@ std::vector<int> remaining_path(const assay::sequencing_graph& graph) {
 
 // ------------------------------------------------------------------- SA ---
 
-/// Mutate `candidate` with one randomly chosen neighborhood move. `timed`
-/// is the realized schedule of the binding `candidate` was copied from and
-/// supplies the transfer kinds the storage-aware flips target. Returns
-/// false when the sampled move is infeasible (caller discards the copy).
+/// Mutate `candidate` with one randomly chosen neighborhood move, recorded
+/// in `move`. `timed` is the realized schedule of `candidate` before the
+/// move and supplies the transfer kinds the storage-aware flips target.
+/// Returns false when the sampled move is infeasible; either way
+/// undo_relocation(candidate, move) takes it back.
 bool propose_move(const assay::sequencing_graph& graph, binding& candidate,
-                  const schedule& timed, int devices, prng& rng) {
+                  const schedule& timed, int devices, prng& rng,
+                  relocation& move) {
   const std::size_t n = candidate.device_of.size();
   const double r = rng.uniform_real();
 
@@ -77,7 +79,7 @@ bool propose_move(const assay::sequencing_graph& graph, binding& candidate,
           queue_position(candidate, tr.target_op) < pos)
         --pos; // consumer currently earlier on the same queue shifts it
       return relocate_op(graph, candidate, tr.target_op, producer_device,
-                         pos);
+                         pos, move);
     }
     // Sampled a non-cached transfer: fall through to the generic moves.
   }
@@ -94,7 +96,7 @@ bool propose_move(const assay::sequencing_graph& graph, binding& candidate,
       const std::size_t len =
           candidate.device_order[static_cast<std::size_t>(to)].size();
       return relocate_op(graph, candidate, tr.target_op, to,
-                         rng.index(len + 1));
+                         rng.index(len + 1), move);
     }
   }
   if (r < 0.55) {
@@ -103,7 +105,7 @@ bool propose_move(const assay::sequencing_graph& graph, binding& candidate,
     const auto& q = candidate.device_order[static_cast<std::size_t>(d)];
     if (q.size() >= 2) {
       const std::size_t k = rng.index(q.size() - 1);
-      return relocate_op(graph, candidate, q[k], d, k + 1);
+      return relocate_op(graph, candidate, q[k], d, k + 1, move);
     }
     // Queue too short: fall through to relocation.
   }
@@ -115,18 +117,13 @@ bool propose_move(const assay::sequencing_graph& graph, binding& candidate,
   const std::size_t len =
       candidate.device_order[static_cast<std::size_t>(to)].size() +
       (to == candidate.device_of[static_cast<std::size_t>(op)] ? 0 : 1);
-  return relocate_op(graph, candidate, op, to, rng.index(len));
+  return relocate_op(graph, candidate, op, to, rng.index(len), move);
 }
 
-} // namespace
-
-schedule schedule_with_sa(const assay::sequencing_graph& graph,
-                          const sa_scheduler_options& options) {
-  graph.validate();
-  require(options.device_count > 0, "sa scheduler: device count must be positive");
-  require(options.iterations >= 0, "sa scheduler: negative iterations");
-  require(options.restarts >= 1, "sa scheduler: need at least one restart");
-
+/// The annealer behind schedule_with_sa, on a caller-owned timer (GRASP
+/// keeps one across its rounds). Options are already checked.
+schedule anneal(const assay::sequencing_graph& graph,
+                const sa_scheduler_options& options, binding_timer& timer) {
   const double beta = options.storage_aware ? options.beta : 0.0;
   const deadline budget(options.time_budget_seconds, options.cancel);
 
@@ -151,39 +148,38 @@ schedule schedule_with_sa(const assay::sequencing_graph& graph,
     // Reheat: resume from the incumbent at a (decaying) high temperature.
     double temperature = options.initial_temperature *
                          std::pow(options.reheat_factor, restart);
+    // One binding, moved in place: a rejected move is undone, an accepted
+    // one kept along with its schedule (the flips read its transfers).
     binding current = best;
+    reserve_queues(current, current.device_of.size());
     double current_cost = best_cost;
     schedule current_timed = best_timed;
+    relocation move;
 
     for (int iter = 0; iter < per_restart; ++iter) {
       if ((iter & 127) == 0 && budget.expired()) break;
-      binding candidate = current;
-      if (!propose_move(graph, candidate, current_timed,
-                        options.device_count, rng)) {
+      if (!propose_move(graph, current, current_timed, options.device_count,
+                        rng, move) ||
+          !timer.time(current)) {
+        // Infeasible move or a cross-device deadlock: reject.
+        undo_relocation(current, move);
         temperature *= cooling;
         continue;
       }
-      schedule timed;
-      try {
-        timed = refine_timing(graph, candidate, options.device_count,
-                              options.timing);
-      } catch (const invalid_input_error&) {
-        temperature *= cooling;
-        continue; // cross-device deadlock; reject
-      }
-      const double cost = timed.objective(options.alpha, beta);
+      const double cost = timer.objective(options.alpha, beta);
       const double delta = cost - current_cost;
       if (delta <= 0.0 ||
           rng.uniform_real() <
               std::exp(-delta / std::max(1e-9, temperature))) {
-        current = std::move(candidate);
         current_cost = cost;
-        current_timed = std::move(timed);
+        timer.build_into(current_timed);
         if (cost < best_cost) {
           best_cost = cost;
           best = current;
           best_timed = current_timed;
         }
+      } else {
+        undo_relocation(current, move);
       }
       temperature *= cooling;
     }
@@ -194,18 +190,31 @@ schedule schedule_with_sa(const assay::sequencing_graph& graph,
   return best_timed;
 }
 
+} // namespace
+
+schedule schedule_with_sa(const assay::sequencing_graph& graph,
+                          const sa_scheduler_options& options) {
+  graph.validate();
+  require(options.device_count > 0, "sa scheduler: device count must be positive");
+  require(options.iterations >= 0, "sa scheduler: negative iterations");
+  require(options.restarts >= 1, "sa scheduler: need at least one restart");
+  binding_timer timer(graph, options.device_count, options.timing);
+  return anneal(graph, options, timer);
+}
+
 // ---------------------------------------------------------------- GRASP ---
 
 namespace {
 
-/// One randomized-greedy construction: the list scheduler's scoring rule,
-/// but each step picks uniformly from the restricted candidate list of
-/// placements scoring within rcl_alpha * (max - min) of the best.
+/// One randomized-greedy construction on `builder` (reset first): the
+/// list scheduler's scoring rule, but each step picks uniformly from the
+/// restricted candidate list of placements scoring within
+/// rcl_alpha * (max - min) of the best.
 schedule rcl_pass(const assay::sequencing_graph& graph,
                   const grasp_scheduler_options& options,
                   const std::vector<int>& priority, double rcl_alpha,
-                  prng& rng) {
-  timeline_builder builder(graph, options.device_count, options.timing);
+                  prng& rng, timeline_builder& builder) {
+  builder.reset();
   const int n = graph.operation_count();
   const double beta = options.storage_aware ? options.beta : 0.0;
 
@@ -281,6 +290,10 @@ schedule schedule_with_grasp(const assay::sequencing_graph& graph,
 
   schedule best;
   double best_cost = std::numeric_limits<double>::infinity();
+  // One builder for the constructions, one timer for the anneals: every
+  // round reuses their edge index and scratch.
+  timeline_builder builder(graph, options.device_count, options.timing);
+  binding_timer timer(graph, options.device_count, options.timing);
 
   for (int round = 0; round < options.rounds; ++round) {
     if (round > 0 && budget.expired()) break;
@@ -289,7 +302,7 @@ schedule schedule_with_grasp(const assay::sequencing_graph& graph,
     prng rng(derive_seed(options.seed, 0x47524153ULL + round));
     const double rcl_alpha = round == 0 ? 0.0 : options.rcl_alpha;
     schedule constructed =
-        rcl_pass(graph, options, priority, rcl_alpha, rng);
+        rcl_pass(graph, options, priority, rcl_alpha, rng, builder);
 
     if (options.improvement_iterations > 0 && !budget.expired()) {
       sa_scheduler_options sa;
@@ -305,7 +318,7 @@ schedule schedule_with_grasp(const assay::sequencing_graph& graph,
       if (options.time_budget_seconds > 0.0)
         sa.time_budget_seconds = std::max(budget.remaining_seconds(), 1e-3);
       sa.start = std::move(constructed);
-      constructed = schedule_with_sa(graph, sa);
+      constructed = anneal(graph, sa, timer);
     }
 
     const double cost = constructed.objective(options.alpha, beta);

@@ -6,7 +6,10 @@
 // feasibility rule is purely structural -- no descendant may sit earlier in
 // the target queue and no ancestor later -- so every move that passes it
 // yields a binding refine_timing can realize (up to cross-device deadlock,
-// which the callers catch and reject).
+// which the callers detect and reject).
+//
+// The annealers move their one current binding in place and undo a
+// rejected move with the relocation record, so no move copies a binding.
 #pragma once
 
 #include <algorithm>
@@ -32,18 +35,34 @@ namespace transtore::sched {
   return true;
 }
 
+/// What relocate_op changed, so undo_relocation can put it back.
+struct relocation {
+  int op = -1;
+  int from_device = -1;
+  std::size_t from_index = 0;
+  int to_device = -1;
+  std::size_t to_index = 0;
+  bool inserted = false; // false: `op` was removed but not reinserted
+};
+
 /// Remove `op` from its current queue in `b` and insert it at `position`
 /// (an index into the target queue AFTER removal) on `to_device`. Returns
 /// false when the position is precedence-infeasible; `b` is then left with
-/// `op` removed from its queue, so callers working on a throwaway copy
-/// simply discard it (the cheap-rejection idiom of the annealers).
+/// `op` removed from its queue. Either way `undo` records the change, and
+/// undo_relocation(b, undo) restores `b` exactly.
 [[nodiscard]] inline bool relocate_op(const assay::sequencing_graph& graph,
                                       binding& b, int op, int to_device,
-                                      std::size_t position) {
+                                      std::size_t position,
+                                      relocation& undo) {
   const int from_device = b.device_of[static_cast<std::size_t>(op)];
   auto& from_queue = b.device_order[static_cast<std::size_t>(from_device)];
   const auto it = std::find(from_queue.begin(), from_queue.end(), op);
   check(it != from_queue.end(), "relocate_op: binding corrupt");
+  undo.op = op;
+  undo.from_device = from_device;
+  undo.from_index = static_cast<std::size_t>(it - from_queue.begin());
+  undo.to_device = to_device;
+  undo.inserted = false;
   from_queue.erase(it);
 
   auto& to_queue = b.device_order[static_cast<std::size_t>(to_device)];
@@ -52,7 +71,29 @@ namespace transtore::sched {
   to_queue.insert(to_queue.begin() + static_cast<std::ptrdiff_t>(position),
                   op);
   b.device_of[static_cast<std::size_t>(op)] = to_device;
+  undo.to_index = position;
+  undo.inserted = true;
   return true;
+}
+
+/// Reverse the relocate_op call that filled `r` (its last one on `b`).
+inline void undo_relocation(binding& b, const relocation& r) {
+  if (r.inserted) {
+    auto& to_queue = b.device_order[static_cast<std::size_t>(r.to_device)];
+    to_queue.erase(to_queue.begin() +
+                   static_cast<std::ptrdiff_t>(r.to_index));
+  }
+  auto& from_queue = b.device_order[static_cast<std::size_t>(r.from_device)];
+  from_queue.insert(from_queue.begin() +
+                        static_cast<std::ptrdiff_t>(r.from_index),
+                    r.op);
+  b.device_of[static_cast<std::size_t>(r.op)] = r.from_device;
+}
+
+/// Give every device queue of `b` room for all `operations`, so moves and
+/// their undos never reallocate a queue.
+inline void reserve_queues(binding& b, std::size_t operations) {
+  for (auto& queue : b.device_order) queue.reserve(operations);
 }
 
 /// Index of `op` inside its device queue in `b`.

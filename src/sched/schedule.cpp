@@ -58,7 +58,7 @@ std::vector<int> schedule::caches_active_at(int t) const {
 }
 
 double schedule::objective(double alpha, double beta) const {
-  return alpha * makespan() + beta * static_cast<double>(total_cache_time());
+  return objective_value(alpha, beta, makespan(), total_cache_time());
 }
 
 void schedule::validate(const assay::sequencing_graph& graph) const {

@@ -55,6 +55,14 @@ struct scheduled_op {
   int end = 0;   // execution end = start + duration
 };
 
+/// Objective (6) from its two terms: alpha * tE + beta * total cache time.
+/// schedule::objective and every evaluator that keeps only the terms use
+/// this one formula, so their doubles agree bit for bit.
+[[nodiscard]] inline double objective_value(double alpha, double beta,
+                                            int makespan, long cache_time) {
+  return alpha * makespan + beta * static_cast<double>(cache_time);
+}
+
 /// Complete schedule with all derived transport and storage activity.
 class schedule {
 public:

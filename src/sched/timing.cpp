@@ -51,7 +51,7 @@ bool timeline_builder::ready(int op) const {
   return true;
 }
 
-timeline_builder::plan timeline_builder::compute(int op, int device) const {
+void timeline_builder::compute(int op, int device) const {
   require(device >= 0 && device < device_count_,
           "timeline_builder: device out of range");
   require(!committed(op), "timeline_builder: op already committed");
@@ -62,10 +62,16 @@ timeline_builder::plan timeline_builder::compute(int op, int device) const {
   const int uc = options_.transport_time;
   const bool dedicated = options_.storage_ports > 0;
   const std::size_t storage_port = static_cast<std::size_t>(device_count_);
-  plan p;
+  plan& p = scratch_;
+  p.result = placement{};
+  p.new_legs.clear();
+  p.new_transfers.clear();
+  p.emitted_outs.clear();
+  p.port_updates.clear();
 
-  // Local copies of the port frontiers we may move.
-  std::vector<int> port = port_free_;
+  // Working copies of the port frontiers we may move.
+  std::vector<int>& port = port_;
+  port = port_free_;
 
   // Places a store-out leg: it occupies the producing device's port, and --
   // with a dedicated storage unit -- also the unit's single access port.
@@ -116,7 +122,8 @@ timeline_builder::plan timeline_builder::compute(int op, int device) const {
   // 2. Place the in-legs for transported operands, earliest-available first.
   //    Edges whose transfer is already resolved (checkpoint seeding) need
   //    no new leg; they only floor the start by their arrival time.
-  std::vector<int> parents = graph_.at(op).parents;
+  std::vector<int>& parents = parents_;
+  parents = graph_.at(op).parents;
   if (handoff_parent >= 0)
     parents.erase(std::find(parents.begin(), parents.end(), handoff_parent));
   int arrival_floor = 0;
@@ -208,9 +215,6 @@ timeline_builder::plan timeline_builder::compute(int op, int device) const {
           p.emitted_outs.erase(it);
           break;
         }
-      if (outs_[static_cast<std::size_t>(e)].emitted) {
-        // Pre-existing reservation: nothing to remove; already persistent.
-      }
       t = fetch_begin + uc;
     }
     p.new_transfers.push_back(tr);
@@ -249,13 +253,12 @@ timeline_builder::plan timeline_builder::compute(int op, int device) const {
   for (std::size_t slot = 0; slot < port.size(); ++slot)
     if (port[slot] != port_free_[slot])
       p.port_updates.emplace_back(static_cast<int>(slot), port[slot]);
-
-  return p;
 }
 
 timeline_builder::placement timeline_builder::preview(int op,
                                                       int device) const {
-  return compute(op, device).result;
+  compute(op, device);
+  return scratch_.result;
 }
 
 void timeline_builder::apply(const plan& p, int op, int device) {
@@ -290,9 +293,9 @@ void timeline_builder::apply(const plan& p, int op, int device) {
 }
 
 timeline_builder::placement timeline_builder::commit(int op, int device) {
-  const plan p = compute(op, device);
-  apply(p, op, device);
-  return p.result;
+  compute(op, device);
+  apply(scratch_, op, device);
+  return scratch_.result;
 }
 
 void timeline_builder::seed_operation(int op, int device, int start, int end) {
@@ -375,10 +378,28 @@ void timeline_builder::floor_ports(int t) {
   for (int& frontier : port_free_) frontier = std::max(frontier, t);
 }
 
+void timeline_builder::reset() {
+  std::fill(committed_ops_.begin(), committed_ops_.end(), false);
+  std::fill(device_of_.begin(), device_of_.end(), -1);
+  std::fill(start_.begin(), start_.end(), 0);
+  std::fill(end_.begin(), end_.end(), 0);
+  std::fill(last_op_.begin(), last_op_.end(), -1);
+  std::fill(port_free_.begin(), port_free_.end(), 0);
+  std::fill(outs_.begin(), outs_.end(), pending_out{});
+  legs_.clear();
+  std::fill(transfers_.begin(), transfers_.end(), std::nullopt);
+  committed_count_ = 0;
+}
+
 schedule timeline_builder::build() const {
+  schedule s;
+  build_into(s);
+  return s;
+}
+
+void timeline_builder::build_into(schedule& s) const {
   check(committed_count_ == graph_.operation_count(),
         "timeline_builder: build() before all ops committed");
-  schedule s;
   s.device_count = device_count_;
   s.transport_time = options_.transport_time;
   s.ops.resize(static_cast<std::size_t>(graph_.operation_count()));
@@ -391,22 +412,34 @@ schedule timeline_builder::build() const {
     s.ops[static_cast<std::size_t>(i)] = so;
   }
   s.legs = legs_;
+  s.transfers.clear();
   s.transfers.reserve(transfers_.size());
   for (const auto& tr : transfers_) {
     check(tr.has_value(), "timeline_builder: unresolved transfer");
     s.transfers.push_back(*tr);
   }
-  return s;
 }
 
-schedule refine_timing(const assay::sequencing_graph& graph, const binding& b,
-                       int device_count, const timing_options& options) {
+binding_timer::binding_timer(const assay::sequencing_graph& graph,
+                             int device_count, const timing_options& options)
+    : graph_(graph), device_count_(device_count),
+      builder_(graph, device_count, options),
+      seen_(static_cast<std::size_t>(graph.operation_count()), 0),
+      next_(static_cast<std::size_t>(device_count), 0) {}
+
+namespace {
+
+/// Throws invalid_input_error unless `b` binds every op of `graph` exactly
+/// once, consistently, to one of `device_count` queues. `seen` is scratch.
+void require_well_formed(const assay::sequencing_graph& graph,
+                         const binding& b, int device_count,
+                         std::vector<char>& seen) {
   const int n = graph.operation_count();
   require(static_cast<int>(b.device_of.size()) == n,
           "refine_timing: device_of size mismatch");
   require(static_cast<int>(b.device_order.size()) == device_count,
           "refine_timing: device_order size mismatch");
-  std::vector<bool> seen(static_cast<std::size_t>(n), false);
+  seen.assign(static_cast<std::size_t>(n), 0);
   for (int d = 0; d < device_count; ++d)
     for (int op : b.device_order[static_cast<std::size_t>(d)]) {
       require(op >= 0 && op < n, "refine_timing: unknown op in order");
@@ -414,14 +447,26 @@ schedule refine_timing(const assay::sequencing_graph& graph, const binding& b,
               "refine_timing: op appears twice in device orders");
       require(b.device_of[static_cast<std::size_t>(op)] == d,
               "refine_timing: order and assignment disagree");
-      seen[static_cast<std::size_t>(op)] = true;
+      seen[static_cast<std::size_t>(op)] = 1;
     }
   for (int i = 0; i < n; ++i)
     require(seen[static_cast<std::size_t>(i)],
             "refine_timing: op missing from device orders");
+}
 
-  timeline_builder builder(graph, device_count, options);
-  std::vector<std::size_t> next(static_cast<std::size_t>(device_count), 0);
+} // namespace
+
+bool binding_timer::time(const binding& b) {
+  const int n = graph_.operation_count();
+  const int device_count = device_count_;
+  require_well_formed(graph_, b, device_count, seen_);
+
+  timeline_builder& builder = builder_;
+  builder.reset();
+  std::vector<std::size_t>& next = next_;
+  std::fill(next.begin(), next.end(), 0);
+  int makespan = 0;
+  long cache_time = 0;
 
   for (int step = 0; step < n; ++step) {
     // Among device-queue heads whose parents are committed, commit the one
@@ -442,12 +487,28 @@ schedule refine_timing(const assay::sequencing_graph& graph, const binding& b,
         best_device = d;
       }
     }
-    require(best_op >= 0,
-            "refine_timing: device orders deadlock across devices");
-    builder.commit(best_op, best_device);
+    if (best_op < 0) return false; // device orders deadlock
+    const timeline_builder::placement done =
+        builder.commit(best_op, best_device);
+    makespan = std::max(makespan, done.end);
+    cache_time += done.cache_time_added;
     ++next[static_cast<std::size_t>(best_device)];
   }
-  return builder.build();
+  makespan_ = makespan;
+  cache_time_ = cache_time;
+  return true;
+}
+
+schedule refine_timing(const assay::sequencing_graph& graph, const binding& b,
+                       int device_count, const timing_options& options) {
+  // Checked before the timer exists, so a malformed binding is reported
+  // ahead of a bad device count or timing option.
+  std::vector<char> seen;
+  require_well_formed(graph, b, device_count, seen);
+  binding_timer timer(graph, device_count, options);
+  require(timer.time(b),
+          "refine_timing: device orders deadlock across devices");
+  return timer.build();
 }
 
 binding extract_binding(const schedule& s, int device_count) {

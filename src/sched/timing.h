@@ -50,7 +50,13 @@ struct timing_options {
 
 /// Incremental schedule constructor shared by the timing refinement and the
 /// list scheduler. Operations are committed one at a time; preview() prices
-/// a candidate without mutating state.
+/// a candidate without mutating the timeline.
+///
+/// preview() and commit() work in member scratch (the plan, a copy of the
+/// port frontiers, the in-leg parent list), so once the first few calls
+/// have sized it they allocate nothing; commit() grows only the leg list.
+/// That scratch makes preview() a writer: one builder is not safe to share
+/// between threads, not even through const.
 class timeline_builder {
 public:
   timeline_builder(const assay::sequencing_graph& graph, int device_count,
@@ -104,8 +110,16 @@ public:
   /// planned before the fault time).
   void floor_ports(int t);
 
+  /// Forget every commit and seed, back to the freshly constructed state.
+  /// Keeps the edge index and every buffer's capacity, so one builder can
+  /// time many bindings of the same graph without allocating.
+  void reset();
+
   /// Assemble the final schedule; requires every operation committed.
   [[nodiscard]] schedule build() const;
+
+  /// build() into `out`, reusing its buffers.
+  void build_into(schedule& out) const;
 
 private:
   struct pending_out {
@@ -122,7 +136,8 @@ private:
     std::vector<std::pair<int, int>> port_updates; // (device, new frontier)
   };
 
-  [[nodiscard]] plan compute(int op, int device) const;
+  /// Plan committing `op` on `device` into scratch_.
+  void compute(int op, int device) const;
   void apply(const plan& p, int op, int device);
 
   const assay::sequencing_graph& graph_;
@@ -143,7 +158,48 @@ private:
   std::vector<std::optional<edge_transfer>> transfers_; // per edge
   int committed_count_ = 0;
 
+  // compute() scratch: its output and its working copies.
+  mutable plan scratch_;
+  mutable std::vector<int> port_;    // port frontiers as the plan moves them
+  mutable std::vector<int> parents_; // parents still needing an in-leg
+
   [[nodiscard]] int edge_of(int parent, int child) const;
+};
+
+/// Re-times bindings of one graph, one after another, as the annealers do
+/// on every move: one timeline_builder (with its n^2 edge index) and all
+/// scratch are reused, and only the two terms of objective (6) are kept,
+/// so timing a binding allocates nothing once the buffers are sized. A
+/// schedule is built only on request.
+class binding_timer {
+public:
+  binding_timer(const assay::sequencing_graph& graph, int device_count,
+                const timing_options& options);
+
+  /// Realize `b`. Throws invalid_input_error when it is malformed (the
+  /// same checks and messages as refine_timing); returns false when its
+  /// device orders deadlock across devices.
+  [[nodiscard]] bool time(const binding& b);
+
+  /// Terms of the last successfully timed binding.
+  [[nodiscard]] int makespan() const { return makespan_; }
+  [[nodiscard]] long cache_time() const { return cache_time_; }
+  [[nodiscard]] double objective(double alpha, double beta) const {
+    return objective_value(alpha, beta, makespan_, cache_time_);
+  }
+
+  /// The schedule of the last successfully timed binding.
+  [[nodiscard]] schedule build() const { return builder_.build(); }
+  void build_into(schedule& out) const { builder_.build_into(out); }
+
+private:
+  const assay::sequencing_graph& graph_;
+  int device_count_;
+  timeline_builder builder_;
+  std::vector<char> seen_;        // per op
+  std::vector<std::size_t> next_; // per device: next queue position
+  int makespan_ = 0;
+  long cache_time_ = 0;
 };
 
 /// Realize a binding as a timed schedule. Throws invalid_input_error when
