@@ -126,6 +126,23 @@ bool sequencing_graph::reaches(int ancestor, int descendant) const {
   return false;
 }
 
+reachability::reachability(const sequencing_graph& graph)
+    : words_((static_cast<std::size_t>(graph.operation_count()) + 63) / 64),
+      bits_(static_cast<std::size_t>(graph.operation_count()) * words_, 0) {
+  // Children before parents: a row is the union of its children and
+  // their (already complete) rows.
+  const std::vector<int> order = graph.topological_order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    std::uint64_t* const out = &bits_[row(*it)];
+    for (int child : graph.children(*it)) {
+      const std::uint64_t* const in = &bits_[row(child)];
+      for (std::size_t w = 0; w < words_; ++w) out[w] |= in[w];
+      out[static_cast<std::size_t>(child) / 64] |=
+          std::uint64_t{1} << (static_cast<std::size_t>(child) % 64);
+    }
+  }
+}
+
 std::string sequencing_graph::to_dot() const {
   std::ostringstream out;
   out << "digraph \"" << name_ << "\" {\n";

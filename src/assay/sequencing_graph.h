@@ -8,6 +8,7 @@
 // operation feeding two children).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,32 @@ private:
   std::vector<operation> ops_;
   std::vector<std::vector<int>> children_;
   int edge_count_ = 0;
+};
+
+/// The transitive closure of a graph's edges, computed once (n^2 bits).
+/// reaches() is then one bit test with no search and no allocation; the
+/// annealers ask it on every move. A snapshot: later changes to the graph
+/// are not reflected.
+class reachability {
+public:
+  explicit reachability(const sequencing_graph& graph);
+
+  /// Same answer as sequencing_graph::reaches (an op reaches itself).
+  /// Both ids must be in range.
+  [[nodiscard]] bool reaches(int ancestor, int descendant) const {
+    return ancestor == descendant ||
+           ((bits_[row(ancestor) + static_cast<std::size_t>(descendant) / 64] >>
+             (static_cast<std::size_t>(descendant) % 64)) &
+            1U) != 0;
+  }
+
+private:
+  [[nodiscard]] std::size_t row(int op) const {
+    return static_cast<std::size_t>(op) * words_;
+  }
+
+  std::size_t words_ = 0;            // 64-bit words per row
+  std::vector<std::uint64_t> bits_;  // row a, bit d: a reaches d
 };
 
 } // namespace transtore::assay

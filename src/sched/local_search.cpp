@@ -25,6 +25,7 @@ schedule improve_schedule(const assay::sequencing_graph& graph,
   binding best = current;
   double best_cost = current_cost;
   binding_timer timer(graph, devices, timing);
+  const assay::reachability reach(graph);
   relocation move;
 
   double temperature = options.initial_temperature;
@@ -47,8 +48,7 @@ schedule improve_schedule(const assay::sequencing_graph& graph,
     const std::size_t slots =
         current.device_order[static_cast<std::size_t>(to_device)].size() +
         (to_device == from_device ? 0 : 1);
-    if (!relocate_op(graph, current, op, to_device, rng.index(slots),
-                     move) ||
+    if (!relocate_op(reach, current, op, to_device, rng.index(slots), move) ||
         !timer.time(current)) {
       // Precedence-infeasible or a cross-device deadlock: reject.
       undo_relocation(current, move);

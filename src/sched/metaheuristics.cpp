@@ -59,7 +59,7 @@ std::vector<int> remaining_path(const assay::sequencing_graph& graph) {
 /// move and supplies the transfer kinds the storage-aware flips target.
 /// Returns false when the sampled move is infeasible; either way
 /// undo_relocation(candidate, move) takes it back.
-bool propose_move(const assay::sequencing_graph& graph, binding& candidate,
+bool propose_move(const assay::reachability& reach, binding& candidate,
                   const schedule& timed, int devices, prng& rng,
                   relocation& move) {
   const std::size_t n = candidate.device_of.size();
@@ -78,7 +78,7 @@ bool propose_move(const assay::sequencing_graph& graph, binding& candidate,
               producer_device &&
           queue_position(candidate, tr.target_op) < pos)
         --pos; // consumer currently earlier on the same queue shifts it
-      return relocate_op(graph, candidate, tr.target_op, producer_device,
+      return relocate_op(reach, candidate, tr.target_op, producer_device,
                          pos, move);
     }
     // Sampled a non-cached transfer: fall through to the generic moves.
@@ -95,7 +95,7 @@ bool propose_move(const assay::sequencing_graph& graph, binding& candidate,
       if (to == cur) to = (to + 1) % devices;
       const std::size_t len =
           candidate.device_order[static_cast<std::size_t>(to)].size();
-      return relocate_op(graph, candidate, tr.target_op, to,
+      return relocate_op(reach, candidate, tr.target_op, to,
                          rng.index(len + 1), move);
     }
   }
@@ -105,7 +105,7 @@ bool propose_move(const assay::sequencing_graph& graph, binding& candidate,
     const auto& q = candidate.device_order[static_cast<std::size_t>(d)];
     if (q.size() >= 2) {
       const std::size_t k = rng.index(q.size() - 1);
-      return relocate_op(graph, candidate, q[k], d, k + 1, move);
+      return relocate_op(reach, candidate, q[k], d, k + 1, move);
     }
     // Queue too short: fall through to relocation.
   }
@@ -117,7 +117,7 @@ bool propose_move(const assay::sequencing_graph& graph, binding& candidate,
   const std::size_t len =
       candidate.device_order[static_cast<std::size_t>(to)].size() +
       (to == candidate.device_of[static_cast<std::size_t>(op)] ? 0 : 1);
-  return relocate_op(graph, candidate, op, to, rng.index(len), move);
+  return relocate_op(reach, candidate, op, to, rng.index(len), move);
 }
 
 /// The annealer behind schedule_with_sa, on a caller-owned timer (GRASP
@@ -138,6 +138,7 @@ schedule anneal(const assay::sequencing_graph& graph,
   double best_cost = start_cost;
   schedule best_timed = start;
 
+  const assay::reachability reach(graph);
   const int per_restart =
       std::max(1, options.iterations / options.restarts);
   const double cooling = std::pow(0.05, 1.0 / per_restart);
@@ -158,7 +159,7 @@ schedule anneal(const assay::sequencing_graph& graph,
 
     for (int iter = 0; iter < per_restart; ++iter) {
       if ((iter & 127) == 0 && budget.expired()) break;
-      if (!propose_move(graph, current, current_timed, options.device_count,
+      if (!propose_move(reach, current, current_timed, options.device_count,
                         rng, move) ||
           !timer.time(current)) {
         // Infeasible move or a cross-device deadlock: reject.

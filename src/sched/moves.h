@@ -4,7 +4,8 @@
 // metaheuristic engines (metaheuristics.h) perturb a binding by removing
 // one operation from its device queue and reinserting it elsewhere. The
 // feasibility rule is purely structural -- no descendant may sit earlier in
-// the target queue and no ancestor later -- so every move that passes it
+// the target queue and no ancestor later, answered from the graph's
+// precomputed reachability closure -- so every move that passes it
 // yields a binding refine_timing can realize (up to cross-device deadlock,
 // which the callers detect and reject).
 //
@@ -23,14 +24,14 @@ namespace transtore::sched {
 /// Can `op` legally sit at `position` in `queue` given the precedence
 /// relation? (No descendant earlier, no ancestor later.) `queue` may still
 /// contain `op`; its current slot is ignored.
-[[nodiscard]] inline bool position_feasible(
-    const assay::sequencing_graph& graph, const std::vector<int>& queue,
-    int op, std::size_t position) {
+[[nodiscard]] inline bool position_feasible(const assay::reachability& reach,
+                                            const std::vector<int>& queue,
+                                            int op, std::size_t position) {
   for (std::size_t i = 0; i < queue.size(); ++i) {
     if (queue[i] == op) continue;
     const std::size_t effective = i < position ? i : i + 1;
-    if (effective < position && graph.reaches(op, queue[i])) return false;
-    if (effective > position && graph.reaches(queue[i], op)) return false;
+    if (effective < position && reach.reaches(op, queue[i])) return false;
+    if (effective > position && reach.reaches(queue[i], op)) return false;
   }
   return true;
 }
@@ -50,7 +51,7 @@ struct relocation {
 /// false when the position is precedence-infeasible; `b` is then left with
 /// `op` removed from its queue. Either way `undo` records the change, and
 /// undo_relocation(b, undo) restores `b` exactly.
-[[nodiscard]] inline bool relocate_op(const assay::sequencing_graph& graph,
+[[nodiscard]] inline bool relocate_op(const assay::reachability& reach,
                                       binding& b, int op, int to_device,
                                       std::size_t position,
                                       relocation& undo) {
@@ -67,7 +68,7 @@ struct relocation {
 
   auto& to_queue = b.device_order[static_cast<std::size_t>(to_device)];
   if (position > to_queue.size()) position = to_queue.size();
-  if (!position_feasible(graph, to_queue, op, position)) return false;
+  if (!position_feasible(reach, to_queue, op, position)) return false;
   to_queue.insert(to_queue.begin() + static_cast<std::ptrdiff_t>(position),
                   op);
   b.device_of[static_cast<std::size_t>(op)] = to_device;
