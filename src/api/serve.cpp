@@ -103,6 +103,8 @@ struct serve_front::impl {
   bool shutdown_requested = false;
   serve_stats metrics; // open_connection_requests filled on snapshot
 
+  std::string open_wake_pipe();
+  bool wait_readable(int fd) const;
   void accept_loop();
   void reader_loop(session& s);
   void writer_loop(session& s);
@@ -118,7 +120,13 @@ serve_front::serve_front(serve_options options, serve_handler handler)
   impl_->handler = std::move(handler);
 }
 
-serve_front::~serve_front() { stop(); }
+serve_front::~serve_front() {
+  stop();
+  // Closed only here: serve_stream() readers poll the read end until they
+  // return, which they must before the front end is destroyed.
+  for (int& fd : impl_->wake_pipe)
+    if (fd >= 0) ::close(fd), fd = -1;
+}
 
 int serve_front::tcp_port() const { return impl_->bound_tcp_port; }
 
@@ -189,16 +197,40 @@ std::string serve_front::start() {
       im.bound_tcp_port = static_cast<int>(ntohs(bound.sin_port));
   }
 
-  if (::pipe(im.wake_pipe) != 0) {
+  if (std::string error = im.open_wake_pipe(); !error.empty()) {
     if (im.unix_fd >= 0) ::close(im.unix_fd), im.unix_fd = -1;
     if (im.tcp_fd >= 0) ::close(im.tcp_fd), im.tcp_fd = -1;
-    return "serve_front: pipe() failed (" + std::string(std::strerror(errno)) +
-           ")";
+    return error;
   }
 
   im.started = true;
   im.acceptor = std::thread([&im] { im.accept_loop(); });
   return "";
+}
+
+/// Create the wake pipe unless it exists: stop() writes one byte to it and
+/// never drains it, so from then on its read end stays readable and wakes
+/// the accept loop and every stream reader polling it.
+std::string serve_front::impl::open_wake_pipe() {
+  std::lock_guard<std::mutex> guard(lock);
+  if (wake_pipe[0] >= 0) return "";
+  if (::pipe(wake_pipe) != 0)
+    return "serve_front: pipe() failed (" + std::string(std::strerror(errno)) +
+           ")";
+  return "";
+}
+
+/// Block until `fd` has input, EOF or an error (true: read() tells which)
+/// or stop() woke the front end (false).
+bool serve_front::impl::wait_readable(int fd) const {
+  for (;;) {
+    pollfd fds[2] = {pollfd{fd, POLLIN, 0}, pollfd{wake_pipe[0], POLLIN, 0}};
+    if (::poll(fds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
+      return true;
+    }
+    return fds[1].revents == 0;
+  }
 }
 
 // -------------------------------------------------------------- accept loop
@@ -306,12 +338,16 @@ void serve_front::impl::reader_loop(session& s) {
   char buf[4096];
   bool closing = false;
   while (!closing) {
-    const ssize_t n = ::read(s.in_fd, buf, sizeof(buf));
+    // A stream's descriptor cannot be shut down (the caller owns it), so
+    // its reader waits on the wake pipe too, and stop() reads as EOF.
+    const ssize_t n = s.stream && !wait_readable(s.in_fd)
+                          ? 0
+                          : ::read(s.in_fd, buf, sizeof(buf));
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    if (n == 0) { // EOF (client closed, or stop() shut the read side)
+    if (n == 0) { // EOF (client closed, or stop() ended the session)
       if (!line.empty() || oversized) {
         // The protocol is newline-delimited: a request without its
         // newline is truncated by definition.
@@ -451,6 +487,7 @@ std::string serve_front::serve_stream(int in_fd, int out_fd) {
   impl& im = *impl_;
   if (!im.options.framing_error)
     return "serve_front: options.framing_error is required";
+  if (std::string error = im.open_wake_pipe(); !error.empty()) return error;
   auto owned = std::make_unique<impl::session>();
   impl::session& s = *owned;
   s.in_fd = in_fd;
@@ -483,8 +520,10 @@ void serve_front::wait() {
 void serve_front::stop() {
   impl& im = *impl_;
   bool teardown = false;
+  bool wake = false;
   {
     std::lock_guard<std::mutex> guard(im.lock);
+    wake = !im.stopping && im.wake_pipe[1] >= 0;
     im.stopping = true;
     im.shutdown_requested = true;
     if (im.started) {
@@ -493,19 +532,19 @@ void serve_front::stop() {
     }
   }
   im.shutdown_cv.notify_all();
-  if (!teardown) return;
-
-  // Wake the accept loop and join it before touching the listeners.
-  if (im.wake_pipe[1] >= 0) {
+  // Wake the accept loop and every stream session's reader (each ends its
+  // session like EOF: admitted replies are still written, in order).
+  if (wake) {
     const char byte = 'x';
     (void)!::write(im.wake_pipe[1], &byte, 1);
   }
+  if (!teardown) return;
+
+  // Join the accept loop before touching the listeners.
   if (im.acceptor.joinable()) im.acceptor.join();
   if (im.unix_fd >= 0) ::close(im.unix_fd), im.unix_fd = -1;
   if (im.tcp_fd >= 0) ::close(im.tcp_fd), im.tcp_fd = -1;
   if (!im.options.unix_path.empty()) ::unlink(im.options.unix_path.c_str());
-  for (int& fd : im.wake_pipe)
-    if (fd >= 0) ::close(fd), fd = -1;
 
   // Close only the read side of every connection: readers see EOF and
   // stop, writers drain every already-admitted response (still in order)

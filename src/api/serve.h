@@ -137,8 +137,8 @@ public:
 
   /// Serve one session over an already-open descriptor pair (stdin and
   /// stdout, a pipe pair, a socketpair) and block until it ends: the input
-  /// reached EOF, or a reply set close_connection or shutdown_server, and
-  /// every admitted reply has been written. The session runs the same
+  /// reached EOF, a reply set close_connection or shutdown_server, or
+  /// stop() ran, and every admitted reply has been written. The session runs the same
   /// reader and writer as a socket connection (framing, ordering,
   /// max_inflight, stats) but never closes or shuts down its descriptors,
   /// and a vanished reader of a non-socket `out_fd` is a write error, not
@@ -151,8 +151,10 @@ public:
 
   /// Stop accepting, close the read side of every connection session
   /// (pending responses still resolve and get written, in order), join
-  /// every thread, close and unlink listeners. A serve_stream() session is
-  /// left alone: its caller's descriptors are never shut down, joined or
+  /// every thread, close and unlink listeners. A serve_stream() session
+  /// stops reading as if its input had ended (its reader also waits on
+  /// the front end's wake pipe) and returns once its admitted replies are
+  /// written; its caller's descriptors are never shut down, joined or
   /// closed here, and it must return before the front end is destroyed.
   /// Idempotent; also run by the destructor.
   void stop();

@@ -291,6 +291,37 @@ TEST(ProtocolStream, ShutdownEndsTheSessionWithInputStillOpen) {
   EXPECT_EQ(s.pool.stats().submitted, 0u); // nothing after it was admitted
 }
 
+TEST(ProtocolStream, StopEndsASessionBlockedInRead) {
+  service s;
+  int in[2];
+  int out[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  auto session = std::async(std::launch::async, [&] {
+    return s.front.serve_stream(in[0], out[1]);
+  });
+  // One answered request, so the reader is back in read(); the input
+  // then stays open and silent, and nothing but stop() can end it.
+  ASSERT_TRUE(write_all(in[1], "{\"id\":1,\"op\":\"ping\"}\n"));
+  EXPECT_EQ(read_line(out[0]), "{\"id\":1,\"status\":\"ok\",\"op\":\"ping\"}");
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto stopped_at = std::chrono::steady_clock::now();
+  s.front.stop();
+  const bool ended = session.wait_for(std::chrono::seconds(1)) ==
+                     std::future_status::ready;
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - stopped_at)
+                             .count();
+  ::close(in[1]); // lets a session that missed the stop end anyway
+  EXPECT_TRUE(ended) << "serve_stream still reading " << seconds
+                     << " s after stop()";
+  EXPECT_EQ(session.get(), "");
+  ::close(in[0]);
+  ::close(out[1]);
+  EXPECT_TRUE(read_lines(out[0]).empty()); // nothing more was written
+  ::close(out[0]);
+}
+
 TEST(ProtocolStream, ReaderThatGoesAwayIsAWriteErrorNotASignal) {
   service s;
   int in[2];
