@@ -95,21 +95,6 @@ TEST(Alloc, PassingChecksAllocateNothing) {
   EXPECT_EQ(n, 0);
 }
 
-TEST(Alloc, FailingChecksKeepTheirTypeAndMessage) {
-  try {
-    require(false, "alloc test: require() failed");
-    FAIL() << "require(false) returned";
-  } catch (const invalid_input_error& e) {
-    EXPECT_STREQ(e.what(), "alloc test: require() failed");
-  }
-  try {
-    check(false, "alloc test: check() failed");
-    FAIL() << "check(false) returned";
-  } catch (const internal_error& e) {
-    EXPECT_STREQ(e.what(), "alloc test: check() failed");
-  }
-}
-
 sched::schedule list_schedule(const assay::sequencing_graph& g, int devices) {
   sched::list_scheduler_options o;
   o.device_count = devices;
