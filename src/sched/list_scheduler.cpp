@@ -23,9 +23,9 @@ std::vector<int> remaining_path(const assay::sequencing_graph& graph) {
   return path;
 }
 
-/// One greedy construction on `builder` (reset first). Returns objective
-/// (6) of the result under `final_beta`, from the committed placements;
-/// builder.build() assembles the schedule itself.
+/// One greedy construction on `builder` (reset first), which then holds
+/// the schedule. Returns its objective (6) under `final_beta`, summed from
+/// the committed placements.
 double greedy_pass(const assay::sequencing_graph& graph,
                    const list_scheduler_options& options,
                    const std::vector<int>& priority, prng& rng, double noise,

@@ -181,14 +181,12 @@ public:
   /// device orders deadlock across devices.
   [[nodiscard]] bool time(const binding& b);
 
-  /// Terms of the last successfully timed binding.
-  [[nodiscard]] int makespan() const { return makespan_; }
-  [[nodiscard]] long cache_time() const { return cache_time_; }
+  /// Objective (6) of the binding the last successful time() realized.
   [[nodiscard]] double objective(double alpha, double beta) const {
     return objective_value(alpha, beta, makespan_, cache_time_);
   }
 
-  /// The schedule of the last successfully timed binding.
+  /// The schedule of `b`; only right after time(b) returned true.
   [[nodiscard]] schedule build() const { return builder_.build(); }
   void build_into(schedule& out) const { builder_.build_into(out); }
 
