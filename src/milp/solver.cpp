@@ -215,9 +215,9 @@ struct bb_node {
   /// branch's own expected degradation plus the cheapest rounding of every
   /// other fractional variable at the parent.
   double estimate = -inf;
-  /// Parent basis for cross-worker warm starts (the parallel engines;
-  /// null in the sequential engine, whose nodes all re-solve on its one
-  /// warm instance, and for the root before any LP was solved). Siblings
+  /// Parent basis for cross-worker warm starts (null when snapshots are
+  /// off -- a one-worker pool search, whose nodes all re-solve on its one
+  /// warm instance -- and for the root outside the round engine). Siblings
   /// share the one immutable snapshot.
   std::shared_ptr<const basis_snapshot> warm;
   /// Worker that created this node (-1 for the root); a worker pulling a
@@ -404,8 +404,8 @@ bool propagate_node(const row_view& view, const std::vector<bool>& is_integer,
 
 // ---------------------------------------------------------- tree search
 
-/// Read-only inputs shared by every engine (and every worker) of a tree
-/// search.
+/// Read-only inputs shared by both node sources (and every worker) of a
+/// tree search.
 struct tree_context {
   const model& m;
   const standard_form& sf;
@@ -415,9 +415,9 @@ struct tree_context {
   const row_view* rows; // null = node propagation off
   const deadline& time_budget;
   int n;
-  /// Whether children carry their parent's basis snapshot: the parallel
-  /// engines re-solve a node on whichever instance picks it up; the
-  /// sequential engine never reloads a basis, so it skips the capture.
+  /// Whether children carry their parent's basis snapshot: with several
+  /// workers a node re-solves on whichever instance picks it up; a
+  /// one-worker pool search never reloads a basis, so it skips the capture.
   bool snapshots;
 };
 
@@ -487,16 +487,16 @@ long remaining_probes(const solver_options& options, long issued) {
 }
 
 /// Fills per-candidate (up_count, down_count) pseudocost observations; the
-/// opportunistic engine snapshots them under its lock, the sequential and
-/// deterministic engines read the table directly.
+/// pool engine snapshots them under its lock, the round engine reads the
+/// table directly.
 using pc_count_fn = std::function<void(
     const std::vector<int>&, std::vector<std::pair<long, long>>&)>;
 
 /// The node kernel every engine runs: per-node propagation, the LP
 /// re-solve, and the reliability probes. `reload_basis` warm-starts the LP
 /// from the node's recorded parent basis; false trusts the instance's
-/// current basis (the sequential engine, and a pool worker continuing its
-/// own dive). `prune_obj` is the incumbent objective to prune against (+inf
+/// current basis (a pool worker continuing its own dive, or any node of a
+/// one-worker search). `prune_obj` is the incumbent objective to prune against (+inf
 /// when none) and `probe_allowance` this node's share of the global probe
 /// budget -- both fixed by the engine so the result is a pure function of
 /// its arguments.
@@ -772,7 +772,7 @@ branch_output commit_branch(const tree_context& ctx, const bb_node& node,
   return out;
 }
 
-/// The dive engines' child placement: the child nearest the LP value stays
+/// The pool engine's child placement: the child nearest the LP value stays
 /// in hand for the next plunge step, its sibling joins `open` (push_back
 /// keeps dfs mode's LIFO order exact), and each queued child gets its entry
 /// in `bounds`. Children whose side a strong-branching probe proved
@@ -791,13 +791,13 @@ void plunge(branch_output& br, double bound, std::vector<bb_node>& open,
   if (!preferred_pruned) hand = std::move(preferred);
 }
 
-// The node-order rule of all three engines.
+// The node-order rule of both node sources.
 
 /// Which open node a selection takes: the newest (LIFO), the best parent
 /// bound, or the best pseudocost completion estimate.
 enum class open_key { newest, bound, estimate };
 
-/// The key of the `turn`-th selection: a backtrack in the dive engines, a
+/// The key of the `turn`-th selection: a backtrack in the pool engine, a
 /// round in the deterministic engine. dfs always takes the newest node.
 /// best_estimate is hybrid backtracking: most turns stay LIFO (the adjacent
 /// open node keeps the warm basis hot); every second one restarts from the
@@ -832,7 +832,7 @@ bool comes_first(open_key key, const bb_node& a, const bb_node& b) {
   return false;
 }
 
-/// Removes and returns a dive engine's next open node. Their `newest` is
+/// Removes and returns the pool engine's next open node. Its `newest` is
 /// the back of `open`, taken in O(1): LIFO over push order, which keeps a
 /// dfs backtrack next to the dive it leaves (a best_estimate pick's
 /// swap-removal can move an older node to the back). The other keys scan
@@ -1055,8 +1055,8 @@ solution solve(const model& m, const solver_options& options) {
 
   pseudocost_table pseudocosts(n);
   // Pseudocost counts for the probe candidates, read straight from the
-  // table: the sequential engine is alone, and the deterministic engine
-  // only mutates the table while its workers wait.
+  // table: the round engine only mutates it while its workers wait, and
+  // pool workers call this under the pool lock.
   auto table_counts = [&](const std::vector<int>& vars,
                           std::vector<std::pair<long, long>>& out) {
     out.resize(vars.size());
@@ -1071,7 +1071,7 @@ solution solve(const model& m, const solver_options& options) {
   if (options.node_propagation)
     tree_rows.emplace(tree_problem ? *tree_problem : sf.lp);
 
-  // Outcome state shared by the three tree engines and the result tail.
+  // Outcome state shared by both node sources and the result tail.
   long nodes = 0;
   long probes = 0;
   bool hit_limit = false;
@@ -1180,13 +1180,12 @@ solution solve(const model& m, const solver_options& options) {
   };
 
   // ------------------------------------------------------ engine dispatch
-  // All three engines run the same node kernel (process_node, settle,
+  // Both node sources run the same node kernel (process_node, settle,
   // commit_branch); they differ only in where the next node comes from and
   // in what order results are committed. threads <= 0 resolves to the
   // hardware; deterministic always takes the round engine (its trajectory
   // must not depend on the thread count, so even threads == 1 runs it);
-  // otherwise threads > 1 takes the opportunistic pool engine and
-  // threads == 1 the sequential engine.
+  // otherwise the pool engine runs `threads` workers.
   int threads = options.threads;
   if (threads <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -1196,18 +1195,19 @@ solution solve(const model& m, const solver_options& options) {
   result.threads_used = threads;
 
   const lp_problem& tree_lp_problem = tree_problem ? *tree_problem : sf.lp;
-  const bool parallel = options.deterministic || threads > 1;
   const tree_context ctx{m,          sf,
                          options,    root_lower,
                          root_upper, tree_rows ? &*tree_rows : nullptr,
                          time_budget, n,
-                         parallel};
+                         options.deterministic || threads > 1};
 
-  // Every engine starts from the root (id 0) with one -inf bound entry;
-  // the parallel engines re-solve it from the cut loop's root basis.
+  // Both sources start from the root (id 0) with one -inf bound entry; the
+  // round engine re-solves it from the cut loop's root basis, the pool
+  // engine's first worker continues on that basis.
   long next_node_id = 1;
   bb_node root_node;
-  if (parallel && root_solved) root_node.warm = capture_basis(*lp, n);
+  if (options.deterministic && root_solved)
+    root_node.warm = capture_basis(*lp, n);
   // One entry per open, in-flight or unresolved node.
   std::multiset<double> open_bounds{-inf};
 
@@ -1352,203 +1352,159 @@ solution solve(const model& m, const solver_options& options) {
     return finish(open_bounds);
   }
 
-  if (threads > 1) {
-    // -------------------------------------------- opportunistic pool engine
-    // A shared open pool under one mutex. Each worker dives on its own
-    // preferred child without touching the pool (warm basis kept hot, the
-    // sequential plunge); a finished dive pulls the best pool node by the
-    // node-order rule -- pulling a node another worker produced counts as
-    // a steal -- and re-solves it from the node's recorded parent basis.
-    // `open_bounds` holds one entry per open OR in-flight node (settled at
-    // commit), so the global dual bound and the gap test stay conservative
-    // while nodes are being processed.
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<bb_node> pool;
-    pool.push_back(std::move(root_node));
-    long backtracks = 0;
-    int active = 0;
-    bool stop = false;
-    std::atomic<double> prune_obj{have_incumbent ? incumbent_obj : inf};
-    std::atomic<long> probes_issued{0};
-    std::vector<worker_stats> wstats(static_cast<std::size_t>(threads));
+  // ---------------------------------------------------------- pool engine
+  // A shared open pool under one mutex. Each worker dives on its own
+  // preferred child without touching the pool (warm basis kept hot); a
+  // finished dive pulls the best pool node by the node-order rule --
+  // pulling a node another worker produced counts as a steal. Worker 0 runs
+  // on this thread over the cut loop's simplex instance and starts with the
+  // root in hand. With one worker this is the sequential plunge: every node
+  // re-solves on the basis the previous one left, so no snapshot is ever
+  // captured or reloaded; with more, a pulled node re-solves from its
+  // recorded parent basis. `open_bounds` holds one entry per open OR
+  // in-flight node (settled at commit), so the global dual bound and the
+  // gap test stay conservative while nodes are being processed.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<bb_node> pool;
+  long backtracks = 0;
+  int active = 1; // worker 0 holds the root
+  bool stop = false;
+  std::atomic<double> prune_obj{have_incumbent ? incumbent_obj : inf};
+  std::atomic<long> probes_issued{0};
+  std::vector<worker_stats> wstats(static_cast<std::size_t>(threads));
 
-    auto worker = [&](int w) {
-      simplex_solver wlp(tree_lp_problem, options.lp);
-      std::vector<double> wl, wu;
-      std::optional<bb_node> hand;
-      // True while this worker owns an in-flight node (processing it or
-      // holding the dive continuation in `hand`); `active` sums these, so
-      // pool-empty + active == 0 really means the tree is exhausted.
-      bool counted = false;
-      std::uint64_t seen = 0; // per-worker board stamp
-      worker_stats& ws = wstats[static_cast<std::size_t>(w)];
+  auto worker = [&](int w) {
+    std::optional<simplex_solver> own;
+    simplex_solver& wlp =
+        w == 0 ? *lp : own.emplace(tree_lp_problem, options.lp);
+    std::vector<double> wl, wu;
+    std::optional<bb_node> hand;
+    // True while this worker owns an in-flight node (processing it or
+    // holding the dive continuation in `hand`); `active` sums these, so
+    // pool-empty + active == 0 really means the tree is exhausted.
+    bool counted = false;
+    if (w == 0) {
+      hand = std::move(root_node);
+      counted = true;
+    }
+    std::uint64_t seen = 0; // per-worker board stamp
+    worker_stats& ws = wstats[static_cast<std::size_t>(w)];
 
-      // Only the <= strong_branch_candidates probe-candidate counts are
-      // snapshotted under the lock (the full table would be a large copy
-      // per node).
-      auto pc_counts = [&](const std::vector<int>& vars,
-                           std::vector<std::pair<long, long>>& out) {
+    // Only the <= strong_branch_candidates probe-candidate counts are
+    // snapshotted under the lock (the full table would be a large copy
+    // per node).
+    auto pc_counts = [&](const std::vector<int>& vars,
+                         std::vector<std::pair<long, long>>& out) {
+      std::lock_guard<std::mutex> lock(mu);
+      table_counts(vars, out);
+    };
+
+    for (;;) {
+      double bobj = 0.0;
+      std::vector<double> bvals;
+      if (board && board->fetch(seen, bobj, bvals)) {
+        // Re-validate outside the lock, adopt under it.
+        const double min_obj = evaluate_candidate(m, sf, bvals);
         std::lock_guard<std::mutex> lock(mu);
-        table_counts(vars, out);
-      };
+        if (accept(min_obj, bvals))
+          prune_obj.store(min_obj, std::memory_order_relaxed);
+      }
 
-      for (;;) {
-        double bobj = 0.0;
-        std::vector<double> bvals;
-        if (board && board->fetch(seen, bobj, bvals)) {
-          // Re-validate outside the lock, adopt under it.
-          const double min_obj = evaluate_candidate(m, sf, bvals);
-          std::lock_guard<std::mutex> lock(mu);
-          if (accept(min_obj, bvals))
-            prune_obj.store(min_obj, std::memory_order_relaxed);
+      bb_node node;
+      bool reload = false; // a dive continues on the hot basis
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        if (!stop && (nodes >= options.max_nodes || time_budget.expired())) {
+          hit_limit = true;
+          stop = true;
         }
-
-        bb_node node;
-        bool reload = true;
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          if (!stop && (nodes >= options.max_nodes || time_budget.expired())) {
-            hit_limit = true;
-            stop = true;
-          }
-          if (stop) {
-            if (counted) --active;
+        if (stop) {
+          if (counted) --active;
+          cv.notify_all();
+          break;
+        }
+        if (hand) {
+          node = std::move(*hand);
+          hand.reset();
+        } else {
+          cv.wait(lock,
+                  [&] { return stop || !pool.empty() || active == 0; });
+          if (stop || pool.empty()) { // stop, or exhausted (active == 0)
             cv.notify_all();
             break;
           }
-          if (hand) {
-            node = std::move(*hand);
-            hand.reset();
-            reload = false; // dive on: still counted, basis still hot
-          } else {
-            cv.wait(lock,
-                    [&] { return stop || !pool.empty() || active == 0; });
-            if (stop || pool.empty()) { // stop, or exhausted (active == 0)
-              cv.notify_all();
-              break;
-            }
-            node = take_open(
-                pool, key_for_turn(options.node_selection, ++backtracks));
-            if (node.producer >= 0 && node.producer != w) ++ws.steals;
-            ++active;
-            counted = true;
-          }
+          node = take_open(
+              pool, key_for_turn(options.node_selection, ++backtracks));
+          if (node.producer >= 0 && node.producer != w) ++ws.steals;
+          reload = ctx.snapshots;
+          ++active;
+          counted = true;
         }
-
-        node_result nr = process_node(
-            ctx, wlp, node, reload, prune_obj.load(std::memory_order_relaxed),
-            remaining_probes(options,
-                            probes_issued.load(std::memory_order_relaxed)),
-            pc_counts, wl, wu);
-        if (nr.probes_run > 0)
-          probes_issued.fetch_add(nr.probes_run, std::memory_order_relaxed);
-        ws.simplex_iterations += nr.iterations;
-        ws.dual_simplex_iterations += nr.dual_iterations;
-
-        double offer_obj = 0.0;
-        std::vector<double> offer_vals;
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          switch (settle(node, nr, open_bounds, &ws)) {
-            case settled::stop:
-              stop = true;
-              break;
-            case settled::improved:
-              prune_obj.store(incumbent_obj, std::memory_order_relaxed);
-              if (board) {
-                offer_obj = user_objective(incumbent_obj);
-                offer_vals = incumbent_values;
-              }
-              break;
-            case settled::branch: {
-              branch_output br =
-                  commit_branch(ctx, node, nr, pseudocosts, next_node_id);
-              br.down.producer = w;
-              br.up.producer = w;
-              plunge(br, nr.bound, pool, hand, open_bounds);
-              break;
-            }
-            case settled::done:
-              break;
-          }
-          if (!hand) {
-            --active;
-            counted = false;
-          }
-          if (gap_closed(open_bounds)) stop = true;
-          log_progress(pool.size());
-          cv.notify_all();
-          if (stop) break;
-        }
-        // Publish to the portfolio board outside the pool lock.
-        if (!offer_vals.empty()) board->offer(offer_obj, std::move(offer_vals));
       }
-    };
 
-    std::vector<std::thread> team;
-    team.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) team.emplace_back(worker, w);
-    for (std::thread& t : team) t.join();
+      node_result nr = process_node(
+          ctx, wlp, node, reload, prune_obj.load(std::memory_order_relaxed),
+          remaining_probes(options,
+                           probes_issued.load(std::memory_order_relaxed)),
+          pc_counts, wl, wu);
+      if (nr.probes_run > 0)
+        probes_issued.fetch_add(nr.probes_run, std::memory_order_relaxed);
+      ws.simplex_iterations += nr.iterations;
+      ws.dual_simplex_iterations += nr.dual_iterations;
 
-    for (const worker_stats& ws : wstats) {
-      simplex_iterations += ws.simplex_iterations;
-      dual_iterations += ws.dual_simplex_iterations;
+      double offer_obj = 0.0;
+      std::vector<double> offer_vals;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        switch (settle(node, nr, open_bounds, &ws)) {
+          case settled::stop:
+            stop = true;
+            break;
+          case settled::improved:
+            prune_obj.store(incumbent_obj, std::memory_order_relaxed);
+            if (board) {
+              offer_obj = user_objective(incumbent_obj);
+              offer_vals = incumbent_values;
+            }
+            break;
+          case settled::branch: {
+            branch_output br =
+                commit_branch(ctx, node, nr, pseudocosts, next_node_id);
+            br.down.producer = w;
+            br.up.producer = w;
+            plunge(br, nr.bound, pool, hand, open_bounds);
+            break;
+          }
+          case settled::done:
+            break;
+        }
+        if (!hand) {
+          --active;
+          counted = false;
+        }
+        if (gap_closed(open_bounds)) stop = true;
+        log_progress(pool.size());
+        cv.notify_all();
+        if (stop) break;
+      }
+      // Publish to the portfolio board outside the pool lock.
+      if (!offer_vals.empty()) board->offer(offer_obj, std::move(offer_vals));
     }
-    probes = probes_issued.load(std::memory_order_relaxed);
-    result.workers = std::move(wstats);
-    return finish(open_bounds);
+  };
+
+  std::vector<std::thread> team;
+  team.reserve(static_cast<std::size_t>(threads - 1));
+  for (int w = 1; w < threads; ++w) team.emplace_back(worker, w);
+  worker(0);
+  for (std::thread& t : team) t.join();
+
+  for (const worker_stats& ws : wstats) {
+    simplex_iterations += ws.simplex_iterations;
+    dual_iterations += ws.dual_simplex_iterations;
   }
-
-  // ------------------------------------------------ sequential tree engine
-  // One warm simplex instance plunges through the tree: the preferred child
-  // stays in hand (explored next without touching `open`, which keeps dfs
-  // mode's LIFO order exact), its sibling joins `open`, and a finished dive
-  // backtracks through the node-order rule. Every node re-solves on the
-  // basis the previous one left, so no snapshot is ever reloaded.
-  std::vector<bb_node> open;
-  std::optional<bb_node> in_hand = std::move(root_node);
-  long backtracks = 0;
-  std::uint64_t board_seen = 0;
-  std::vector<double> prop_lower, prop_upper; // reused propagation buffers
-
-  while (in_hand || !open.empty()) {
-    double bobj = 0.0;
-    std::vector<double> bvals;
-    if (board && board->fetch(board_seen, bobj, bvals))
-      accept(evaluate_candidate(m, sf, bvals), bvals);
-    if (gap_closed(open_bounds)) break;
-    if (nodes >= options.max_nodes || time_budget.expired()) {
-      hit_limit = true;
-      break;
-    }
-
-    bb_node node;
-    if (in_hand) {
-      node = std::move(*in_hand);
-      in_hand.reset();
-    } else {
-      node = take_open(open,
-                       key_for_turn(options.node_selection, ++backtracks));
-    }
-
-    node_result nr = process_node(
-        ctx, *lp, node, /*reload_basis=*/false,
-        have_incumbent ? incumbent_obj : inf,
-        remaining_probes(options, probes), table_counts, prop_lower, prop_upper);
-    simplex_iterations += nr.iterations;
-    dual_iterations += nr.dual_iterations;
-    probes += nr.probes_run;
-    const settled s = settle(node, nr, open_bounds, nullptr);
-    log_progress(open.size());
-    if (s == settled::stop) break;
-    if (s == settled::improved && board)
-      board->offer(user_objective(incumbent_obj), incumbent_values);
-    if (s != settled::branch) continue;
-    branch_output br = commit_branch(ctx, node, nr, pseudocosts, next_node_id);
-    plunge(br, nr.bound, open, in_hand, open_bounds);
-  }
-
+  probes = probes_issued.load(std::memory_order_relaxed);
+  if (threads > 1) result.workers = std::move(wstats);
   return finish(open_bounds);
 }
 

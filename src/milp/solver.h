@@ -156,25 +156,27 @@ struct solver_options {
   int reliability = 4;
   /// Optional known-feasible assignment used as the initial incumbent.
   std::optional<std::vector<double>> warm_start;
-  /// Worker threads for the branch-and-bound tree search. 1 (default) runs
-  /// the sequential engine: one warm simplex instance plunging through the
-  /// tree. 0 or negative resolves to hardware_concurrency; > 1 engages the
-  /// shared-pool parallel engine (first-come node order, so results are
-  /// run-to-run nondeterministic unless `deterministic` is also set), where
-  /// each worker owns a private simplex instance and re-solves a node it
-  /// pulls from the pool warm from the node's recorded parent basis. All
-  /// engines run the same node kernel; they differ only in where the next
-  /// node comes from and in commit order.
+  /// Worker threads for the branch-and-bound tree search; 0 or negative
+  /// resolves to hardware_concurrency. Unless `deterministic` is set, the
+  /// workers share one open pool and each dives on its own children; the
+  /// first runs on the calling thread and starts with the root. 1 (default)
+  /// is the sequential plunge: one warm simplex instance, no basis
+  /// snapshots. > 1 gives every further worker a private simplex instance
+  /// that re-solves a node pulled from the pool warm from the node's
+  /// recorded parent basis (first-come node order, so results are
+  /// run-to-run nondeterministic). The pool and the deterministic rounds
+  /// run the same node kernel; they differ only in where the next node
+  /// comes from and in commit order.
   int threads = 1;
   /// Round-synchronized deterministic parallel search: workers expand a
   /// fixed-width round of eight nodes concurrently, then commit them in
   /// node-id order (selection, incumbent acceptance, and pseudocost
   /// updates all resolve by id, never by arrival time). Results are
   /// bit-identical for ANY `threads` value, including 1 -- but the
-  /// trajectory intentionally differs from the sequential engine's, whose
+  /// trajectory intentionally differs from the one-worker pool's, whose
   /// iteration counts depend on serial warm-basis continuity. Determinism
   /// holds as long as no time limit / cancellation fires mid-search (the
-  /// same caveat as the sequential engine).
+  /// same caveat as a one-thread solve).
   bool deterministic = false;
   /// Cross-solve shared incumbent for racing portfolios (see
   /// incumbent_board). All solves sharing one board must be solving the
@@ -220,10 +222,11 @@ struct solution {
   bool warm_start_accepted = false;
   double warm_start_objective = 0.0;
   /// Worker threads the tree search actually ran (after resolving the
-  /// 0 = auto convention); 1 for the sequential engine.
+  /// 0 = auto convention).
   int threads_used = 1;
-  /// Per-worker breakdown of the parallel engines (empty for the
-  /// sequential engine). Sums across workers equal the tree-search part of
+  /// Per-worker breakdown, filled by the deterministic rounds and by a pool
+  /// search with more than one worker (empty for a one-thread pool search,
+  /// so one-thread documents carry none). Sums across workers equal the tree-search part of
   /// the solution totals (the totals additionally include the root
   /// presolve/cut-loop simplex work, which runs before the workers start);
   /// the per-worker split is scheduling noise even in deterministic mode.

@@ -97,7 +97,7 @@ struct ilp_schedule_result {
   int cut_rounds = 0;
   double root_bound = 0.0;   // objective-(6) LP bound after presolve + cuts
   /// Worker threads the winning solve ran, and its per-worker breakdown
-  /// (empty for the sequential engine; see milp::solution::workers).
+  /// (empty for a one-thread solve; see milp::solution::workers).
   int threads_used = 1;
   std::vector<milp::worker_stats> workers;
   /// Portfolio bookkeeping (zero / empty when options.portfolio is off):

@@ -1839,8 +1839,8 @@ TEST(Simplex, WarmDualResolvesArePinned) {
 
 namespace {
 
-/// The three tree engines: sequential, the opportunistic pool, and the
-/// deterministic rounds.
+/// The tree-search variants: one worker (the sequential plunge), the pool
+/// at two workers, and the deterministic rounds.
 std::vector<std::pair<std::string, solver_options>> engine_variants(
     const solver_options& base) {
   solver_options pool = base;

@@ -131,6 +131,10 @@ TEST(PoolEngine, MatchesSequentialOptimum) {
   seq.warm_start = ilp.warm_assignment;
   const milp::solution a = milp::solve(ilp.model, seq);
   ASSERT_EQ(a.status, milp::solve_status::optimal);
+  // One worker is the sequential plunge: no per-worker breakdown, so
+  // one-thread documents carry no `workers` array.
+  EXPECT_EQ(a.threads_used, 1);
+  EXPECT_TRUE(a.workers.empty());
 
   milp::solver_options par = seq;
   par.threads = 4;
