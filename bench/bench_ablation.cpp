@@ -9,7 +9,7 @@
 //  D. Storage-unit ports (extension beyond the paper): the dedicated-unit
 //     baseline with 1 port vs the distributed limit -- quantifies how much
 //     of the win comes from removing the port bottleneck.
-//  E. Scheduling engine: the metaheuristic portfolio (sa / grasp / decomp)
+//  E. Scheduling engine: the metaheuristic portfolio (sa / grasp)
 //     vs the list+annealing baseline at the default iteration budget.
 #include <cstdio>
 
@@ -160,8 +160,7 @@ int main(int argc, char** argv) {
     for (const engine_spec& spec :
          {engine_spec{"heuristic", sched::schedule_engine::heuristic},
           engine_spec{"sa", sched::schedule_engine::sa},
-          engine_spec{"grasp", sched::schedule_engine::grasp},
-          engine_spec{"decomp", sched::schedule_engine::decomp}}) {
+          engine_spec{"grasp", sched::schedule_engine::grasp}}) {
       sched::scheduler_options o;
       o.device_count = 2;
       o.engine = spec.engine;

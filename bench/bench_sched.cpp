@@ -11,7 +11,6 @@
 //             every new engine must beat to justify its existence
 //   sa        restart/reheating simulated annealing, storage-aware moves
 //   grasp     randomized-greedy (RCL) construction + SA improvement
-//   decomp    series-parallel decomposition + annealing post-pass
 //
 // Every annealing config spends the same SA iteration budget (6000), so
 // smoke-mode results are deterministic in the seed and comparable as equal
@@ -114,24 +113,6 @@ int main(int argc, char** argv) {
       stopwatch watch;
       sched::schedule s = sched::schedule_with_grasp(graph, go);
       runs.push_back({"grasp", std::move(s), watch.elapsed_seconds()});
-    }
-    { // decomp: SP decomposition + the same annealing post-pass budget.
-      sched::decomposition_scheduler_options dopts;
-      dopts.device_count = c.devices;
-      dopts.alpha = kAlpha;
-      dopts.beta = kBeta;
-      dopts.seed = 1;
-      dopts.time_budget_seconds = budget;
-      stopwatch watch;
-      sched::schedule s = sched::schedule_with_decomposition(graph, dopts);
-      sched::local_search_options lso;
-      lso.alpha = kAlpha;
-      lso.beta = kBeta;
-      lso.iterations = kAnnealIterations;
-      lso.seed = sched::derive_seed(1, 0x504F5354ULL);
-      lso.time_budget_seconds = budget;
-      s = sched::improve_schedule(graph, s, {}, lso);
-      runs.push_back({"decomp", std::move(s), watch.elapsed_seconds()});
     }
 
     for (const engine_run& run : runs) {

@@ -21,7 +21,6 @@ const char* engine_label(transtore::sched::schedule_engine e) {
   switch (e) {
     case schedule_engine::sa: return "sched_sa";
     case schedule_engine::grasp: return "sched_grasp";
-    case schedule_engine::decomp: return "sched_decomp";
     default: return "sched_other";
   }
 }
@@ -51,8 +50,7 @@ int main(int argc, char** argv) {
     // scheduling result on the same assay/device budget (the full
     // quality/time frontier with baselines lives in bench_sched).
     for (const sched::schedule_engine engine :
-         {sched::schedule_engine::sa, sched::schedule_engine::grasp,
-          sched::schedule_engine::decomp}) {
+         {sched::schedule_engine::sa, sched::schedule_engine::grasp}) {
       sched::scheduler_options so;
       so.device_count = config.devices;
       so.engine = engine;

@@ -16,7 +16,7 @@
 //   --devices N     mixers on the chip (default 1; per-assay table for --all)
 //   --grid WxH      connection grid (default 4x4; per-assay table for --all)
 //   --engine E      scheduling engine: heuristic|ilp|combined (default)|
-//                   sa|grasp|decomp (metaheuristics; see src/sched/README.md)
+//                   sa|grasp (metaheuristics; see src/sched/README.md)
 //   --beta B        storage weight in objective (6) (default 0.15)
 //   --time-only     disable storage optimization (Fig. 9 baseline)
 //   --baseline      also evaluate the dedicated-storage unit
@@ -98,7 +98,7 @@ int usage() {
       "usage: transtore_cli <synth|sched|serve|show|bench-names> "
       "[assay|--all]\n"
       "       [--devices N] [--grid WxH]\n"
-      "       [--engine heuristic|ilp|combined|sa|grasp|decomp]\n"
+      "       [--engine heuristic|ilp|combined|sa|grasp]\n"
       "       [--beta B] [--time-only] [--baseline] [--json FILE|-]\n"
       "       [--svg FILE] [--seed S] [--deadline S] [--workers N]\n"
       "       [--threads N] [--deterministic] [--portfolio]\n"
@@ -277,12 +277,10 @@ bool parse_flags(int argc, char** argv, int from, cli_args& args) {
         args.options.schedule_engine = sched::schedule_engine::sa;
       else if (engine == "grasp")
         args.options.schedule_engine = sched::schedule_engine::grasp;
-      else if (engine == "decomp")
-        args.options.schedule_engine = sched::schedule_engine::decomp;
       else {
         std::fprintf(stderr,
                      "error: --engine expects heuristic|ilp|combined|sa|"
-                     "grasp|decomp, got '%s'\n",
+                     "grasp, got '%s'\n",
                      engine.c_str());
         return false;
       }

@@ -70,7 +70,6 @@ namespace {
     case sched::schedule_engine::combined: return "combined";
     case sched::schedule_engine::sa: return "sa";
     case sched::schedule_engine::grasp: return "grasp";
-    case sched::schedule_engine::decomp: return "decomp";
   }
   return "combined";
 }
@@ -82,7 +81,6 @@ namespace {
   if (name == "combined") return sched::schedule_engine::combined;
   if (name == "sa") return sched::schedule_engine::sa;
   if (name == "grasp") return sched::schedule_engine::grasp;
-  if (name == "decomp") return sched::schedule_engine::decomp;
   throw invalid_input_error("serialize: unknown schedule engine \"" + name +
                             "\"");
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "common/prng.h"
 #include "common/stopwatch.h"
@@ -334,269 +333,6 @@ schedule schedule_with_grasp(const assay::sequencing_graph& graph,
     return *options.start;
   best.validate(graph);
   return best;
-}
-
-// -------------------------------------------------- SP decomposition ------
-
-namespace {
-
-struct decomposition_context {
-  const assay::sequencing_graph& graph;
-  const decomposition_scheduler_options& options;
-  const deadline& budget;
-  std::uint64_t salt = 0; // distinct derived seed per prime solve
-};
-
-/// List-schedule the induced subgraph of `ops` (given in topological
-/// order) on the devices `device_ids`, appending the resulting per-device
-/// orders to `out`.
-void solve_prime(decomposition_context& ctx, const std::vector<int>& ops,
-                 const std::vector<int>& device_ids, binding& out) {
-  const auto& o = ctx.options;
-  std::vector<int> local(
-      static_cast<std::size_t>(ctx.graph.operation_count()), -1);
-  assay::sequencing_graph sub(ctx.graph.name() + "#component");
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const auto& op = ctx.graph.at(ops[i]);
-    local[static_cast<std::size_t>(ops[i])] =
-        sub.add_operation(op.name, op.duration);
-  }
-  for (int u : ops)
-    for (int v : ctx.graph.children(u))
-      if (local[static_cast<std::size_t>(v)] >= 0)
-        sub.add_dependency(local[static_cast<std::size_t>(u)],
-                           local[static_cast<std::size_t>(v)]);
-
-  list_scheduler_options lo;
-  lo.device_count = static_cast<int>(device_ids.size());
-  lo.timing = o.timing;
-  lo.alpha = o.alpha;
-  lo.beta = o.beta;
-  lo.storage_aware = o.storage_aware;
-  lo.restarts = o.restarts;
-  lo.seed = derive_seed(o.seed, 0x5350ULL + ctx.salt++);
-  lo.cancel = o.cancel;
-  if (o.time_budget_seconds > 0.0)
-    lo.time_budget_seconds = std::max(ctx.budget.remaining_seconds(), 1e-3);
-  const schedule sub_schedule = schedule_with_list(sub, lo);
-  const binding sub_binding =
-      extract_binding(sub_schedule, lo.device_count);
-
-  for (std::size_t d = 0; d < device_ids.size(); ++d)
-    for (int local_op : sub_binding.device_order[d]) {
-      const int global_op = ops[static_cast<std::size_t>(local_op)];
-      // ops is topologically ordered and sub ids were assigned in that
-      // order, so local id == index into ops.
-      out.device_of[static_cast<std::size_t>(global_op)] = device_ids[d];
-      out.device_order[static_cast<std::size_t>(device_ids[d])].push_back(
-          global_op);
-    }
-}
-
-/// Weakly-connected components of the induced subgraph, each in
-/// topological order, heaviest (by total duration) first.
-std::vector<std::vector<int>> weak_components(
-    const assay::sequencing_graph& graph, const std::vector<int>& ops) {
-  std::vector<int> parent(
-      static_cast<std::size_t>(graph.operation_count()), -1);
-  for (int op : ops) parent[static_cast<std::size_t>(op)] = op;
-  auto find = [&](int x) {
-    while (parent[static_cast<std::size_t>(x)] != x)
-      x = parent[static_cast<std::size_t>(x)] =
-          parent[static_cast<std::size_t>(
-              parent[static_cast<std::size_t>(x)])];
-    return x;
-  };
-  for (int u : ops)
-    for (int v : graph.children(u))
-      if (parent[static_cast<std::size_t>(v)] >= 0)
-        parent[static_cast<std::size_t>(find(u))] = find(v);
-
-  std::vector<std::vector<int>> components;
-  std::vector<int> component_of(
-      static_cast<std::size_t>(graph.operation_count()), -1);
-  for (int op : ops) { // ops topological => components stay topological
-    const int root = find(op);
-    if (component_of[static_cast<std::size_t>(root)] < 0) {
-      component_of[static_cast<std::size_t>(root)] =
-          static_cast<int>(components.size());
-      components.emplace_back();
-    }
-    components[static_cast<std::size_t>(
-                   component_of[static_cast<std::size_t>(root)])]
-        .push_back(op);
-  }
-  std::sort(components.begin(), components.end(),
-            [&](const std::vector<int>& a, const std::vector<int>& b) {
-              auto work = [&](const std::vector<int>& c) {
-                long w = 0;
-                for (int op : c) w += graph.at(op).duration;
-                return w;
-              };
-              const long wa = work(a), wb = work(b);
-              return wa != wb ? wa > wb : a[0] < b[0];
-            });
-  return components;
-}
-
-void solve_component(decomposition_context& ctx, const std::vector<int>& ops,
-                     const std::vector<int>& device_ids, binding& out);
-
-/// Parallel composition: allocate device subsets proportional to each
-/// component's total work (one device minimum) and recurse independently.
-void solve_parallel(decomposition_context& ctx,
-                    const std::vector<std::vector<int>>& components,
-                    const std::vector<int>& device_ids, binding& out) {
-  const std::size_t k = components.size();
-  std::vector<long> work(k, 0);
-  long total = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    for (int op : components[i]) work[i] += ctx.graph.at(op).duration;
-    total += work[i];
-  }
-  std::vector<int> share(k, 1);
-  int assigned = static_cast<int>(k);
-  const int devices = static_cast<int>(device_ids.size());
-  // Heaviest-first proportional top-up of the remaining devices.
-  while (assigned < devices) {
-    std::size_t target = 0;
-    double worst = -1.0;
-    for (std::size_t i = 0; i < k; ++i) {
-      const double load = static_cast<double>(work[i]) / share[i];
-      if (load > worst) {
-        worst = load;
-        target = i;
-      }
-    }
-    ++share[target];
-    ++assigned;
-  }
-  (void)total;
-  int next = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    std::vector<int> subset(device_ids.begin() + next,
-                            device_ids.begin() + next + share[i]);
-    next += share[i];
-    solve_component(ctx, components[i], subset, out);
-  }
-}
-
-/// Narrowest topological series cut with at most max_cut_width crossing
-/// edges and at least min_component/2 ops on each side (ties broken toward
-/// the middle so stages stay balanced); -1 when none qualifies.
-int find_series_cut(const decomposition_context& ctx,
-                    const std::vector<int>& ops) {
-  const std::size_t n = ops.size();
-  const std::size_t guard =
-      static_cast<std::size_t>(std::max(1, ctx.options.min_component / 2));
-  if (n < 2 * guard + 2) return -1;
-  std::vector<int> pos(
-      static_cast<std::size_t>(ctx.graph.operation_count()), -1);
-  for (std::size_t i = 0; i < n; ++i)
-    pos[static_cast<std::size_t>(ops[i])] = static_cast<int>(i);
-  // crossing(p) = edges with pos[u] < p <= pos[v], via a difference array.
-  std::vector<int> diff(n + 1, 0);
-  for (int u : ops)
-    for (int v : ctx.graph.children(u)) {
-      const int pv = pos[static_cast<std::size_t>(v)];
-      if (pv < 0) continue;
-      diff[static_cast<std::size_t>(pos[static_cast<std::size_t>(u)]) + 1] +=
-          1;
-      diff[static_cast<std::size_t>(pv) + 1] -= 1;
-    }
-  const int mid = static_cast<int>(n) / 2;
-  auto mid_distance = [mid](int p) { return p > mid ? p - mid : mid - p; };
-  int crossing = 0;
-  int best_cut = -1;
-  int best_width = ctx.options.max_cut_width + 1;
-  for (std::size_t p = 1; p < n; ++p) {
-    crossing += diff[p];
-    if (p < guard || n - p < guard) continue;
-    const int cut = static_cast<int>(p);
-    if (crossing < best_width ||
-        (crossing == best_width && best_cut >= 0 &&
-         mid_distance(cut) < mid_distance(best_cut))) {
-      best_width = crossing;
-      best_cut = cut;
-    }
-  }
-  return best_width <= ctx.options.max_cut_width ? best_cut : -1;
-}
-
-void solve_component(decomposition_context& ctx, const std::vector<int>& ops,
-                     const std::vector<int>& device_ids, binding& out) {
-  if (static_cast<int>(ops.size()) <= ctx.options.min_component ||
-      ctx.budget.expired()) {
-    solve_prime(ctx, ops, device_ids, out);
-    return;
-  }
-  const std::vector<std::vector<int>> components =
-      weak_components(ctx.graph, ops);
-  if (components.size() >= 2) {
-    if (components.size() <= device_ids.size()) {
-      solve_parallel(ctx, components, device_ids, out);
-      return;
-    }
-    // More independent components than devices: the queues interleave
-    // anyway, so the list scheduler handles the packing directly.
-    solve_prime(ctx, ops, device_ids, out);
-    return;
-  }
-  const int cut = find_series_cut(ctx, ops);
-  if (cut > 0) {
-    const std::vector<int> prefix(ops.begin(), ops.begin() + cut);
-    const std::vector<int> suffix(ops.begin() + cut, ops.end());
-    // Series composition: all crossing edges run prefix -> suffix, so
-    // appending the suffix orders after the prefix orders on every shared
-    // device preserves precedence.
-    solve_component(ctx, prefix, device_ids, out);
-    solve_component(ctx, suffix, device_ids, out);
-    return;
-  }
-  solve_prime(ctx, ops, device_ids, out); // prime: no usable structure
-}
-
-} // namespace
-
-schedule schedule_with_decomposition(
-    const assay::sequencing_graph& graph,
-    const decomposition_scheduler_options& options) {
-  graph.validate();
-  require(options.device_count > 0,
-          "decomposition scheduler: device count must be positive");
-  const double beta = options.storage_aware ? options.beta : 0.0;
-  const deadline budget(options.time_budget_seconds, options.cancel);
-
-  binding composed;
-  composed.device_of.assign(
-      static_cast<std::size_t>(graph.operation_count()), -1);
-  composed.device_order.resize(
-      static_cast<std::size_t>(options.device_count));
-  std::vector<int> all_devices(
-      static_cast<std::size_t>(options.device_count));
-  std::iota(all_devices.begin(), all_devices.end(), 0);
-
-  decomposition_context ctx{graph, options, budget, 0};
-  solve_component(ctx, graph.topological_order(), all_devices, composed);
-
-  schedule result;
-  try {
-    result = refine_timing(graph, composed, options.device_count,
-                           options.timing);
-  } catch (const invalid_input_error&) {
-    // Composition produced a cross-device deadlock (cannot happen for pure
-    // series/parallel structure, but stay safe): fall back to the list
-    // scheduler on the whole graph.
-    result = greedy_seed(graph, options.device_count, options.timing,
-                         options.alpha, options.beta, options.storage_aware,
-                         options.seed);
-  }
-  if (options.start &&
-      options.start->objective(options.alpha, beta) <
-          result.objective(options.alpha, beta))
-    return *options.start;
-  result.validate(graph);
-  return result;
 }
 
 } // namespace transtore::sched

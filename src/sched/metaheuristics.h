@@ -2,7 +2,7 @@
 // the list scheduler (milliseconds, greedy) and the paper's full MILP
 // (seconds to proof, or a budget-limited incumbent).
 //
-// Three engines, all over the same schedule/binding model and all
+// Two engines, both over the same schedule/binding model and both
 // deterministic in their seed:
 //
 //   * schedule_with_sa -- restart-capable simulated annealing with a
@@ -20,14 +20,6 @@
 //     rcl_alpha of the greedy best) instead of committing the argmin, then
 //     anneals the construction. Round seeds are derived, not reused, so
 //     restarts explore genuinely different constructions.
-//
-//   * schedule_with_decomposition -- series-parallel decomposition of the
-//     assay DAG: weakly connected components run in parallel on disjoint
-//     device subsets (allocated by total work), narrow topological
-//     crossings split a component into series stages scheduled back to
-//     back, and prime components fall back to list scheduling. Composition
-//     is by per-device queue concatenation, which is precedence-safe
-//     because every cross edge points from an earlier stage to a later one.
 //
 // Every engine honors a wall-clock budget and a cancel token, and never
 // returns a schedule worse (under alpha/beta) than the optional `start`
@@ -102,32 +94,5 @@ struct grasp_scheduler_options {
 [[nodiscard]] schedule schedule_with_grasp(
     const assay::sequencing_graph& graph,
     const grasp_scheduler_options& options);
-
-struct decomposition_scheduler_options {
-  int device_count = 1;
-  timing_options timing{};
-  double alpha = 1.0;
-  double beta = 0.15;
-  bool storage_aware = true;
-  /// A topological prefix/suffix split is taken as a series cut only when
-  /// at most this many edges cross it (narrow waists keep the stage
-  /// boundary cheap: few transfers, at most this many concurrent caches).
-  int max_cut_width = 2;
-  /// Components at or below this size are scheduled directly (prime
-  /// fallback) instead of decomposed further.
-  int min_component = 4;
-  /// Perturbed list-scheduler restarts used on prime components.
-  int restarts = 6;
-  std::uint64_t seed = 1;
-  double time_budget_seconds = 0.0;
-  cancel_token cancel;
-  /// Comparison floor: the result is never worse than this under
-  /// alpha/beta.
-  std::optional<schedule> start;
-};
-
-[[nodiscard]] schedule schedule_with_decomposition(
-    const assay::sequencing_graph& graph,
-    const decomposition_scheduler_options& options);
 
 } // namespace transtore::sched

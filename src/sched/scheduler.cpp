@@ -11,8 +11,7 @@ namespace transtore::sched {
 namespace {
 
 bool is_metaheuristic(schedule_engine engine) {
-  return engine == schedule_engine::sa || engine == schedule_engine::grasp ||
-         engine == schedule_engine::decomp;
+  return engine == schedule_engine::sa || engine == schedule_engine::grasp;
 }
 
 list_scheduler_options heuristic_options(const scheduler_options& o) {
@@ -82,68 +81,33 @@ scheduling_result make_schedule(const assay::sequencing_graph& graph,
         options.time_budget_seconds > 0.0
             ? std::max(budget.remaining_seconds(), 1e-3)
             : 0.0;
-    switch (options.engine) {
-      case schedule_engine::sa: {
-        sa_scheduler_options so;
-        so.device_count = options.device_count;
-        so.timing = options.timing;
-        so.alpha = options.alpha;
-        so.beta = options.beta;
-        so.storage_aware = options.storage_aware;
-        so.iterations = options.local_search_iterations;
-        so.seed = options.seed;
-        so.time_budget_seconds = remaining;
-        so.cancel = options.cancel;
-        so.start = std::move(heuristic);
-        result.best = schedule_with_sa(graph, so);
-        break;
-      }
-      case schedule_engine::grasp: {
-        grasp_scheduler_options go;
-        go.device_count = options.device_count;
-        go.timing = options.timing;
-        go.alpha = options.alpha;
-        go.beta = options.beta;
-        go.storage_aware = options.storage_aware;
-        go.improvement_iterations =
-            std::max(0, options.local_search_iterations / 4);
-        go.seed = options.seed;
-        go.time_budget_seconds = remaining;
-        go.cancel = options.cancel;
-        go.start = std::move(heuristic);
-        result.best = schedule_with_grasp(graph, go);
-        break;
-      }
-      default: {
-        decomposition_scheduler_options dopts;
-        dopts.device_count = options.device_count;
-        dopts.timing = options.timing;
-        dopts.alpha = options.alpha;
-        dopts.beta = options.beta;
-        dopts.storage_aware = options.storage_aware;
-        dopts.restarts = std::max(1, options.heuristic_restarts / 4);
-        dopts.seed = options.seed;
-        dopts.time_budget_seconds = remaining;
-        dopts.cancel = options.cancel;
-        dopts.start = std::move(heuristic);
-        result.best = schedule_with_decomposition(graph, dopts);
-        // decomp is purely constructive; the shared annealing post-pass
-        // below polishes it (sa/grasp already embed their anneal).
-        if (options.local_search_iterations > 0) {
-          local_search_options lso;
-          lso.alpha = options.alpha;
-          lso.beta = effective_beta;
-          lso.iterations = options.local_search_iterations;
-          lso.seed = derive_seed(options.seed, 0x504F5354ULL);
-          lso.cancel = options.cancel;
-          if (options.time_budget_seconds > 0.0)
-            lso.time_budget_seconds =
-                std::max(budget.remaining_seconds(), 1e-3);
-          result.best =
-              improve_schedule(graph, result.best, options.timing, lso);
-        }
-        break;
-      }
+    if (options.engine == schedule_engine::sa) {
+      sa_scheduler_options so;
+      so.device_count = options.device_count;
+      so.timing = options.timing;
+      so.alpha = options.alpha;
+      so.beta = options.beta;
+      so.storage_aware = options.storage_aware;
+      so.iterations = options.local_search_iterations;
+      so.seed = options.seed;
+      so.time_budget_seconds = remaining;
+      so.cancel = options.cancel;
+      so.start = std::move(heuristic);
+      result.best = schedule_with_sa(graph, so);
+    } else { // schedule_engine::grasp
+      grasp_scheduler_options go;
+      go.device_count = options.device_count;
+      go.timing = options.timing;
+      go.alpha = options.alpha;
+      go.beta = options.beta;
+      go.storage_aware = options.storage_aware;
+      go.improvement_iterations =
+          std::max(0, options.local_search_iterations / 4);
+      go.seed = options.seed;
+      go.time_budget_seconds = remaining;
+      go.cancel = options.cancel;
+      go.start = std::move(heuristic);
+      result.best = schedule_with_grasp(graph, go);
     }
     result.best.validate(graph);
     result.seconds = watch.elapsed_seconds();

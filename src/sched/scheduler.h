@@ -23,7 +23,6 @@ enum class schedule_engine {
   // one greedy list pass and never returns worse than it.
   sa,        // restart/reheating simulated annealing, storage-aware moves
   grasp,     // randomized-greedy (RCL) construction + SA improvement
-  decomp,    // series-parallel DAG decomposition, list fallback on primes
 };
 
 struct scheduler_options {
@@ -43,8 +42,8 @@ struct scheduler_options {
   /// (~18k rows) to the heuristic by default.
   int ilp_row_limit = 10000;
   int heuristic_restarts = 24;
-  /// Simulated-annealing iteration budget. For heuristic/decomp it is the
-  /// improvement post-pass after the constructive engine; for ilp/combined
+  /// Simulated-annealing iteration budget. For heuristic it is the
+  /// improvement post-pass after the list scheduler; for ilp/combined
   /// it first polishes the heuristic incumbent BEFORE the MILP sees it (so
   /// the warm start is the best metaheuristic schedule) and then polishes
   /// the winner; the sa engine spends it as its main anneal and grasp

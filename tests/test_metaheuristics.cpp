@@ -36,29 +36,19 @@ schedule plain_list(const sequencing_graph& g, int devices,
 schedule run_engine(schedule_engine engine, const sequencing_graph& g,
                     int devices, std::uint64_t seed = 1,
                     int iterations = 1200) {
-  switch (engine) {
-    case schedule_engine::sa: {
-      sa_scheduler_options o;
-      o.device_count = devices;
-      o.iterations = iterations;
-      o.seed = seed;
-      return schedule_with_sa(g, o);
-    }
-    case schedule_engine::grasp: {
-      grasp_scheduler_options o;
-      o.device_count = devices;
-      o.rounds = 3;
-      o.improvement_iterations = iterations / 3;
-      o.seed = seed;
-      return schedule_with_grasp(g, o);
-    }
-    default: {
-      decomposition_scheduler_options o;
-      o.device_count = devices;
-      o.seed = seed;
-      return schedule_with_decomposition(g, o);
-    }
+  if (engine == schedule_engine::sa) {
+    sa_scheduler_options o;
+    o.device_count = devices;
+    o.iterations = iterations;
+    o.seed = seed;
+    return schedule_with_sa(g, o);
   }
+  grasp_scheduler_options o;
+  o.device_count = devices;
+  o.rounds = 3;
+  o.improvement_iterations = iterations / 3;
+  o.seed = seed;
+  return schedule_with_grasp(g, o);
 }
 
 bool schedules_identical(const schedule& a, const schedule& b) {
@@ -88,8 +78,7 @@ TEST(DeriveSeed, DistinctSaltsGiveDistinctWellMixedStreams) {
 TEST(Metaheuristics, EnginesDeterministicAtFixedSeed) {
   const sequencing_graph g = make_benchmark("IVD");
   for (const schedule_engine engine :
-       {schedule_engine::sa, schedule_engine::grasp,
-        schedule_engine::decomp}) {
+       {schedule_engine::sa, schedule_engine::grasp}) {
     const schedule a = run_engine(engine, g, 2, 42);
     const schedule b = run_engine(engine, g, 2, 42);
     EXPECT_TRUE(schedules_identical(a, b))
@@ -115,8 +104,7 @@ TEST(Metaheuristics, AllEnginesValidateOnEveryTable2Assay) {
        assay::benchmark_resource_table()) {
     const sequencing_graph g = make_benchmark(r.name);
     for (const schedule_engine engine :
-         {schedule_engine::sa, schedule_engine::grasp,
-          schedule_engine::decomp}) {
+         {schedule_engine::sa, schedule_engine::grasp}) {
       const schedule s = run_engine(engine, g, r.devices, 1,
                                     /*iterations=*/600);
       EXPECT_NO_THROW(s.validate(g))
@@ -135,8 +123,7 @@ TEST(Metaheuristics, NeverWorseThanPlainListScheduling) {
     const double list_objective =
         plain_list(g, devices).objective(kAlpha, kBeta);
     for (const schedule_engine engine :
-         {schedule_engine::sa, schedule_engine::grasp,
-          schedule_engine::decomp}) {
+         {schedule_engine::sa, schedule_engine::grasp}) {
       scheduler_options o;
       o.device_count = devices;
       o.engine = engine;
@@ -183,13 +170,6 @@ TEST(Metaheuristics, PreFiredCancelStillReturnsValidSchedules) {
     const schedule s = schedule_with_grasp(g, o);
     EXPECT_NO_THROW(s.validate(g));
   }
-  {
-    decomposition_scheduler_options o;
-    o.device_count = 2;
-    o.cancel = source.token();
-    const schedule s = schedule_with_decomposition(g, o);
-    EXPECT_NO_THROW(s.validate(g));
-  }
 }
 
 TEST(Metaheuristics, CancelMidAnnealStopsPromptly) {
@@ -210,8 +190,7 @@ TEST(Metaheuristics, CancelMidAnnealStopsPromptly) {
 TEST(Metaheuristics, TinyDeadlineHonoredThroughSchedulerFacade) {
   const sequencing_graph g = make_benchmark("RA30");
   for (const schedule_engine engine :
-       {schedule_engine::sa, schedule_engine::grasp,
-        schedule_engine::decomp}) {
+       {schedule_engine::sa, schedule_engine::grasp}) {
     scheduler_options o;
     o.device_count = 2;
     o.engine = engine;
@@ -327,7 +306,7 @@ TEST(Metaheuristics, SchedulerFacadeDispatchesEveryEngineName) {
   const sequencing_graph g = make_benchmark("PCR");
   for (const schedule_engine engine :
        {schedule_engine::heuristic, schedule_engine::sa,
-        schedule_engine::grasp, schedule_engine::decomp}) {
+        schedule_engine::grasp}) {
     scheduler_options o;
     o.device_count = 1;
     o.engine = engine;

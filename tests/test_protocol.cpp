@@ -166,6 +166,9 @@ std::vector<corpus_line> hostile_corpus() {
       {R"({"id":18,"op":"synth","assay":"PCR","options":{"seed":18},)"
        R"("deadline":1e10})",
        "18", "ok", ""},
+      {R"({"id":19,"op":"synth","assay":"PCR",)"
+       R"("options":{"schedule_engine":"decomp"}})",
+       "19", "invalid_input", R"(unknown schedule engine "decomp")"},
       {std::string((std::size_t{1} << 20) + 16, 'x'), "", "invalid_input",
        "1048576-byte limit"},
       {R"({"id":20,"op":"stats"})", "20", "ok", ""},
