@@ -496,10 +496,10 @@ using pc_count_fn = std::function<void(
 /// re-solve, and the reliability probes. `reload_basis` warm-starts the LP
 /// from the node's recorded parent basis; false trusts the instance's
 /// current basis (a pool worker continuing its own dive, or any node of a
-/// one-worker search). `prune_obj` is the incumbent objective to prune against (+inf
-/// when none) and `probe_allowance` this node's share of the global probe
-/// budget -- both fixed by the engine so the result is a pure function of
-/// its arguments.
+/// one-worker search). `prune_obj` is the incumbent objective to prune
+/// against (+inf when none) and `probe_allowance` this node's share of the
+/// global probe budget -- both fixed by the engine so the result is a pure
+/// function of its arguments.
 node_result process_node(const tree_context& ctx, simplex_solver& lp,
                          const bb_node& node, bool reload_basis,
                          double prune_obj, long probe_allowance,
@@ -1108,13 +1108,13 @@ solution solve(const model& m, const solver_options& options) {
   // dual bound finish() reports must still cover it.
   auto settle = [&](const bb_node& node, const node_result& nr,
                     std::multiset<double>& open_bounds,
-                    worker_stats* ws) -> settled {
+                    worker_stats& ws) -> settled {
     if (nr.kind != node_kind::time_limit && nr.kind != node_kind::dropped)
       open_bounds.erase(open_bounds.find(node.parent_bound));
     if (nr.kind == node_kind::skipped)
       return settled::done; // pruned by its parent bound: not counted
     ++nodes;
-    if (ws) ++ws->nodes;
+    ++ws.nodes;
     if (!root_solved && node.id == 0 && nr.bound != -inf) {
       root_lp_bound = nr.bound;
       root_solved = true;
@@ -1328,7 +1328,7 @@ solution solve(const model& m, const solver_options& options) {
         probes += nr.probes_run;
         // A stop still commits the rest of the round: those nodes are
         // already processed.
-        const settled s = settle(bnode, nr, open_bounds, &ws);
+        const settled s = settle(bnode, nr, open_bounds, ws);
         if (s == settled::stop) stop = true;
         if (s != settled::branch) continue;
         branch_output br =
@@ -1457,7 +1457,7 @@ solution solve(const model& m, const solver_options& options) {
       std::vector<double> offer_vals;
       {
         std::unique_lock<std::mutex> lock(mu);
-        switch (settle(node, nr, open_bounds, &ws)) {
+        switch (settle(node, nr, open_bounds, ws)) {
           case settled::stop:
             stop = true;
             break;
