@@ -255,6 +255,63 @@ TEST(Router, AsciiRenderShowsDevices) {
   EXPECT_NE(art.find("t=35s"), std::string::npos);
 }
 
+TEST(Router, TrajectoryIsPinned) {
+  // The router's exact result on fixed workloads: any change to its A*
+  // costs, candidate-segment ranking or storage bans shows up here as a
+  // different edge or valve count or a different cache-segment fingerprint.
+  struct pinned_case {
+    int operations; // 0 = PCR
+    std::uint64_t seed;
+    int devices;
+    int side;
+    bool ban_storage;
+    int used_edges;
+    int valves;
+    std::uint64_t cache_fingerprint;
+  };
+  const pinned_case cases[] = {
+      {0, 1, 1, 4, false, 7, 11, 8884476154595948787ULL},
+      {20, 5, 3, 5, false, 25, 39, 3357492114467929817ULL},
+      {30, 7, 4, 6, false, 24, 37, 15402539179003834660ULL},
+      {30, 11, 3, 6, true, 30, 48, 15186760389623296665ULL},
+  };
+  for (const pinned_case& c : cases) {
+    sched::list_scheduler_options lo;
+    lo.device_count = c.devices;
+    const sequencing_graph graph =
+        c.operations == 0 ? make_pcr()
+                          : assay::make_random_assay(c.operations, c.seed);
+    const routing_workload w =
+        derive_workload(sched::schedule_with_list(graph, lo));
+    const connection_grid g(c.side, c.side);
+    placement_options po;
+    po.seed = c.seed;
+    const std::vector<int> nodes = place_devices(g, w, po);
+    router_options ro;
+    ro.seed = c.seed;
+    if (c.ban_storage) {
+      // Every third segment may carry flow but hold no sample.
+      ro.banned_storage.assign(static_cast<std::size_t>(g.edge_count()), false);
+      for (int e = 0; e < g.edge_count(); e += 3)
+        ro.banned_storage[static_cast<std::size_t>(e)] = true;
+    }
+    const chip result = route_workload(g, w, nodes, ro);
+    result.validate(w);
+    std::uint64_t fingerprint = 14695981039346656037ULL; // FNV-1a
+    for (const cache_placement& cp : result.caches)
+      for (const int v : {cp.cache_id, cp.edge, cp.hold.begin, cp.hold.end}) {
+        fingerprint ^= static_cast<std::uint64_t>(v);
+        fingerprint *= 1099511628211ULL;
+      }
+    EXPECT_EQ(result.used_edge_count(), c.used_edges)
+        << c.operations << " ops, seed " << c.seed;
+    EXPECT_EQ(result.valve_count(), c.valves)
+        << c.operations << " ops, seed " << c.seed;
+    EXPECT_EQ(fingerprint, c.cache_fingerprint)
+        << c.operations << " ops, seed " << c.seed;
+  }
+}
+
 // ---------------------------------------------------------------- ILP path
 
 TEST(IlpSynthesis, MatchesOrImprovesHeuristicOnPcr) {
@@ -271,6 +328,26 @@ TEST(IlpSynthesis, MatchesOrImprovesHeuristicOnPcr) {
   EXPECT_NO_THROW(r.result.validate(w));
   EXPECT_LE(r.result.used_edge_count(), heuristic.used_edge_count());
   EXPECT_GT(r.variables, 0);
+}
+
+TEST(IlpSynthesis, PcrModelIsPinned) {
+  // PCR's architecture ILP, warm started from the heuristic chip: its size
+  // (fixed by the candidate storage segments per cache), its proven optimum
+  // and the node count of the search that proves it.
+  const connection_grid g(4, 4);
+  const sched::schedule s = pcr_schedule();
+  const routing_workload w = derive_workload(s);
+  const auto nodes = place_devices(g, w, placement_options{});
+  ilp_synthesis_options io;
+  io.time_limit_seconds = 60;
+  io.warm_start = route_workload(g, w, nodes, router_options{});
+  const ilp_synthesis_result r = synthesize_with_ilp(g, w, nodes, io);
+  ASSERT_EQ(r.status, milp::solve_status::optimal);
+  EXPECT_EQ(r.variables, 462);
+  EXPECT_EQ(r.constraints, 687);
+  EXPECT_DOUBLE_EQ(r.objective, 2.0);
+  EXPECT_EQ(r.result.used_edge_count(), 2);
+  EXPECT_EQ(r.nodes, 37);
 }
 
 TEST(IlpSynthesis, TinyDirectTaskIsShortestPath) {
