@@ -135,7 +135,7 @@ struct corpus_line {
 std::vector<corpus_line> hostile_corpus() {
   return {
       {R"({"id":1,"op":"synth","assay":"PCR"})", "1", "ok", ""},
-      {R"({"id":2,"op":"synth","assay":"PCR"})", "2", "ok", ""}, // a hit
+      {R"({"id":2,"op":"synth","assay":"PCR"})", "2", "ok", ""}, // one of ids 1, 2 hits
       {R"({"id":3,"op":"synth","assay":"PC)", "", "invalid_input", ""},
       {std::string(100000, '['), "", "invalid_input", "nesting too deep"},
       {R"({"id":{"deep":[1,2,{"a":null}]},"op":"ping"})",
@@ -187,8 +187,9 @@ std::size_t answered_lines() {
   return n;
 }
 
-/// One structured reply per answered corpus line, in order; the cache hit
-/// is byte-identical to its miss; the closing stats reply is exact.
+/// One structured reply per answered corpus line, in order; the leading PCR
+/// pair is one miss and one hit with byte-identical results; the closing
+/// stats reply is exact.
 void check_corpus_replies(const std::vector<std::string>& replies) {
   std::vector<corpus_line> expected;
   for (const corpus_line& c : hostile_corpus())
@@ -206,10 +207,13 @@ void check_corpus_replies(const std::vector<std::string>& replies) {
           << replies[i];
     }
   }
-  const json_value miss = json_value::parse(replies[0]);
-  const json_value hit = json_value::parse(replies[1]);
-  EXPECT_FALSE(miss.at("cache_hit").as_bool());
-  EXPECT_TRUE(hit.at("cache_hit").as_bool());
+  // The two identical PCR requests run on two workers, and either may lead
+  // the cache flight: exactly one of them is the miss, in either order.
+  const bool first_hit =
+      json_value::parse(replies[0]).at("cache_hit").as_bool();
+  const bool second_hit =
+      json_value::parse(replies[1]).at("cache_hit").as_bool();
+  EXPECT_NE(first_hit, second_hit) << replies[0] << "\n" << replies[1];
   EXPECT_EQ(result_doc(replies[0]), result_doc(replies[1]));
   EXPECT_FALSE(result_doc(replies[0]).empty());
 
