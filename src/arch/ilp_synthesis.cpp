@@ -9,6 +9,10 @@
 namespace transtore::arch {
 namespace {
 
+/// Candidate storage segments per cache (nearest to the consumer); bounds
+/// the sigma variable count.
+constexpr int candidate_segments = 10;
+
 using milp::cmp;
 using milp::linear_expr;
 using milp::variable;
@@ -198,8 +202,8 @@ ilp_synthesis_result synthesize_with_ilp(const connection_grid& grid,
       if (sa != sb) return sa < sb;
       return a < b;
     });
-    if (static_cast<int>(ranked.size()) > options.candidate_segments)
-      ranked.resize(static_cast<std::size_t>(options.candidate_segments));
+    if (static_cast<int>(ranked.size()) > candidate_segments)
+      ranked.resize(static_cast<std::size_t>(candidate_segments));
     if (options.warm_start) {
       const int ws_edge =
           options.warm_start->caches[static_cast<std::size_t>(c)].edge;
@@ -417,7 +421,6 @@ ilp_synthesis_result synthesize_with_ilp(const connection_grid& grid,
   // ---- warm start from a heuristic chip.
   milp::solver_options solver_options;
   solver_options.time_limit_seconds = options.time_limit_seconds;
-  solver_options.log_progress = options.log_progress;
   solver_options.cancel = options.cancel;
   if (options.warm_start) {
     const chip& ws = *options.warm_start;

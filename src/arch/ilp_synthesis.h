@@ -32,12 +32,8 @@ namespace transtore::arch {
 
 struct ilp_synthesis_options {
   double time_limit_seconds = 30.0;
-  /// Candidate storage segments per cache (nearest to the consumer);
-  /// bounds the sigma variable count.
-  int candidate_segments = 10;
   /// Optional heuristic solution used as the MILP incumbent.
   std::optional<chip> warm_start;
-  bool log_progress = false;
   /// Cooperative cancellation, forwarded to the MILP solver.
   cancel_token cancel;
   /// Faulted resources (see arch/fault.h): no arc variables are created on

@@ -8,6 +8,10 @@
 namespace transtore::arch {
 namespace {
 
+/// Starting temperature of the anneal, in placement-cost units; it cools
+/// geometrically to 0.01 over the iterations.
+constexpr double initial_temperature = 4.0;
+
 /// The workload-invariant half of the placement cost, computed once per
 /// place_devices call, plus the scratch one evaluation reuses.
 class cost_model {
@@ -145,9 +149,9 @@ std::vector<int> place_devices(const connection_grid& grid,
   std::vector<int> best = nodes;
   long best_cost = cost;
 
-  double temperature = options.initial_temperature;
+  double temperature = initial_temperature;
   const double cooling =
-      std::pow(0.01 / options.initial_temperature,
+      std::pow(0.01 / initial_temperature,
                1.0 / std::max(1, options.iterations));
 
   std::vector<int> candidate;

@@ -24,7 +24,6 @@ namespace transtore::arch {
 struct placement_options {
   std::uint64_t seed = 1;
   int iterations = 4000;
-  double initial_temperature = 4.0;
   /// Grid nodes devices may not occupy (failed valves; see arch/fault.h).
   /// Empty = no bans; otherwise sized node_count.
   std::vector<bool> banned_nodes;

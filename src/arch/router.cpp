@@ -11,6 +11,12 @@
 namespace transtore::arch {
 namespace {
 
+/// A* cost of claiming an untouched segment (reuse costs
+/// router_options::reuse_cost).
+constexpr double new_edge_cost = 1.0;
+/// Storage segments tried per cache, nearest to the consumer first.
+constexpr int candidate_segments = 32;
+
 /// Interval reservations on grid elements. Each element's busy set is kept
 /// sorted by start time with overlapping/adjacent intervals coalesced, so
 /// the free probes inside A* are a single binary search (O(log k)) instead
@@ -132,12 +138,12 @@ public:
         if (!occ_.edge_free(edge, w) || !occ_.node_free(next, w)) continue;
         double step = used_edges_[static_cast<std::size_t>(edge)]
                           ? options_.reuse_cost
-                          : options_.new_edge_cost;
+                          : new_edge_cost;
         // Keep paths off foreign devices' doorsteps: their few port edges
         // must stay available for their own traffic.
         if (next != target &&
             foreign_device_adjacent(next, source, target))
-          step += options_.new_edge_cost;
+          step += new_edge_cost;
         const double cost = g[static_cast<std::size_t>(node)] + step;
         if (cost < g[static_cast<std::size_t>(next)] - 1e-12) {
           g[static_cast<std::size_t>(next)] = cost;
@@ -306,8 +312,8 @@ chip route_workload(const connection_grid& grid,
       if (score_a != score_b) return score_a < score_b;
       return a < b;
     });
-    if (static_cast<int>(candidates.size()) > options.candidate_segments)
-      candidates.resize(static_cast<std::size_t>(options.candidate_segments));
+    if (static_cast<int>(candidates.size()) > candidate_segments)
+      candidates.resize(static_cast<std::size_t>(candidate_segments));
 
     bool routed = false;
     for (int segment : candidates) {

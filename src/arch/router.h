@@ -24,9 +24,9 @@ namespace transtore::arch {
 
 struct router_options {
   std::uint64_t seed = 1;
-  double new_edge_cost = 1.0;  // cost of claiming an untouched segment
-  double reuse_cost = 0.4;     // cost of reusing an already-claimed segment
-  int candidate_segments = 32; // storage segments tried per cache
+  /// A* cost of reusing an already-claimed segment; claiming an untouched
+  /// one costs 1.
+  double reuse_cost = 0.4;
   /// Faulted resources (see arch/fault.h): banned nodes/edges carry no
   /// path, banned storage segments cache no sample. Empty = no bans;
   /// otherwise sized node_count / edge_count / edge_count.

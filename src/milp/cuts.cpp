@@ -11,6 +11,32 @@ namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
 
+// Separation tuning constants. They are deliberately lean: on the Table 2
+// scheduling MILPs a few strong cuts move the root bound, while a large
+// pool only bloats every node re-solve (measured in bench_milp).
+/// Cuts accepted per round after filtering.
+constexpr int max_cuts_per_round = 8;
+/// Hard cap on active cut rows (pool size).
+constexpr int max_active_cuts = 200;
+/// Minimum absolute violation at the separating point.
+constexpr double min_violation = 1e-5;
+/// Minimum efficacy (violation / cut norm).
+constexpr double min_efficacy = 1e-4;
+/// Maximum |cosine| between two accepted cuts (near-parallel rejection).
+constexpr double max_parallelism = 0.95;
+/// Rounds a pooled cut may stay strictly slack before it is purged.
+constexpr int max_age = 3;
+/// Maximum structural support of one cut (fraction of columns); denser
+/// cuts are rejected to protect the sparse LU's fill.
+constexpr double max_support_fraction = 0.5;
+/// Fractionality window for GMI source rows: f0 must lie in
+/// [min_fractionality, 1 - min_fractionality].
+constexpr double min_fractionality = 5e-3;
+/// Maximum |coeff| ratio within one cut (numerical-dynamism rejection).
+constexpr double max_dynamism = 1e7;
+/// GMI source rows considered per round (most fractional first).
+constexpr int max_gomory_source_rows = 32;
+
 bool is_integral(double v, double tol = 1e-9) {
   return std::abs(v - std::round(v)) <= tol;
 }
@@ -60,8 +86,8 @@ int compare_terms(const std::vector<std::pair<int, double>>& a,
 } // namespace
 
 cut_generator::cut_generator(const lp_problem& base,
-                             std::vector<bool> is_integer, cut_options options)
-    : base_(base), is_integer_(std::move(is_integer)), options_(options) {
+                             std::vector<bool> is_integer)
+    : base_(base), is_integer_(std::move(is_integer)) {
   require(static_cast<int>(is_integer_.size()) == base_.num_vars,
           "cuts: is_integer size mismatch");
   // Row-wise view of the base matrix for slack expansion and cover cuts.
@@ -143,7 +169,7 @@ void cut_generator::separate_gomory(const simplex_solver& solver,
     const int col = basis[static_cast<std::size_t>(p)];
     if (col >= n || !is_integer_[static_cast<std::size_t>(col)]) continue;
     const double f0 = fractional_part(solver.column_value(col));
-    if (f0 < options_.min_fractionality || f0 > 1.0 - options_.min_fractionality)
+    if (f0 < min_fractionality || f0 > 1.0 - min_fractionality)
       continue;
     sources.emplace_back(std::abs(f0 - 0.5), p);
   }
@@ -152,8 +178,8 @@ void cut_generator::separate_gomory(const simplex_solver& solver,
     return basis[static_cast<std::size_t>(a.second)] <
            basis[static_cast<std::size_t>(b.second)];
   });
-  if (static_cast<int>(sources.size()) > options_.max_gomory_source_rows)
-    sources.resize(static_cast<std::size_t>(options_.max_gomory_source_rows));
+  if (static_cast<int>(sources.size()) > max_gomory_source_rows)
+    sources.resize(static_cast<std::size_t>(max_gomory_source_rows));
 
   std::vector<double> alpha;
   std::vector<double> pi(static_cast<std::size_t>(n), 0.0);
@@ -358,7 +384,7 @@ void cut_generator::separate_covers(const std::vector<double>& x,
       double zsum = 0.0;
       for (const item& it : cover) zsum += it.z;
       if (zsum <= static_cast<double>(cover.size()) - 1.0 +
-                      options_.min_violation)
+                      min_violation)
         continue; // not violated at the separating point
       candidate cand;
       cand.c.kind = "cover";
@@ -416,9 +442,9 @@ bool cut_generator::finalize_candidate(candidate& cand,
   }
   cand.c.terms = std::move(kept);
   if (cand.c.terms.empty()) return false;
-  if (max_abs / min_abs > options_.max_dynamism) return false;
+  if (max_abs / min_abs > max_dynamism) return false;
   if (static_cast<double>(cand.c.terms.size()) >
-      options_.max_support_fraction * base_.num_vars)
+      max_support_fraction * base_.num_vars)
     return false; // too dense: every node re-solve would pay for it
 
   double activity = 0.0;
@@ -428,8 +454,8 @@ bool cut_generator::finalize_candidate(candidate& cand,
   cand.norm = cut_norm(cand.c.terms);
   if (cand.norm <= 0.0) return false;
   cand.efficacy = cand.violation / cand.norm;
-  return cand.violation >= options_.min_violation &&
-         cand.efficacy >= options_.min_efficacy;
+  return cand.violation >= min_violation &&
+         cand.efficacy >= min_efficacy;
 }
 
 bool cut_generator::round(const simplex_solver& solver,
@@ -469,19 +495,19 @@ bool cut_generator::round(const simplex_solver& solver,
   for (std::size_t k = 0; k < pool_.size(); ++k)
     pool_norm[k] = cut_norm(pool_[k].terms);
   const int capacity =
-      std::min(options_.max_cuts_per_round,
-               options_.max_active_cuts - static_cast<int>(pool_.size()));
+      std::min(max_cuts_per_round,
+               max_active_cuts - static_cast<int>(pool_.size()));
   for (candidate& cand : viable) {
     if (static_cast<int>(selected.size()) >= capacity) break;
     bool near_parallel = false;
     for (std::size_t s = 0; s < selected.size() && !near_parallel; ++s) {
       if (parallelism(cand.c.terms, cand.norm, selected[s].terms,
-                      selected_norm[s]) > options_.max_parallelism)
+                      selected_norm[s]) > max_parallelism)
         near_parallel = true;
     }
     for (std::size_t k = 0; !near_parallel && k < pool_.size(); ++k) {
       if (parallelism(cand.c.terms, cand.norm, pool_[k].terms,
-                      pool_norm[k]) > options_.max_parallelism)
+                      pool_norm[k]) > max_parallelism)
         near_parallel = true;
     }
     if (near_parallel) continue;
@@ -502,9 +528,9 @@ bool cut_generator::round(const simplex_solver& solver,
     const int slack_col = n + base_.num_rows + static_cast<int>(k);
     const bool idle = solver.column_is_basic(slack_col) &&
                       solver.column_value(slack_col) >
-                          c.lower + options_.min_violation;
+                          c.lower + min_violation;
     c.age = idle ? c.age + 1 : 0;
-    if (idle && c.age >= options_.max_age) {
+    if (idle && c.age >= max_age) {
       ++stats_.purged;
       continue; // purged: slack was basic, so the basis shrinks with the row
     }

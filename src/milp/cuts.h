@@ -30,39 +30,6 @@
 
 namespace transtore::milp {
 
-struct cut_options {
-  /// Separation rounds at the root (0 disables cutting entirely). The
-  /// defaults are deliberately lean: on the Table 2 scheduling MILPs a few
-  /// strong rounds move the root bound, while long cutting sessions only
-  /// bloat every node re-solve (measured in bench_milp).
-  int max_rounds = 4;
-  /// Cuts accepted per round after filtering.
-  int max_cuts_per_round = 8;
-  /// Hard cap on active cut rows (pool size).
-  int max_active_cuts = 200;
-  /// Minimum absolute violation at the separating point.
-  double min_violation = 1e-5;
-  /// Minimum efficacy (violation / cut norm).
-  double min_efficacy = 1e-4;
-  /// Maximum |cosine| between two accepted cuts (near-parallel rejection).
-  double max_parallelism = 0.95;
-  /// Rounds a pooled cut may stay strictly slack before it is purged.
-  int max_age = 3;
-  /// Relative root-bound improvement a round must deliver for cutting to
-  /// continue (stalling termination, applied by the solver's cut loop).
-  double min_bound_improvement = 1e-6;
-  /// Maximum structural support of one cut (fraction of columns); denser
-  /// cuts are rejected to protect the sparse LU's fill.
-  double max_support_fraction = 0.5;
-  /// Fractionality window for GMI source rows: f0 must lie in
-  /// [min_fractionality, 1 - min_fractionality].
-  double min_fractionality = 5e-3;
-  /// Maximum |coeff| ratio within one cut (numerical-dynamism rejection).
-  double max_dynamism = 1e7;
-  /// GMI source rows considered per round (most fractional first).
-  int max_gomory_source_rows = 32;
-};
-
 /// One cut: sum_j terms_j * x_j >= lower over structural variables.
 struct cut {
   std::vector<std::pair<int, double>> terms; // (variable, coefficient), sorted
@@ -82,8 +49,7 @@ struct cut_stats {
 class cut_generator {
 public:
   /// `base` must stay alive for the generator's lifetime.
-  cut_generator(const lp_problem& base, std::vector<bool> is_integer,
-                cut_options options);
+  cut_generator(const lp_problem& base, std::vector<bool> is_integer);
 
   /// The base problem extended by the active cuts (base rows first, cut
   /// rows after, in pool order).
@@ -130,7 +96,6 @@ private:
 
   const lp_problem& base_;
   std::vector<bool> is_integer_;
-  cut_options options_;
   lp_problem extended_;
   std::vector<cut> pool_;
   cut_stats stats_;

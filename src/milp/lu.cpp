@@ -7,6 +7,12 @@
 #include "common/error.h"
 
 namespace transtore::milp {
+namespace {
+
+/// Columns (beyond the singleton bucket) examined per Markowitz search.
+constexpr int search_columns = 8;
+
+} // namespace
 
 void basis_lu::reset_workspace(int m) {
   const auto size = static_cast<std::size_t>(m);
@@ -193,10 +199,10 @@ bool basis_lu::factorize(int m, std::span<const int> start,
           std::swap(w.cached, w.scratch);
         }
         if (best_cost == 0) break;
-        if (count > 1 && examined >= options_.search_columns) break;
+        if (count > 1 && examined >= search_columns) break;
       }
       if (best_col >= 0 && (best_cost == 0 ||
-                            (count > 1 && examined >= options_.search_columns)))
+                            (count > 1 && examined >= search_columns)))
         break;
     }
     if (best_col < 0) return false; // no admissible pivot anywhere

@@ -46,8 +46,6 @@ struct lu_options {
   double pivot_tolerance = 1e-11;
   /// Suhl threshold: admissible pivots satisfy |a| >= threshold * colmax.
   double suhl_threshold = 0.1;
-  /// Columns (beyond the singleton bucket) examined per Markowitz search.
-  int search_columns = 8;
 };
 
 class basis_lu {

@@ -11,6 +11,18 @@ namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
 
+// Presolve tuning constants.
+/// Maximum fixpoint passes over the rows.
+constexpr int max_passes = 12;
+/// Row-activity slack within which a row counts as satisfied, and box
+/// overlap within which variable bounds count as consistent.
+constexpr double feasibility_tolerance = 1e-7;
+/// Minimum improvement for a bound change to be recorded (churn guard).
+constexpr double min_bound_improvement = 1e-9;
+/// Bound magnitude above which tightening results are distrusted and
+/// clamped away (numerical safety for huge big-M arithmetic).
+constexpr double huge_bound = 1e15;
+
 /// Row in working form: terms plus ranged bounds.
 struct work_row {
   std::vector<std::pair<int, double>> terms; // (variable, coefficient)
@@ -81,10 +93,8 @@ double residual_max(const activity& a, const term_range& t) {
 
 class presolver {
 public:
-  presolver(const lp_problem& lp, const std::vector<bool>& is_integer,
-            const presolve_options& options)
-      : options_(options), is_integer_(is_integer), lower_(lp.lower),
-        upper_(lp.upper) {
+  presolver(const lp_problem& lp, const std::vector<bool>& is_integer)
+      : is_integer_(is_integer), lower_(lp.lower), upper_(lp.upper) {
     rows_.resize(static_cast<std::size_t>(lp.num_rows));
     for (int i = 0; i < lp.num_rows; ++i) {
       rows_[static_cast<std::size_t>(i)].lower = lp.row_lower[static_cast<std::size_t>(i)];
@@ -98,8 +108,8 @@ public:
   }
 
   bool run(presolve_stats& stats) {
-    const double tol = options_.feasibility_tolerance;
-    for (int pass = 0; pass < options_.max_passes; ++pass) {
+    const double tol = feasibility_tolerance;
+    for (int pass = 0; pass < max_passes; ++pass) {
       ++stats.passes;
       bool changed = false;
       for (work_row& row : rows_) {
@@ -109,7 +119,7 @@ public:
           return false; // row proven infeasible
 
         // Redundant row: the bounds alone satisfy it.
-        if (options_.remove_redundant_rows && act.min() >= row.lower - tol &&
+        if (act.min() >= row.lower - tol &&
             act.max() <= row.upper + tol) {
           row.removed = true;
           ++stats.rows_removed;
@@ -118,7 +128,7 @@ public:
         }
 
         // Singleton row: transfer the bound to the variable and drop it.
-        if (options_.singleton_rows && row.terms.size() == 1) {
+        if (row.terms.size() == 1) {
           const auto [var, coeff] = row.terms.front();
           if (std::abs(coeff) > 1e-12) {
             double lo = -inf;
@@ -141,7 +151,6 @@ public:
 
         // Activity-based bound tightening on every term.
         for (const auto& [var, coeff] : row.terms) {
-          if (!options_.bound_tightening) break;
           if (std::abs(coeff) <= 1e-12) continue;
           const term_range t = contribution(
               coeff, lower_[static_cast<std::size_t>(var)],
@@ -171,8 +180,7 @@ public:
         }
 
         // Coefficient (big-M) strengthening on single-sided rows.
-        if (options_.coefficient_tightening &&
-            strengthen_coefficients(row, stats)) {
+        if (strengthen_coefficients(row, stats)) {
           changed = true;
           // The row may have become redundant or infeasible; the next pass
           // (or the checks above on revisit) handles it.
@@ -229,21 +237,21 @@ private:
   /// only strict improvements. Returns false on a proven-empty box.
   bool tighten(int var, double lo, double hi, presolve_stats& stats) {
     const std::size_t v = static_cast<std::size_t>(var);
-    if (lo != -inf && std::abs(lo) > options_.huge_bound) lo = -inf;
-    if (hi != inf && std::abs(hi) > options_.huge_bound) hi = inf;
+    if (lo != -inf && std::abs(lo) > huge_bound) lo = -inf;
+    if (hi != inf && std::abs(hi) > huge_bound) hi = inf;
     if (is_integer_[v]) {
       if (lo != -inf) lo = std::ceil(lo - 1e-7);
       if (hi != inf) hi = std::floor(hi + 1e-7);
     }
-    if (lo > lower_[v] + options_.min_bound_improvement) {
+    if (lo > lower_[v] + min_bound_improvement) {
       lower_[v] = lo;
       ++stats.bounds_tightened;
     }
-    if (hi < upper_[v] - options_.min_bound_improvement) {
+    if (hi < upper_[v] - min_bound_improvement) {
       upper_[v] = hi;
       ++stats.bounds_tightened;
     }
-    if (lower_[v] > upper_[v] + options_.feasibility_tolerance) return false;
+    if (lower_[v] > upper_[v] + feasibility_tolerance) return false;
     // Close a sliver of a box to a point so the variable reads as fixed.
     if (lower_[v] != upper_[v] && upper_[v] - lower_[v] <= 1e-11)
       upper_[v] = lower_[v];
@@ -315,7 +323,6 @@ private:
     return any;
   }
 
-  const presolve_options options_;
   const std::vector<bool>& is_integer_;
   std::vector<double> lower_;
   std::vector<double> upper_;
@@ -342,11 +349,10 @@ std::vector<double> presolved_problem::postsolve_duals(
 }
 
 presolved_problem presolve(const lp_problem& lp,
-                           const std::vector<bool>& is_integer,
-                           const presolve_options& options) {
+                           const std::vector<bool>& is_integer) {
   require(static_cast<int>(is_integer.size()) == lp.num_vars,
           "presolve: is_integer size mismatch");
-  presolver engine(lp, is_integer, options);
+  presolver engine(lp, is_integer);
   presolve_stats stats;
   if (!engine.run(stats)) {
     presolved_problem out;

@@ -37,22 +37,6 @@
 
 namespace transtore::milp {
 
-struct presolve_options {
-  /// Maximum fixpoint passes over the rows.
-  int max_passes = 12;
-  /// Individual reductions (ablation knobs; all on by default).
-  bool bound_tightening = true;
-  bool singleton_rows = true;
-  bool remove_redundant_rows = true;
-  bool coefficient_tightening = true;
-  double feasibility_tolerance = 1e-7;
-  /// Minimum improvement for a bound change to be recorded (churn guard).
-  double min_bound_improvement = 1e-9;
-  /// Bound magnitude above which tightening results are distrusted and
-  /// clamped away (numerical safety for huge big-M arithmetic).
-  double huge_bound = 1e15;
-};
-
 struct presolve_stats {
   int passes = 0;
   int rows_removed = 0;             // redundant + singleton rows dropped
@@ -87,7 +71,6 @@ struct presolved_problem {
 /// Run the presolve loop. `is_integer` marks integral columns (size
 /// lp.num_vars). The input problem is not modified.
 [[nodiscard]] presolved_problem presolve(const lp_problem& lp,
-                                         const std::vector<bool>& is_integer,
-                                         const presolve_options& options = {});
+                                         const std::vector<bool>& is_integer);
 
 } // namespace transtore::milp

@@ -11,6 +11,22 @@ namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
 
+// Simplex tuning constants.
+/// Primal feasibility tolerance on basic values and bounds.
+constexpr double feasibility_tolerance = 1e-7;
+/// Dual feasibility (reduced-cost) tolerance.
+constexpr double optimality_tolerance = 1e-7;
+/// Smallest pivot magnitude the ratio tests accept.
+constexpr double pivot_tolerance = 1e-9;
+/// Consecutive degenerate steps before the switch to Bland's rule (and,
+/// in the dual, before the primal fallback).
+constexpr int degenerate_switch = 400;
+/// The LU retry after a singular factorization: the Suhl threshold relaxed
+/// and the pivot floor lowered -- an ill-conditioned but nonsingular basis
+/// often factors once sparsity stops vetoing the only usable pivots.
+constexpr lu_options relaxed_lu{.pivot_tolerance = 1e-13,
+                                .suhl_threshold = 0.01};
+
 } // namespace
 
 simplex_solver::simplex_solver(const lp_problem& problem,
@@ -43,7 +59,6 @@ simplex_solver::simplex_solver(const lp_problem& problem,
   basic_position_.assign(total_columns(), -1);
   status_.assign(total_columns(), status::at_lower);
   x_.assign(total_columns(), 0.0);
-  lu_.set_options(options_.lu);
   dense_active_ = options_.engine == basis_engine::dense;
   // The O(m^2) dense inverse is what caps the dense engine at ~2500 rows;
   // under the sparse engine it is allocated lazily, only if the numerical
@@ -102,7 +117,7 @@ void simplex_solver::reset_to_slack_basis() {
   // factorization of -I is trivial and cannot fail.
   if (options_.engine == basis_engine::sparse_lu) {
     gather_basis_columns();
-    lu_.set_options(options_.lu);
+    lu_.set_options(lu_options{});
     require(lu_.factorize(m_, basis_start_, basis_row_, basis_value_),
             "simplex: slack basis factorization");
     dense_active_ = false;
@@ -220,19 +235,14 @@ void simplex_solver::gather_basis_columns() {
 bool simplex_solver::build_base_inverse() {
   if (options_.engine == basis_engine::sparse_lu) {
     gather_basis_columns();
-    lu_.set_options(options_.lu); // strict thresholds, even after a retry
+    lu_.set_options(lu_options{}); // strict thresholds, even after a retry
     if (lu_.factorize(m_, basis_start_, basis_row_, basis_value_)) {
       dense_active_ = false;
       ++stats_.lu_factorizations;
       return true;
     }
-    // First fallback: retry with the Suhl threshold relaxed and the pivot
-    // floor lowered -- an ill-conditioned but nonsingular basis often
-    // factors once sparsity stops vetoing the only usable pivots.
-    lu_options relaxed = options_.lu;
-    relaxed.suhl_threshold = 0.01;
-    relaxed.pivot_tolerance = std::min(relaxed.pivot_tolerance, 1e-13);
-    lu_.set_options(relaxed);
+    // First fallback: retry under relaxed thresholds.
+    lu_.set_options(relaxed_lu);
     if (lu_.factorize(m_, basis_start_, basis_row_, basis_value_)) {
       dense_active_ = false;
       ++stats_.lu_factorizations;
@@ -593,7 +603,7 @@ double simplex_solver::infeasibility_sum() const {
 }
 
 bool simplex_solver::basic_feasible() const {
-  const double tol = options_.feasibility_tolerance;
+  const double tol = feasibility_tolerance;
   for (int p = 0; p < m_; ++p) {
     const int col = basis_[p];
     if (x_[col] < lower_[col] - tol || x_[col] > upper_[col] + tol)
@@ -603,7 +613,7 @@ bool simplex_solver::basic_feasible() const {
 }
 
 bool simplex_solver::dual_feasible(const std::vector<double>& y) const {
-  const double tol = options_.optimality_tolerance * 10.0;
+  const double tol = optimality_tolerance * 10.0;
   for (int j = 0; j < total_columns(); ++j) {
     const status s = status_[j];
     if (s == status::basic) continue;
@@ -619,7 +629,7 @@ bool simplex_solver::dual_feasible(const std::vector<double>& y) const {
 
 double simplex_solver::pricing_violation(int column, double reduced,
                                          int& direction) const {
-  const double opt_tol = options_.optimality_tolerance;
+  const double opt_tol = optimality_tolerance;
   const status s = status_[column];
   if (s == status::at_lower && reduced < -opt_tol) {
     direction = 1;
@@ -639,7 +649,7 @@ double simplex_solver::pricing_violation(int column, double reduced,
 simplex_solver::entering_choice simplex_solver::price_full_scan(
     bool phase1, bool bland, const std::vector<double>& y) {
   entering_choice choice;
-  double best_violation = options_.optimality_tolerance;
+  double best_violation = optimality_tolerance;
   for (int j = 0; j < total_columns(); ++j) {
     if (status_[j] == status::basic) continue;
     const double own_cost = phase1 ? 0.0 : column_cost_phase2(j);
@@ -665,9 +675,8 @@ void simplex_solver::refill_candidates(bool phase1,
                                        const std::vector<double>& y) {
   candidates_.clear();
   const int total = total_columns();
-  int list_size = options_.partial_pricing_size;
-  if (list_size <= 0)
-    list_size = std::clamp(total / 8, 16, 256);
+  // Partial-pricing candidate list size, derived from the column count.
+  const int list_size = std::clamp(total / 8, 16, 256);
   for (int t = 0; t < total; ++t) {
     const int j = pricing_cursor_ + t < total ? pricing_cursor_ + t
                                               : pricing_cursor_ + t - total;
@@ -745,8 +754,8 @@ void simplex_solver::reset_devex() {
 
 simplex_solver::pivot_outcome simplex_solver::iterate(bool phase1,
                                                       bool bland) {
-  const double feas_tol = options_.feasibility_tolerance;
-  const double pivot_tol = options_.pivot_tolerance;
+  const double feas_tol = feasibility_tolerance;
+  const double pivot_tol = pivot_tolerance;
 
   // Phase-dependent basic costs.
   for (int p = 0; p < m_; ++p) {
@@ -903,9 +912,9 @@ void simplex_solver::apply_pivot(int entering, int direction, double step,
 // ------------------------------------------------------------ dual simplex
 
 simplex_solver::dual_outcome simplex_solver::dual_iterate() {
-  const double feas_tol = options_.feasibility_tolerance;
-  const double opt_tol = options_.optimality_tolerance;
-  const double pivot_tol = options_.pivot_tolerance;
+  const double feas_tol = feasibility_tolerance;
+  const double opt_tol = optimality_tolerance;
+  const double pivot_tol = pivot_tolerance;
   dual_outcome out;
 
   // Phase-2 duals, maintained incrementally across dual pivots (updated
@@ -1213,7 +1222,7 @@ lp_result simplex_solver::solve(const deadline& time_budget, bool warm_start,
 
     auto note_step = [&](double step) {
       if (step <= 1e-11) {
-        if (++degenerate_run > options_.degenerate_switch) bland = true;
+        if (++degenerate_run > degenerate_switch) bland = true;
       } else {
         degenerate_run = 0;
         bland = false;
@@ -1257,7 +1266,7 @@ lp_result simplex_solver::solve(const deadline& time_budget, bool warm_start,
       ++pivots_since_refactor;
       maybe_refactor();
       if (out.step <= 1e-11) {
-        if (++dual_stall > options_.degenerate_switch)
+        if (++dual_stall > degenerate_switch)
           leave_dual(/*count_fallback=*/true); // primal Bland breaks the tie
       } else {
         dual_stall = 0;
@@ -1271,7 +1280,7 @@ lp_result simplex_solver::solve(const deadline& time_budget, bool warm_start,
       ++stats_.primal_iterations;
       if (out.no_candidate) {
         if (infeasibility_sum() >
-            options_.feasibility_tolerance * (m_ + 1) * 16.0) {
+            feasibility_tolerance * (m_ + 1) * 16.0) {
           result.status = lp_status::infeasible;
           break;
         }

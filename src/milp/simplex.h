@@ -46,25 +46,16 @@ enum class basis_engine : unsigned char { dense, sparse_lu };
 /// Tunables for one simplex solve.
 struct simplex_options {
   long max_iterations = 200000;
-  double feasibility_tolerance = 1e-7;
-  double optimality_tolerance = 1e-7;
-  double pivot_tolerance = 1e-9;
   int refactor_interval = 200;
-  int degenerate_switch = 400; // consecutive degenerate steps before Bland
   /// Use the dual simplex on warm starts whose basis is dual feasible but
   /// primal infeasible (the branch-and-bound re-solve pattern). false
   /// reproduces the primal-only seed behaviour for ablations.
   bool allow_dual = true;
   pricing_rule pricing = pricing_rule::devex;
-  /// Partial-pricing candidate list size; 0 derives it from the column
-  /// count. Ignored under Dantzig/Bland pricing (full scans).
-  int partial_pricing_size = 0;
   /// Basis-inverse representation. The dense engine remains the numerical
   /// fallback: a singular sparse LU factorization retries densely before
   /// the slack-basis repair.
   basis_engine engine = basis_engine::sparse_lu;
-  /// Markowitz/Suhl tunables of the sparse engine.
-  lu_options lu;
 };
 
 /// Cumulative counters across all solves of one simplex_solver.

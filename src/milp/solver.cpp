@@ -24,6 +24,17 @@ namespace {
 constexpr double inf = std::numeric_limits<double>::infinity();
 
 // Tree-search tuning constants.
+/// Largest distance from an integer at which a value counts as integral.
+constexpr double integrality_tolerance = 1e-6;
+/// The search stops once the incumbent is within this relative or absolute
+/// gap of the best open bound; a node or candidate must beat the incumbent
+/// by more than the absolute gap.
+constexpr double relative_gap = 1e-6;
+constexpr double absolute_gap = 1e-9;
+/// Pseudocost reliability: under pseudocost branching, a variable's
+/// pseudocosts are initialized by strong-branching probes until each
+/// direction has this many observations.
+constexpr long reliability = 4;
 /// Interval-arithmetic passes of per-node propagation (root presolve
 /// handles the root).
 constexpr int node_propagation_passes = 3;
@@ -39,6 +50,13 @@ constexpr long backtrack_interval = 8;
 /// Nodes the deterministic engine expands per synchronized round; its
 /// trajectory depends on this value, never on the thread count.
 constexpr int round_width = 8;
+/// Root cut separation rounds. A few strong rounds move the root bound on
+/// the Table 2 scheduling MILPs; long cutting sessions only bloat every
+/// node re-solve (measured in bench_milp).
+constexpr int cut_rounds = 4;
+/// Relative root-bound improvement a cut round must deliver for cutting to
+/// continue.
+constexpr double cut_min_bound_improvement = 1e-6;
 
 /// Minimization-form image of the user model plus integrality markers.
 struct standard_form {
@@ -275,7 +293,6 @@ struct pseudocost_table {
 solver_options classic_primal_only_options() {
   solver_options o;
   o.branching = branch_rule::most_fractional;
-  o.reliability = 0;
   o.lp.allow_dual = false;
   o.lp.pricing = pricing_rule::dantzig;
   o.lp.refactor_interval = 120; // the seed's dense-update cadence
@@ -481,8 +498,7 @@ double evaluate_candidate(const model& m, const standard_form& sf,
 /// This node's share of the search-wide strong-branching probe budget, given
 /// the probes already issued (0 when probing is off).
 long remaining_probes(const solver_options& options, long issued) {
-  if (options.branching != branch_rule::pseudocost || options.reliability <= 0)
-    return 0;
+  if (options.branching != branch_rule::pseudocost) return 0;
   return std::max(0L, strong_branch_limit - issued);
 }
 
@@ -507,10 +523,9 @@ node_result process_node(const tree_context& ctx, simplex_solver& lp,
                          std::vector<double>& prop_lower,
                          std::vector<double>& prop_upper) {
   node_result out;
-  const solver_options& options = ctx.options;
   const int n = ctx.n;
 
-  if (node.parent_bound >= prune_obj - options.absolute_gap) {
+  if (node.parent_bound >= prune_obj - absolute_gap) {
     out.kind = node_kind::skipped;
     return out;
   }
@@ -568,16 +583,15 @@ node_result process_node(const tree_context& ctx, simplex_solver& lp,
     return out;
   }
   out.bound = relax.objective;
-  if (out.bound >= prune_obj - options.absolute_gap) {
+  if (out.bound >= prune_obj - absolute_gap) {
     out.kind = node_kind::bound_pruned;
     return out;
   }
 
-  const double int_tol = options.integrality_tolerance;
   for (int j = 0; j < n; ++j) {
     if (!ctx.sf.is_integer[j]) continue;
     const double frac = std::abs(relax.x[j] - std::round(relax.x[j]));
-    if (frac <= int_tol) continue;
+    if (frac <= integrality_tolerance) continue;
     out.fractional.emplace_back(0.5 - std::abs(frac - 0.5), j);
     out.fractional_bounds.emplace_back(lp.variable_lower(j),
                                        lp.variable_upper(j));
@@ -618,7 +632,7 @@ node_result process_node(const tree_context& ctx, simplex_solver& lp,
     pc_counts(vars, counts);
     for (std::size_t c = 0; c < vars.size(); ++c) {
       if (out.probes_run >= probe_allowance) break;
-      if (std::min(counts[c].first, counts[c].second) >= options.reliability)
+      if (std::min(counts[c].first, counts[c].second) >= reliability)
         continue;
       const int j = vars[c];
       const double value = relax.x[j];
@@ -911,10 +925,9 @@ solution solve(const model& m, const solver_options& options) {
   const int n = sf.lp.num_vars;
 
   // Root presolve: the iterated reduction loop when enabled, the legacy
-  // bound-propagation pass otherwise.
+  // bound-propagation pass otherwise (the primal_only ablation needs it).
   if (options.presolve) {
-    presolved_problem reduced =
-        presolve(sf.lp, sf.is_integer, options.presolve_opts);
+    presolved_problem reduced = presolve(sf.lp, sf.is_integer);
     result.presolve_rows_removed = reduced.stats.rows_removed;
     result.presolve_bounds_tightened = reduced.stats.bounds_tightened;
     result.presolve_coefficients_tightened =
@@ -926,12 +939,10 @@ solution solve(const model& m, const solver_options& options) {
       return result;
     }
     sf.lp = std::move(reduced.reduced);
-  } else if (options.root_propagation) {
-    if (!propagate_bounds(m, sf.lp.lower, sf.lp.upper, sf.is_integer)) {
-      result.status = solve_status::infeasible;
-      result.seconds = total_watch.elapsed_seconds();
-      return result;
-    }
+  } else if (!propagate_bounds(m, sf.lp.lower, sf.lp.upper, sf.is_integer)) {
+    result.status = solve_status::infeasible;
+    result.seconds = total_watch.elapsed_seconds();
+    return result;
   }
   const std::vector<double> root_lower = sf.lp.lower;
   const std::vector<double> root_upper = sf.lp.upper;
@@ -942,7 +953,6 @@ solution solve(const model& m, const solver_options& options) {
   std::unique_ptr<lp_problem> tree_problem;
   auto lp = std::make_unique<simplex_solver>(sf.lp, options.lp);
 
-  const double int_tol = options.integrality_tolerance;
   auto fractional_part = [&](double v) { return std::abs(v - std::round(v)); };
 
   long simplex_iterations = 0;
@@ -956,22 +966,23 @@ solution solve(const model& m, const solver_options& options) {
   // warm-restarting from the previous basis (the appended cut slacks enter
   // basic, so the dual method re-solves in a handful of pivots).
   std::optional<cut_generator> cutter;
-  if (options.cuts && options.cut.max_rounds > 0 && !time_budget.expired()) {
+  if (options.cuts && !time_budget.expired()) {
     lp_result root = lp->solve(time_budget, /*warm_start=*/false);
     simplex_iterations += root.iterations;
     dual_iterations += root.dual_iterations;
     auto has_fractional = [&](const lp_result& r) {
       for (int j = 0; j < n; ++j)
-        if (sf.is_integer[j] && fractional_part(r.x[j]) > int_tol) return true;
+        if (sf.is_integer[j] && fractional_part(r.x[j]) > integrality_tolerance)
+          return true;
       return false;
     };
     if (root.status == lp_status::optimal) {
       root_lp_bound = root.objective;
       root_solved = true;
       if (has_fractional(root)) {
-        cutter.emplace(sf.lp, sf.is_integer, options.cut);
+        cutter.emplace(sf.lp, sf.is_integer);
         double bound_before_round = root_lp_bound;
-        for (int round = 0; round < options.cut.max_rounds; ++round) {
+        for (int round = 0; round < cut_rounds; ++round) {
           if (time_budget.expired()) break;
           if (!cutter->round(*lp, time_budget)) break;
           std::vector<int> at_upper;
@@ -992,19 +1003,14 @@ solution solve(const model& m, const solver_options& options) {
           // round that fails to move the bound is chasing alternate optima
           // -- further rounds only bloat the tree's LPs.
           const double improvement = root_lp_bound - bound_before_round;
-          if (improvement <=
-              options.cut.min_bound_improvement *
-                  std::max(1.0, std::abs(root_lp_bound)))
+          if (improvement <= cut_min_bound_improvement *
+                                 std::max(1.0, std::abs(root_lp_bound)))
             break;
           bound_before_round = root_lp_bound;
         }
         result.cut_rounds = cutter->stats().rounds;
         result.cuts_added = cutter->stats().added;
         result.cuts_active = cutter->active_cuts();
-        if (options.log_progress && result.cuts_added > 0)
-          log_at(log_level::info, "milp: root cuts ", result.cuts_added,
-                 " rows in ", result.cut_rounds, " rounds, bound ",
-                 sf.objective_sign * root_lp_bound + sf.objective_constant);
       }
     }
   }
@@ -1030,7 +1036,7 @@ solution solve(const model& m, const solver_options& options) {
   // Callers hold whatever lock guards the incumbent.
   auto accept = [&](double min_obj, const std::vector<double>& values) {
     if (min_obj == inf ||
-        (have_incumbent && min_obj >= incumbent_obj - options.absolute_gap))
+        (have_incumbent && min_obj >= incumbent_obj - absolute_gap))
       return false;
     have_incumbent = true;
     incumbent_obj = min_obj;
@@ -1085,19 +1091,8 @@ solution solve(const model& m, const solver_options& options) {
     if (open_bounds.empty()) return true;
     const double bound = *open_bounds.begin();
     const double denom = std::max(1.0, std::abs(incumbent_obj));
-    return (incumbent_obj - bound) / denom <= options.relative_gap ||
-           incumbent_obj - bound <= options.absolute_gap;
-  };
-
-  // The progress line every engine prints, at most every two seconds.
-  stopwatch log_watch;
-  auto log_progress = [&](std::size_t open_nodes) {
-    if (!options.log_progress || log_watch.elapsed_seconds() <= 2.0) return;
-    log_watch.reset();
-    log_at(log_level::info, "milp: nodes=", nodes, " open=", open_nodes,
-           " incumbent=",
-           have_incumbent ? std::to_string(user_objective(incumbent_obj))
-                          : std::string("none"));
+    return (incumbent_obj - bound) / denom <= relative_gap ||
+           incumbent_obj - bound <= absolute_gap;
   };
 
   // The commit step every engine runs on a processed node: its entry in
@@ -1134,14 +1129,11 @@ solution solve(const model& m, const solver_options& options) {
         return settled::done;
       case node_kind::integral:
         if (!accept(nr.candidate_obj, nr.candidate)) return settled::done;
-        if (options.log_progress)
-          log_at(log_level::info, "milp: incumbent ",
-                 user_objective(incumbent_obj), " at node ", nodes);
         return settled::improved;
       case node_kind::branched:
         // An incumbent found since this node's LP solve (by an earlier
         // commit of the same round, or a racing worker) may prune it.
-        if (have_incumbent && nr.bound >= incumbent_obj - options.absolute_gap)
+        if (have_incumbent && nr.bound >= incumbent_obj - absolute_gap)
           return settled::done;
         return settled::branch;
       default:
@@ -1338,7 +1330,6 @@ solution solve(const model& m, const solver_options& options) {
         if (!br.down_infeasible) open.push_back(std::move(br.down));
         if (!br.up_infeasible) open.push_back(std::move(br.up));
       }
-      log_progress(open.size());
     }
 
     {
@@ -1484,7 +1475,6 @@ solution solve(const model& m, const solver_options& options) {
           counted = false;
         }
         if (gap_closed(open_bounds)) stop = true;
-        log_progress(pool.size());
         cv.notify_all();
         if (stop) break;
       }

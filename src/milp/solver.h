@@ -33,9 +33,7 @@
 #include <optional>
 #include <vector>
 
-#include "milp/cuts.h"
 #include "milp/model.h"
-#include "milp/presolve.h"
 #include "milp/simplex.h"
 
 namespace transtore::milp {
@@ -120,22 +118,21 @@ struct solver_options {
   /// limit. Default-constructed tokens never fire.
   cancel_token cancel;
   long max_nodes = 5'000'000;
-  double integrality_tolerance = 1e-6;
-  double relative_gap = 1e-6;
-  double absolute_gap = 1e-9;
+  /// Under pseudocost branching, a variable's pseudocosts are initialized
+  /// by strong-branching probes (cheap dual re-solves) until each direction
+  /// has a few observations (at most 100 probes per search, of up to 100
+  /// iterations each); most-fractional branching runs no probes.
   branch_rule branching = branch_rule::pseudocost;
-  bool root_propagation = true;
   /// Iterated root presolve (presolve.h): singleton-row elimination,
   /// activity-based bound tightening, big-M coefficient strengthening,
-  /// redundant-row removal, variable fixing. Supersedes root_propagation
-  /// when on; off reproduces the pre-presolve solver for ablations.
+  /// redundant-row removal, variable fixing. Off falls back to one pass of
+  /// root row propagation, reproducing the pre-presolve solver for
+  /// ablations.
   bool presolve = true;
-  presolve_options presolve_opts;
   /// Root cutting planes (cuts.h): Gomory mixed-integer + knapsack cover
   /// cuts separated in rounds over the optimal root basis, appended as rows
   /// the dual simplex warm-restarts over. Off = no cutting (ablation).
   bool cuts = true;
-  cut_options cut;
   /// Per-node bound propagation: after applying a node's branching bound
   /// changes, a few interval-arithmetic passes over the rows (including cut
   /// rows) tighten the remaining variable bounds before the LP re-solve --
@@ -145,15 +142,9 @@ struct solver_options {
   bool node_propagation = true;
   /// Node selection (see node_rule).
   node_rule node_selection = node_rule::dfs;
-  bool log_progress = false;
   /// LP engine tunables, forwarded to the simplex (allow_dual / pricing are
   /// the ablation switches back to the primal-only seed behaviour).
   simplex_options lp;
-  /// Pseudocost reliability: a variable's pseudocosts are initialized by
-  /// strong-branching probes (cheap dual re-solves) until each direction
-  /// has this many observations (at most 100 probes per search, of up to
-  /// 100 iterations each). 0 disables probing.
-  int reliability = 4;
   /// Optional known-feasible assignment used as the initial incumbent.
   std::optional<std::vector<double>> warm_start;
   /// Worker threads for the branch-and-bound tree search; 0 or negative

@@ -53,11 +53,9 @@ scheduling_ilp build_scheduling_ilp(const assay::sequencing_graph& graph,
   const int devices = options.device_count;
   const int uc = options.timing.transport_time;
 
-  // Horizon: warm start makespan, explicit value, or a safe serial bound
-  // (every op serial plus full transport overhead for every edge and leg).
-  int horizon = options.horizon;
-  if (horizon == 0 && options.warm_start)
-    horizon = options.warm_start->makespan();
+  // Horizon: the warm start's makespan, or a safe serial bound (every op
+  // serial plus full transport overhead for every edge and leg).
+  int horizon = options.warm_start ? options.warm_start->makespan() : 0;
   if (horizon == 0)
     horizon = graph.total_duration() +
               uc * (2 * graph.edge_count() + 2 * n + 2);
@@ -570,7 +568,6 @@ ilp_schedule_result schedule_with_ilp(const assay::sequencing_graph& graph,
 
   milp::solver_options solver_options = options.milp;
   solver_options.time_limit_seconds = options.time_limit_seconds;
-  solver_options.log_progress = options.log_progress;
 
   // Re-time the warm incumbent optimally within its own binding before the
   // tree search sees it: heuristic schedules carry conservative simulated

@@ -40,10 +40,9 @@ struct ilp_scheduler_options {
   double alpha = 1.0;
   double beta = 0.15;
   double time_limit_seconds = 30.0;
-  /// Scheduling horizon (upper bound on tE). 0 = derive from the warm
-  /// start's makespan, or a safe serial bound when no warm start is given.
-  int horizon = 0;
-  /// Known-good schedule used as the MILP incumbent.
+  /// Known-good schedule used as the MILP incumbent; its makespan is the
+  /// scheduling horizon (upper bound on tE). Without one the horizon is a
+  /// safe serial bound.
   std::optional<schedule> warm_start;
   /// Add the device-load valid inequalities sum_i u_i s_ik <= tE: operations
   /// bound to one device never overlap in time, so their total duration
@@ -60,7 +59,6 @@ struct ilp_scheduler_options {
   /// emitted as singleton rows the presolve folds into bounds); the warm
   /// start is relabeled by first device appearance so it stays feasible.
   bool break_device_symmetry = true;
-  bool log_progress = false;
   /// Racing portfolio (see schedule_with_ilp): a best_estimate
   /// branch-and-bound config, a dfs config, and the simulated-annealing
   /// heuristic race concurrently on the same formulation against one
@@ -74,7 +72,7 @@ struct ilp_scheduler_options {
   /// staying reproducible.
   std::uint64_t seed = 1;
   /// Base MILP solver configuration (branching rule, LP engine ablations).
-  /// time_limit_seconds / log_progress / warm_start above take precedence.
+  /// time_limit_seconds / warm_start above take precedence.
   milp::solver_options milp{};
 };
 

@@ -8,6 +8,12 @@
 #include "sched/moves.h" // relocate_op shared with metaheuristics.cpp
 
 namespace transtore::sched {
+namespace {
+
+/// Starting temperature of the anneal, in objective units (seconds-ish).
+constexpr double initial_temperature = 60.0;
+
+} // namespace
 
 schedule improve_schedule(const assay::sequencing_graph& graph,
                           const schedule& start,
@@ -28,7 +34,7 @@ schedule improve_schedule(const assay::sequencing_graph& graph,
   const assay::reachability reach(graph);
   relocation move;
 
-  double temperature = options.initial_temperature;
+  double temperature = initial_temperature;
   const double cooling =
       options.iterations > 0
           ? std::pow(0.05, 1.0 / options.iterations)

@@ -22,7 +22,6 @@ struct local_search_options {
   double alpha = 1.0;
   double beta = 0.15;
   int iterations = 6000;
-  double initial_temperature = 60.0; // in objective units (seconds-ish)
   std::uint64_t seed = 1;
   /// Stage wall-clock budget in seconds (0 = unlimited) and cooperative
   /// cancellation; the anneal stops early and returns the best schedule

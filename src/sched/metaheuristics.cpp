@@ -20,6 +20,18 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t salt) {
 
 namespace {
 
+// Annealing and construction tuning constants.
+/// Starting temperature of the first SA restart, in objective units
+/// (seconds-ish).
+constexpr double initial_temperature = 60.0;
+/// Each reheated restart starts at initial_temperature *
+/// reheat_factor^restart.
+constexpr double reheat_factor = 0.5;
+/// GRASP's RCL threshold: candidates scoring within
+/// rcl_alpha * (max - min) of the greedy best are selection candidates
+/// (0 = pure greedy, 1 = fully random construction).
+constexpr double rcl_alpha = 0.3;
+
 /// One deterministic greedy list pass: the cheapest valid incumbent, used
 /// when an engine is handed no starting schedule.
 schedule greedy_seed(const assay::sequencing_graph& graph,
@@ -146,8 +158,8 @@ schedule anneal(const assay::sequencing_graph& graph,
     if (budget.expired() || options.iterations == 0) break;
     prng rng(derive_seed(options.seed, static_cast<std::uint64_t>(restart)));
     // Reheat: resume from the incumbent at a (decaying) high temperature.
-    double temperature = options.initial_temperature *
-                         std::pow(options.reheat_factor, restart);
+    double temperature =
+        initial_temperature * std::pow(reheat_factor, restart);
     // One binding, moved in place: a rejected move is undone, an accepted
     // one kept along with its schedule (the flips read its transfers).
     binding current = best;
@@ -209,10 +221,10 @@ namespace {
 /// One randomized-greedy construction on `builder` (reset first): the
 /// list scheduler's scoring rule, but each step picks uniformly from the
 /// restricted candidate list of placements scoring within
-/// rcl_alpha * (max - min) of the best.
+/// threshold_alpha * (max - min) of the best.
 schedule rcl_pass(const assay::sequencing_graph& graph,
                   const grasp_scheduler_options& options,
-                  const std::vector<int>& priority, double rcl_alpha,
+                  const std::vector<int>& priority, double threshold_alpha,
                   prng& rng, timeline_builder& builder) {
   builder.reset();
   const int n = graph.operation_count();
@@ -247,13 +259,13 @@ schedule rcl_pass(const assay::sequencing_graph& graph,
     check(!candidates.empty(), "grasp: no ready operation (cycle?)");
 
     const double threshold =
-        min_score + rcl_alpha * (max_score - min_score) + 1e-9;
+        min_score + threshold_alpha * (max_score - min_score) + 1e-9;
     rcl.clear();
     for (std::size_t i = 0; i < candidates.size(); ++i)
       if (candidates[i].score <= threshold) rcl.push_back(i);
 
     std::size_t pick;
-    if (rcl_alpha <= 0.0) {
+    if (threshold_alpha <= 0.0) {
       // Pure greedy round: argmin with the list scheduler's critical-path
       // tie break, so round 0 matches one deterministic list pass.
       pick = rcl[0];
@@ -300,9 +312,8 @@ schedule schedule_with_grasp(const assay::sequencing_graph& graph,
     // Derived (not reused) seeds: every round constructs and anneals with
     // its own independent stream.
     prng rng(derive_seed(options.seed, 0x47524153ULL + round));
-    const double rcl_alpha = round == 0 ? 0.0 : options.rcl_alpha;
-    schedule constructed =
-        rcl_pass(graph, options, priority, rcl_alpha, rng, builder);
+    schedule constructed = rcl_pass(graph, options, priority,
+                                    round == 0 ? 0.0 : rcl_alpha, rng, builder);
 
     if (options.improvement_iterations > 0 && !budget.expired()) {
       sa_scheduler_options sa;

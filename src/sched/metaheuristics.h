@@ -49,12 +49,10 @@ struct sa_scheduler_options {
   /// Total annealing iterations, split evenly across restarts.
   int iterations = 9000;
   /// Reheated restarts: each restart resumes from the best binding found
-  /// so far with the temperature reset to initial_temperature *
-  /// reheat_factor^restart (a decaying reheat escapes local minima early
+  /// so far with the temperature reset to a geometrically decaying
+  /// starting temperature (a decaying reheat escapes local minima early
   /// and converges late).
   int restarts = 3;
-  double initial_temperature = 60.0; // in objective units (seconds-ish)
-  double reheat_factor = 0.5;
   std::uint64_t seed = 1;
   /// Stage wall-clock budget in seconds (0 = unlimited) and cooperative
   /// cancellation; the anneal stops early with the best schedule so far.
@@ -74,13 +72,9 @@ struct grasp_scheduler_options {
   double alpha = 1.0;
   double beta = 0.15;
   bool storage_aware = true;
-  /// Construction + improvement rounds. Round 0 is pure greedy (rcl_alpha
-  /// forced to 0) so GRASP starts no worse than one list pass.
+  /// Construction + improvement rounds. Round 0 is pure greedy (an empty
+  /// RCL threshold) so GRASP starts no worse than one list pass.
   int rounds = 8;
-  /// RCL threshold: candidates scoring within rcl_alpha * (max - min) of
-  /// the greedy best are selection candidates. 0 = pure greedy, 1 = fully
-  /// random construction.
-  double rcl_alpha = 0.3;
   /// SA iterations spent polishing each round's construction.
   int improvement_iterations = 1500;
   std::uint64_t seed = 1;

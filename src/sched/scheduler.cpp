@@ -35,7 +35,6 @@ ilp_scheduler_options ilp_options(const scheduler_options& o,
   io.beta = o.storage_aware ? o.beta : 0.0;
   io.time_limit_seconds = o.ilp_time_limit_seconds;
   io.warm_start = warm;
-  io.log_progress = o.log_progress;
   io.portfolio = o.portfolio;
   io.seed = o.seed;
   io.milp.threads = o.solver_threads;

@@ -53,7 +53,6 @@ struct scheduler_options {
   /// Base seed for every stochastic component; per-restart/round/racer
   /// streams are derived from it (sched::derive_seed), never reused.
   std::uint64_t seed = 1;
-  bool log_progress = false;
   /// Whole-stage wall-clock budget in seconds (0 = unlimited). The ILP time
   /// limit is clamped to the remaining budget and the heuristic/annealing
   /// passes stop early; a valid schedule is always returned.

@@ -188,9 +188,7 @@ TEST(Lp, UnboundedDetected) {
   model m;
   const variable x = m.add_continuous(0, infinity, "x");
   m.set_objective(linear_expr(x), objective_sense::maximize);
-  solver_options o = quick_options();
-  o.root_propagation = false;
-  const solution s = solve(m, o);
+  const solution s = solve(m, quick_options());
   EXPECT_EQ(s.status, solve_status::unbounded);
 }
 
@@ -1534,9 +1532,7 @@ std::vector<cut> run_cut_rounds(const lp_problem& base,
   auto lp = std::make_unique<simplex_solver>(*problem, simplex_options{});
   lp_result res = lp->solve(no_limit, false);
   if (res.status != lp_status::optimal) return {};
-  cut_options copt;
-  copt.max_rounds = max_rounds;
-  cut_generator gen(base, is_integer, copt);
+  cut_generator gen(base, is_integer);
   for (int round = 0; round < max_rounds; ++round) {
     if (!gen.round(*lp, no_limit)) break;
     std::vector<int> at_upper;
