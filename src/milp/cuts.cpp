@@ -11,9 +11,7 @@ namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
 
-// Separation tuning constants. They are deliberately lean: on the Table 2
-// scheduling MILPs a few strong cuts move the root bound, while a large
-// pool only bloats every node re-solve (measured in bench_milp).
+// Separation tuning constants.
 /// Cuts accepted per round after filtering.
 constexpr int max_cuts_per_round = 8;
 /// Hard cap on active cut rows (pool size).
@@ -383,8 +381,7 @@ void cut_generator::separate_covers(const std::vector<double>& x,
       // in >= form.
       double zsum = 0.0;
       for (const item& it : cover) zsum += it.z;
-      if (zsum <= static_cast<double>(cover.size()) - 1.0 +
-                      min_violation)
+      if (zsum <= static_cast<double>(cover.size()) - 1.0 + min_violation)
         continue; // not violated at the separating point
       candidate cand;
       cand.c.kind = "cover";
@@ -454,8 +451,7 @@ bool cut_generator::finalize_candidate(candidate& cand,
   cand.norm = cut_norm(cand.c.terms);
   if (cand.norm <= 0.0) return false;
   cand.efficacy = cand.violation / cand.norm;
-  return cand.violation >= min_violation &&
-         cand.efficacy >= min_efficacy;
+  return cand.violation >= min_violation && cand.efficacy >= min_efficacy;
 }
 
 bool cut_generator::round(const simplex_solver& solver,
@@ -527,8 +523,7 @@ bool cut_generator::round(const simplex_solver& solver,
     cut& c = pool_[k];
     const int slack_col = n + base_.num_rows + static_cast<int>(k);
     const bool idle = solver.column_is_basic(slack_col) &&
-                      solver.column_value(slack_col) >
-                          c.lower + min_violation;
+                      solver.column_value(slack_col) > c.lower + min_violation;
     c.age = idle ? c.age + 1 : 0;
     if (idle && c.age >= max_age) {
       ++stats_.purged;

@@ -119,8 +119,7 @@ public:
           return false; // row proven infeasible
 
         // Redundant row: the bounds alone satisfy it.
-        if (act.min() >= row.lower - tol &&
-            act.max() <= row.upper + tol) {
+        if (act.min() >= row.lower - tol && act.max() <= row.upper + tol) {
           row.removed = true;
           ++stats.rows_removed;
           changed = true;

@@ -72,8 +72,8 @@ struct grasp_scheduler_options {
   double alpha = 1.0;
   double beta = 0.15;
   bool storage_aware = true;
-  /// Construction + improvement rounds. Round 0 is pure greedy (an empty
-  /// RCL threshold) so GRASP starts no worse than one list pass.
+  /// Construction + improvement rounds. Round 0 is pure greedy (RCL alpha
+  /// forced to 0) so GRASP starts no worse than one list pass.
   int rounds = 8;
   /// SA iterations spent polishing each round's construction.
   int improvement_iterations = 1500;

@@ -135,7 +135,7 @@ struct corpus_line {
 std::vector<corpus_line> hostile_corpus() {
   return {
       {R"({"id":1,"op":"synth","assay":"PCR"})", "1", "ok", ""},
-      {R"({"id":2,"op":"synth","assay":"PCR"})", "2", "ok", ""}, // one of ids 1, 2 hits
+      {R"({"id":2,"op":"synth","assay":"PCR"})", "2", "ok", ""},
       {R"({"id":3,"op":"synth","assay":"PC)", "", "invalid_input", ""},
       {std::string(100000, '['), "", "invalid_input", "nesting too deep"},
       {R"({"id":{"deep":[1,2,{"a":null}]},"op":"ping"})",
