@@ -88,14 +88,7 @@ cut_generator::cut_generator(const lp_problem& base,
     : base_(base), is_integer_(std::move(is_integer)) {
   require(static_cast<int>(is_integer_.size()) == base_.num_vars,
           "cuts: is_integer size mismatch");
-  // Row-wise view of the base matrix for slack expansion and cover cuts.
-  base_rows_.resize(static_cast<std::size_t>(base_.num_rows));
-  for (int j = 0; j < base_.num_vars; ++j)
-    for (int k = base_.col_start[static_cast<std::size_t>(j)];
-         k < base_.col_start[static_cast<std::size_t>(j) + 1]; ++k)
-      base_rows_[static_cast<std::size_t>(
-                     base_.row_index[static_cast<std::size_t>(k)])]
-          .emplace_back(j, base_.value[static_cast<std::size_t>(k)]);
+  base_rows_ = matrix_rows(base_);
 
   // A base row's slack is integer-valued when every term is an integer
   // variable with an integer coefficient (its bounds' integrality is

@@ -103,7 +103,7 @@ private:
   /// and integral row bounds): such slacks take the integer GMI coefficient.
   std::vector<bool> slack_integer_;
   /// Row-wise view of the base rows for slack expansion and cover cuts.
-  std::vector<std::vector<std::pair<int, double>>> base_rows_;
+  std::vector<row_terms> base_rows_;
   /// Scratch mapping of pre-round extended rows to post-round rows
   /// (base rows identity; purged cut rows -1), rebuilt by round().
   std::vector<int> row_map_;

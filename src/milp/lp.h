@@ -11,7 +11,9 @@
 // activity, so the simplex works on the homogeneous system A x - s = 0.
 #pragma once
 
+#include <cstddef>
 #include <limits>
+#include <utility>
 #include <vector>
 
 namespace transtore::milp {
@@ -35,6 +37,18 @@ struct lp_problem {
   std::vector<int> row_index;  // size nnz
   std::vector<double> value;   // size nnz
 };
+
+/// One row's (variable, coefficient) terms.
+using row_terms = std::vector<std::pair<int, double>>;
+
+/// The matrix of `lp` row by row, each row's terms in column order.
+inline std::vector<row_terms> matrix_rows(const lp_problem& lp) {
+  std::vector<row_terms> rows(static_cast<std::size_t>(lp.num_rows));
+  for (int j = 0; j < lp.num_vars; ++j)
+    for (int k = lp.col_start[j]; k < lp.col_start[j + 1]; ++k)
+      rows[lp.row_index[k]].emplace_back(j, lp.value[k]);
+  return rows;
+}
 
 enum class lp_status {
   optimal,

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/error.h"
+#include "milp/activity.h"
 
 namespace transtore::milp {
 namespace {
-
-constexpr double inf = std::numeric_limits<double>::infinity();
 
 // Presolve tuning constants.
 /// Maximum fixpoint passes over the rows.
@@ -25,86 +23,19 @@ constexpr double huge_bound = 1e15;
 
 /// Row in working form: terms plus ranged bounds.
 struct work_row {
-  std::vector<std::pair<int, double>> terms; // (variable, coefficient)
+  row_terms terms;
   double lower = -inf;
   double upper = inf;
   bool removed = false;
 };
 
-/// Min/max possible activity of a row under current bounds, with the count
-/// of infinite contributions kept separate so one-term residuals stay exact
-/// even when another term is unbounded.
-struct activity {
-  double finite_min = 0.0; // sum of finite min contributions
-  double finite_max = 0.0;
-  int inf_min = 0; // terms contributing -inf to the minimum
-  int inf_max = 0; // terms contributing +inf to the maximum
-
-  [[nodiscard]] double min() const { return inf_min > 0 ? -inf : finite_min; }
-  [[nodiscard]] double max() const { return inf_max > 0 ? inf : finite_max; }
-};
-
-struct term_range {
-  double min_c = 0.0; // min of coeff * x over the variable's box
-  double max_c = 0.0;
-};
-
-term_range contribution(double coeff, double lo, double hi) {
-  term_range t;
-  if (coeff > 0.0) {
-    t.min_c = lo == -inf ? -inf : coeff * lo;
-    t.max_c = hi == inf ? inf : coeff * hi;
-  } else {
-    t.min_c = hi == inf ? -inf : coeff * hi;
-    t.max_c = lo == -inf ? inf : coeff * lo;
-  }
-  return t;
-}
-
-activity row_activity(const work_row& row, const std::vector<double>& lower,
-                      const std::vector<double>& upper) {
-  activity a;
-  for (const auto& [var, coeff] : row.terms) {
-    const term_range t = contribution(coeff, lower[static_cast<std::size_t>(var)],
-                                      upper[static_cast<std::size_t>(var)]);
-    if (t.min_c == -inf)
-      ++a.inf_min;
-    else
-      a.finite_min += t.min_c;
-    if (t.max_c == inf)
-      ++a.inf_max;
-    else
-      a.finite_max += t.max_c;
-  }
-  return a;
-}
-
-/// Residual min activity of the row excluding one term (exact under
-/// infinities thanks to the contribution counts).
-double residual_min(const activity& a, const term_range& t) {
-  if (t.min_c == -inf) return a.inf_min > 1 ? -inf : a.finite_min;
-  return a.inf_min > 0 ? -inf : a.finite_min - t.min_c;
-}
-
-double residual_max(const activity& a, const term_range& t) {
-  if (t.max_c == inf) return a.inf_max > 1 ? inf : a.finite_max;
-  return a.inf_max > 0 ? inf : a.finite_max - t.max_c;
-}
-
 class presolver {
 public:
   presolver(const lp_problem& lp, const std::vector<bool>& is_integer)
       : is_integer_(is_integer), lower_(lp.lower), upper_(lp.upper) {
-    rows_.resize(static_cast<std::size_t>(lp.num_rows));
-    for (int i = 0; i < lp.num_rows; ++i) {
-      rows_[static_cast<std::size_t>(i)].lower = lp.row_lower[static_cast<std::size_t>(i)];
-      rows_[static_cast<std::size_t>(i)].upper = lp.row_upper[static_cast<std::size_t>(i)];
-    }
-    for (int j = 0; j < lp.num_vars; ++j)
-      for (int k = lp.col_start[static_cast<std::size_t>(j)];
-           k < lp.col_start[static_cast<std::size_t>(j) + 1]; ++k)
-        rows_[static_cast<std::size_t>(lp.row_index[static_cast<std::size_t>(k)])]
-            .terms.emplace_back(j, lp.value[static_cast<std::size_t>(k)]);
+    std::vector<row_terms> terms = matrix_rows(lp);
+    for (std::size_t i = 0; i < terms.size(); ++i)
+      rows_.push_back({std::move(terms[i]), lp.row_lower[i], lp.row_upper[i]});
   }
 
   bool run(presolve_stats& stats) {
@@ -114,7 +45,7 @@ public:
       bool changed = false;
       for (work_row& row : rows_) {
         if (row.removed) continue;
-        activity act = row_activity(row, lower_, upper_);
+        activity act = row_activity(row.terms, lower_, upper_);
         if (act.min() > row.upper + tol || act.max() < row.lower - tol)
           return false; // row proven infeasible
 
@@ -130,15 +61,8 @@ public:
         if (row.terms.size() == 1) {
           const auto [var, coeff] = row.terms.front();
           if (std::abs(coeff) > 1e-12) {
-            double lo = -inf;
-            double hi = inf;
-            if (coeff > 0.0) {
-              if (row.lower != -inf) lo = row.lower / coeff;
-              if (row.upper != inf) hi = row.upper / coeff;
-            } else {
-              if (row.upper != inf) lo = row.upper / coeff;
-              if (row.lower != -inf) hi = row.lower / coeff;
-            }
+            const auto [lo, hi] =
+                implied_bounds(coeff, row.lower, row.upper, 0.0, 0.0);
             if (!tighten(var, lo, hi, stats)) return false;
             row.removed = true;
             ++stats.rows_removed;
@@ -154,27 +78,14 @@ public:
           const term_range t = contribution(
               coeff, lower_[static_cast<std::size_t>(var)],
               upper_[static_cast<std::size_t>(var)]);
-          const double rest_min = residual_min(act, t);
-          const double rest_max = residual_max(act, t);
-          // row.lower <= rest + coeff * x <= row.upper
-          double new_lo = -inf;
-          double new_hi = inf;
-          if (coeff > 0.0) {
-            if (row.upper != inf && rest_min != -inf)
-              new_hi = (row.upper - rest_min) / coeff;
-            if (row.lower != -inf && rest_max != inf)
-              new_lo = (row.lower - rest_max) / coeff;
-          } else {
-            if (row.upper != inf && rest_min != -inf)
-              new_lo = (row.upper - rest_min) / coeff;
-            if (row.lower != -inf && rest_max != inf)
-              new_hi = (row.lower - rest_max) / coeff;
-          }
+          const auto [new_lo, new_hi] =
+              implied_bounds(coeff, row.lower, row.upper,
+                             residual_min(act, t), residual_max(act, t));
           const int before = stats.bounds_tightened;
           if (!tighten(var, new_lo, new_hi, stats)) return false;
           if (stats.bounds_tightened != before) {
             changed = true;
-            act = row_activity(row, lower_, upper_); // keep residuals exact
+            act = row_activity(row.terms, lower_, upper_); // keep residuals exact
           }
         }
 
@@ -274,7 +185,7 @@ private:
     const bool has_upper = row.upper != inf;
     if (has_lower == has_upper) return false; // ranged/equality/free: skip
     bool any = false;
-    activity act = row_activity(row, lower_, upper_);
+    activity act = row_activity(row.terms, lower_, upper_);
     for (auto& [var, coeff] : row.terms) {
       if (!is_free_binary(var) || std::abs(coeff) <= 1e-12) continue;
       const term_range t = contribution(coeff, 0.0, 1.0);
@@ -292,7 +203,7 @@ private:
           row.upper = new_upper;
           ++stats.coefficients_tightened;
           any = true;
-          act = row_activity(row, lower_, upper_);
+          act = row_activity(row.terms, lower_, upper_);
         }
       } else {
         const double rest_min = residual_min(act, t);
@@ -306,7 +217,7 @@ private:
           row.lower = new_lower;
           ++stats.coefficients_tightened;
           any = true;
-          act = row_activity(row, lower_, upper_);
+          act = row_activity(row.terms, lower_, upper_);
         }
       }
     }

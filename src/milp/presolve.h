@@ -7,8 +7,8 @@
 //     disguise; the bound is transferred (and rounded for integers) and the
 //     row removed;
 //   * activity-based bound tightening -- interval arithmetic over each
-//     row's residual activity tightens variable bounds (the generalization
-//     of the old root `propagate_bounds`), with integer rounding;
+//     row's residual activity (activity.h, shared with per-node
+//     propagation) tightens variable bounds, with integer rounding;
 //   * coefficient (big-M) strengthening -- on single-sided rows, a binary
 //     variable's coefficient and the row bound shrink to what the residual
 //     activity actually supports; this is what collapses the paper's

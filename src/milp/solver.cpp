@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <cmath>
 #include <condition_variable>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -14,14 +14,13 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "milp/activity.h"
 #include "milp/cuts.h"
 #include "milp/presolve.h"
 #include "milp/simplex.h"
 
 namespace transtore::milp {
 namespace {
-
-constexpr double inf = std::numeric_limits<double>::infinity();
 
 // Tree-search tuning constants.
 /// Largest distance from an integer at which a value counts as integral.
@@ -35,9 +34,10 @@ constexpr double absolute_gap = 1e-9;
 /// pseudocosts are initialized by strong-branching probes until each
 /// direction has this many observations.
 constexpr long reliability = 4;
-/// Interval-arithmetic passes of per-node propagation (root presolve
-/// handles the root).
+/// Interval-arithmetic passes of per-node propagation, and of the root
+/// pass that stands in for presolve when presolve is off.
 constexpr int node_propagation_passes = 3;
+constexpr int root_propagation_passes = 12;
 /// Fractional candidates probed per node (most fractional first).
 constexpr int strong_branch_candidates = 8;
 /// Per-direction iteration cap of one strong-branching probe.
@@ -113,87 +113,6 @@ standard_form build_standard_form(const model& m) {
     }
   }
   return sf;
-}
-
-/// Interval-arithmetic bound propagation over the rows. Tightens variable
-/// bounds in place; returns false when a row is proven infeasible. The
-/// presolve-off fallback: when presolve is on, its activity-based
-/// tightening pass supersedes this.
-bool propagate_bounds(const model& m, std::vector<double>& lower,
-                      std::vector<double>& upper,
-                      const std::vector<bool>& is_integer) {
-  const int rows = m.constraint_count();
-  for (int pass = 0; pass < 12; ++pass) {
-    bool changed = false;
-    for (int i = 0; i < rows; ++i) {
-      const row_info& row = m.constraint_at(i);
-      // min/max possible activity of the row under current bounds.
-      double act_min = 0.0;
-      double act_max = 0.0;
-      for (const auto& [var, coeff] : row.terms) {
-        const double lo = lower[var];
-        const double hi = upper[var];
-        if (coeff > 0.0) {
-          act_min += lo == -inf ? -inf : coeff * lo;
-          act_max += hi == inf ? inf : coeff * hi;
-        } else {
-          act_min += hi == inf ? -inf : coeff * hi;
-          act_max += lo == -inf ? inf : coeff * lo;
-        }
-      }
-      if (act_min > row.upper + 1e-7 || act_max < row.lower - 1e-7)
-        return false;
-
-      for (const auto& [var, coeff] : row.terms) {
-        // Residual activity excluding this term.
-        const double lo = lower[var];
-        const double hi = upper[var];
-        double term_min;
-        double term_max;
-        if (coeff > 0.0) {
-          term_min = lo == -inf ? -inf : coeff * lo;
-          term_max = hi == inf ? inf : coeff * hi;
-        } else {
-          term_min = hi == inf ? -inf : coeff * hi;
-          term_max = lo == -inf ? inf : coeff * lo;
-        }
-        const double rest_min =
-            (act_min == -inf && term_min == -inf) ? -inf : act_min - term_min;
-        const double rest_max =
-            (act_max == inf && term_max == inf) ? inf : act_max - term_max;
-
-        // row.lower <= rest + coeff*x <= row.upper
-        double new_lo = -inf;
-        double new_hi = inf;
-        if (coeff > 0.0) {
-          if (row.upper != inf && rest_min != -inf)
-            new_hi = (row.upper - rest_min) / coeff;
-          if (row.lower != -inf && rest_max != inf)
-            new_lo = (row.lower - rest_max) / coeff;
-        } else {
-          if (row.upper != inf && rest_min != -inf)
-            new_lo = (row.upper - rest_min) / coeff;
-          if (row.lower != -inf && rest_max != inf)
-            new_hi = (row.lower - rest_max) / coeff;
-        }
-        if (is_integer[var]) {
-          if (new_lo != -inf) new_lo = std::ceil(new_lo - 1e-7);
-          if (new_hi != inf) new_hi = std::floor(new_hi + 1e-7);
-        }
-        if (new_lo > lower[var] + 1e-9) {
-          lower[var] = new_lo;
-          changed = true;
-        }
-        if (new_hi < upper[var] - 1e-9) {
-          upper[var] = new_hi;
-          changed = true;
-        }
-        if (lower[var] > upper[var] + 1e-7) return false;
-      }
-    }
-    if (!changed) break;
-  }
-  return true;
 }
 
 struct bound_change {
@@ -306,96 +225,42 @@ solver_options classic_primal_only_options() {
 
 namespace {
 
-/// Row-wise view of an lp_problem for the per-node propagation passes.
+/// Row-wise view of an lp_problem for the propagation passes.
 struct row_view {
-  std::vector<std::vector<std::pair<int, double>>> rows; // (var, coeff)
+  std::vector<row_terms> rows;
   std::vector<double> lower;
   std::vector<double> upper;
 
   explicit row_view(const lp_problem& lp)
-      : rows(static_cast<std::size_t>(lp.num_rows)), lower(lp.row_lower),
-        upper(lp.row_upper) {
-    for (int j = 0; j < lp.num_vars; ++j)
-      for (int k = lp.col_start[static_cast<std::size_t>(j)];
-           k < lp.col_start[static_cast<std::size_t>(j) + 1]; ++k)
-        rows[static_cast<std::size_t>(lp.row_index[static_cast<std::size_t>(k)])]
-            .emplace_back(j, lp.value[static_cast<std::size_t>(k)]);
-  }
+      : rows(matrix_rows(lp)), lower(lp.row_lower), upper(lp.row_upper) {}
 };
 
 /// Interval-arithmetic propagation over `view` starting from the bound
-/// arrays (node bounds already applied). Returns false when some row is
-/// proven infeasible under the node's bounds -- the node prunes without an
-/// LP solve. Integer bounds are rounded.
-///
-/// The activity machinery intentionally mirrors presolve.cpp's (same
-/// residual-with-infinity-counts scheme, same 1e-7/1e-9 tolerances) in a
-/// flattened per-node form; keep the two in sync when touching either --
-/// the committed deterministic baselines pin this exact arithmetic.
+/// arrays (node bounds already applied), for up to `passes` passes. Returns
+/// false when some row is proven infeasible under the bounds -- the node
+/// prunes without an LP solve. Integer bounds are rounded. Unlike presolve,
+/// a row's activity is not refreshed as its terms tighten, and a crossing
+/// within tolerance closes the box to a point.
 bool propagate_node(const row_view& view, const std::vector<bool>& is_integer,
                     std::vector<double>& lower, std::vector<double>& upper,
                     int passes) {
   for (int pass = 0; pass < passes; ++pass) {
     bool changed = false;
     for (std::size_t r = 0; r < view.rows.size(); ++r) {
-      const auto& terms = view.rows[r];
       const double row_lo = view.lower[r];
       const double row_hi = view.upper[r];
-      double act_min = 0.0;
-      double act_max = 0.0;
-      int inf_min = 0;
-      int inf_max = 0;
-      for (const auto& [var, coeff] : terms) {
-        const double lo = lower[static_cast<std::size_t>(var)];
-        const double hi = upper[static_cast<std::size_t>(var)];
-        if (coeff > 0.0) {
-          if (lo == -inf) ++inf_min; else act_min += coeff * lo;
-          if (hi == inf) ++inf_max; else act_max += coeff * hi;
-        } else {
-          if (hi == inf) ++inf_min; else act_min += coeff * hi;
-          if (lo == -inf) ++inf_max; else act_max += coeff * lo;
-        }
-      }
-      const double total_min = inf_min > 0 ? -inf : act_min;
-      const double total_max = inf_max > 0 ? inf : act_max;
-      if (total_min > row_hi + 1e-7 || total_max < row_lo - 1e-7)
+      const activity act = row_activity(view.rows[r], lower, upper);
+      if (act.min() > row_hi + 1e-7 || act.max() < row_lo - 1e-7)
         return false;
-      if (total_min >= row_lo - 1e-7 && total_max <= row_hi + 1e-7)
+      if (act.min() >= row_lo - 1e-7 && act.max() <= row_hi + 1e-7)
         continue; // redundant here: no tightening possible
 
-      for (const auto& [var, coeff] : terms) {
+      for (const auto& [var, coeff] : view.rows[r]) {
         const std::size_t v = static_cast<std::size_t>(var);
-        const double lo = lower[v];
-        const double hi = upper[v];
-        double t_min;
-        double t_max;
-        if (coeff > 0.0) {
-          t_min = lo == -inf ? -inf : coeff * lo;
-          t_max = hi == inf ? inf : coeff * hi;
-        } else {
-          t_min = hi == inf ? -inf : coeff * hi;
-          t_max = lo == -inf ? inf : coeff * lo;
-        }
-        double rest_min;
-        if (t_min == -inf)
-          rest_min = inf_min > 1 ? -inf : act_min;
-        else
-          rest_min = inf_min > 0 ? -inf : act_min - t_min;
-        double rest_max;
-        if (t_max == inf)
-          rest_max = inf_max > 1 ? inf : act_max;
-        else
-          rest_max = inf_max > 0 ? inf : act_max - t_max;
-
-        double new_lo = -inf;
-        double new_hi = inf;
-        if (coeff > 0.0) {
-          if (row_hi != inf && rest_min != -inf) new_hi = (row_hi - rest_min) / coeff;
-          if (row_lo != -inf && rest_max != inf) new_lo = (row_lo - rest_max) / coeff;
-        } else {
-          if (row_hi != inf && rest_min != -inf) new_lo = (row_hi - rest_min) / coeff;
-          if (row_lo != -inf && rest_max != inf) new_hi = (row_lo - rest_max) / coeff;
-        }
+        const term_range t = contribution(coeff, lower[v], upper[v]);
+        auto [new_lo, new_hi] =
+            implied_bounds(coeff, row_lo, row_hi, residual_min(act, t),
+                           residual_max(act, t));
         if (is_integer[v]) {
           if (new_lo != -inf) new_lo = std::ceil(new_lo - 1e-7);
           if (new_hi != inf) new_hi = std::floor(new_hi + 1e-7);
@@ -873,6 +738,18 @@ enum class settled {
   stop,      // the search must stop (deadline mid-node, unbounded LP)
 };
 
+/// The worker team of both node sources: worker(0) runs on the calling
+/// thread (over the cut loop's simplex instance), workers 1..threads-1 on
+/// their own threads, all joined before this returns.
+template <class Worker>
+void run_team(int threads, const Worker& worker) {
+  std::vector<std::thread> team;
+  team.reserve(static_cast<std::size_t>(threads - 1));
+  for (int w = 1; w < threads; ++w) team.emplace_back(worker, w);
+  worker(0);
+  for (std::thread& t : team) t.join();
+}
+
 } // namespace
 
 // ---------------------------------------------------------- incumbent_board
@@ -924,8 +801,9 @@ solution solve(const model& m, const solver_options& options) {
   standard_form sf = build_standard_form(m);
   const int n = sf.lp.num_vars;
 
-  // Root presolve: the iterated reduction loop when enabled, the legacy
-  // bound-propagation pass otherwise (the primal_only ablation needs it).
+  // Root presolve: the iterated reduction loop when enabled, otherwise the
+  // node propagation pass over the root rows (the primal_only ablation
+  // needs it).
   if (options.presolve) {
     presolved_problem reduced = presolve(sf.lp, sf.is_integer);
     result.presolve_rows_removed = reduced.stats.rows_removed;
@@ -939,7 +817,8 @@ solution solve(const model& m, const solver_options& options) {
       return result;
     }
     sf.lp = std::move(reduced.reduced);
-  } else if (!propagate_bounds(m, sf.lp.lower, sf.lp.upper, sf.is_integer)) {
+  } else if (!propagate_node(row_view(sf.lp), sf.is_integer, sf.lp.lower,
+                             sf.lp.upper, root_propagation_passes)) {
     result.status = solve_status::infeasible;
     result.seconds = total_watch.elapsed_seconds();
     return result;
@@ -1173,11 +1052,12 @@ solution solve(const model& m, const solver_options& options) {
 
   // ------------------------------------------------------ engine dispatch
   // Both node sources run the same node kernel (process_node, settle,
-  // commit_branch); they differ only in where the next node comes from and
-  // in what order results are committed. threads <= 0 resolves to the
-  // hardware; deterministic always takes the round engine (its trajectory
-  // must not depend on the thread count, so even threads == 1 runs it);
-  // otherwise the pool engine runs `threads` workers.
+  // commit_branch) on the same worker team (run_team); they differ only in
+  // where the next node comes from and in what order results are
+  // committed. threads <= 0 resolves to the hardware; deterministic always
+  // takes the round engine (its trajectory must not depend on the thread
+  // count, so even threads == 1 runs it); otherwise the pool engine runs
+  // `threads` workers.
   int threads = options.threads;
   if (threads <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -1206,110 +1086,60 @@ solution solve(const model& m, const solver_options& options) {
   if (options.deterministic) {
     // ------------------------------------------ deterministic round engine
     // Fixed-width rounds: select `round_width` open nodes by the node-order
-    // rule, process them concurrently on private simplex instances (every
-    // node re-solved from its recorded parent basis -- load_basis makes
-    // that a pure function of the node), then commit the results in
+    // rule, process them concurrently on the workers' simplex instances
+    // (every node re-solved from its recorded parent basis -- load_basis
+    // makes that a pure function of the node), then commit the results in
     // ascending node-id order. Selection, pruning, pseudocost updates, and
-    // incumbent acceptance all happen in the single-threaded commit phase,
-    // so the trajectory depends on the round width but never on the thread
-    // count or on arrival order.
+    // incumbent acceptance all happen in the barrier's completion step,
+    // which runs on one thread while every worker waits, so the trajectory
+    // depends on the round width but never on the thread count or on
+    // arrival order.
     std::vector<bb_node> open;
     open.push_back(std::move(root_node));
     std::vector<worker_stats> wstats(static_cast<std::size_t>(threads));
 
-    // Round batch, shared main -> workers through the generation handshake
-    // below (mutex acquire/release on both sides orders every access).
+    // The round in flight: written only by select_round (before the team
+    // starts, then in the completion step), read by the workers after the
+    // barrier releases them.
     std::vector<bb_node> batch;
     std::vector<node_result> results;
     double round_prune_obj = inf;
     long round_probe_allowance = 0;
-
-    std::mutex mu;
-    std::condition_variable cv_start, cv_done;
-    std::uint64_t generation = 0;
-    int unfinished = 0;
     std::atomic<std::size_t> batch_cursor{0};
-    bool shutdown = false;
-
-    auto round_worker = [&](int w) {
-      simplex_solver wlp(tree_lp_problem, options.lp);
-      std::vector<double> wl, wu;
-      std::uint64_t seen_gen = 0;
-      for (;;) {
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          cv_start.wait(lock,
-                        [&] { return shutdown || generation != seen_gen; });
-          if (shutdown) return;
-          seen_gen = generation;
-        }
-        for (;;) {
-          const std::size_t i =
-              batch_cursor.fetch_add(1, std::memory_order_relaxed);
-          if (i >= batch.size()) break;
-          node_result nr =
-              process_node(ctx, wlp, batch[i], /*reload_basis=*/true,
-                           round_prune_obj, round_probe_allowance,
-                           table_counts, wl, wu);
-          nr.processed_by = w;
-          results[i] = std::move(nr);
-        }
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          if (--unfinished == 0) cv_done.notify_one();
-        }
-      }
-    };
-
-    std::vector<std::thread> team;
-    team.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) team.emplace_back(round_worker, w);
-
     long round = 0;
     bool stop = false;
-    while (!stop && !open.empty()) {
-      if (gap_closed(open_bounds)) break;
+
+    // Fills `batch` with the next round, in node-id order; leaves it empty
+    // when the search is over.
+    auto select_round = [&] {
+      batch.clear();
+      if (stop || open.empty() || gap_closed(open_bounds)) return;
       if (nodes >= options.max_nodes || time_budget.expired()) {
         hit_limit = true;
-        break;
+        return;
       }
-
       const open_key key = key_for_turn(options.node_selection, ++round);
-      const std::size_t take = std::min<std::size_t>(
-          static_cast<std::size_t>(round_width), open.size());
-      std::partial_sort(open.begin(),
-                        open.begin() + static_cast<std::ptrdiff_t>(take),
-                        open.end(), [key](const bb_node& a, const bb_node& b) {
+      const auto take = static_cast<std::ptrdiff_t>(
+          std::min<std::size_t>(round_width, open.size()));
+      std::partial_sort(open.begin(), open.begin() + take, open.end(),
+                        [key](const bb_node& a, const bb_node& b) {
                           return comes_first(key, a, b);
                         });
-      batch.assign(open.begin(),
-                   open.begin() + static_cast<std::ptrdiff_t>(take));
-      open.erase(open.begin(),
-                 open.begin() + static_cast<std::ptrdiff_t>(take));
-
+      batch.assign(open.begin(), open.begin() + take);
+      open.erase(open.begin(), open.begin() + take);
+      std::sort(batch.begin(), batch.end(),
+                [](const bb_node& a, const bb_node& b) { return a.id < b.id; });
       round_prune_obj = have_incumbent ? incumbent_obj : inf;
       round_probe_allowance = remaining_probes(options, probes);
-
       results.assign(batch.size(), node_result{});
       batch_cursor.store(0, std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        unfinished = threads;
-        ++generation;
-      }
-      cv_start.notify_all();
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv_done.wait(lock, [&] { return unfinished == 0; });
-      }
+    };
 
-      // Commit in ascending node-id order, never in completion order.
-      std::vector<std::size_t> order(batch.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return batch[a].id < batch[b].id;
-      });
-      for (const std::size_t i : order) {
+    // Commits the finished round in ascending node-id order (the batch's
+    // order), never in completion order. A stop still commits the rest of
+    // the round: those nodes are already processed.
+    auto commit_round = [&] {
+      for (std::size_t i = 0; i < batch.size(); ++i) {
         const bb_node& bnode = batch[i];
         node_result& nr = results[i];
         worker_stats& ws = wstats[static_cast<std::size_t>(nr.processed_by)];
@@ -1318,8 +1148,6 @@ solution solve(const model& m, const solver_options& options) {
         ws.simplex_iterations += nr.iterations;
         ws.dual_simplex_iterations += nr.dual_iterations;
         probes += nr.probes_run;
-        // A stop still commits the rest of the round: those nodes are
-        // already processed.
         const settled s = settle(bnode, nr, open_bounds, ws);
         if (s == settled::stop) stop = true;
         if (s != settled::branch) continue;
@@ -1330,14 +1158,31 @@ solution solve(const model& m, const solver_options& options) {
         if (!br.down_infeasible) open.push_back(std::move(br.down));
         if (!br.up_infeasible) open.push_back(std::move(br.up));
       }
-    }
+    };
 
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      shutdown = true;
-    }
-    cv_start.notify_all();
-    for (std::thread& t : team) t.join();
+    select_round();
+    std::barrier sync(threads, [&]() noexcept {
+      commit_round();
+      select_round();
+    });
+    run_team(threads, [&](int w) {
+      std::optional<simplex_solver> own;
+      simplex_solver& wlp =
+          w == 0 ? *lp : own.emplace(tree_lp_problem, options.lp);
+      std::vector<double> wl, wu;
+      while (!batch.empty()) {
+        for (;;) {
+          const std::size_t i =
+              batch_cursor.fetch_add(1, std::memory_order_relaxed);
+          if (i >= batch.size()) break;
+          results[i] = process_node(ctx, wlp, batch[i], /*reload_basis=*/true,
+                                    round_prune_obj, round_probe_allowance,
+                                    table_counts, wl, wu);
+          results[i].processed_by = w;
+        }
+        sync.arrive_and_wait();
+      }
+    });
 
     result.workers = std::move(wstats);
     return finish(open_bounds);
@@ -1483,11 +1328,7 @@ solution solve(const model& m, const solver_options& options) {
     }
   };
 
-  std::vector<std::thread> team;
-  team.reserve(static_cast<std::size_t>(threads - 1));
-  for (int w = 1; w < threads; ++w) team.emplace_back(worker, w);
-  worker(0);
-  for (std::thread& t : team) t.join();
+  run_team(threads, worker);
 
   for (const worker_stats& ws : wstats) {
     simplex_iterations += ws.simplex_iterations;

@@ -9,8 +9,8 @@
 //   * iterated root presolve (milp/presolve.h) -- bound propagation,
 //     singleton/redundant row removal, big-M coefficient strengthening --
 //     which is what makes the paper's big-M scheduling formulation
-//     tractable (the older row-propagation pass remains as the
-//     presolve-off fallback);
+//     tractable (with presolve off, the per-node propagation pass runs
+//     over the root rows instead);
 //   * root cutting planes (milp/cuts.h): Gomory mixed-integer and knapsack
 //     cover cuts separated in rounds over the optimal root basis;
 //   * per-node bound propagation: branching fixes collapse the big-M
@@ -125,9 +125,9 @@ struct solver_options {
   branch_rule branching = branch_rule::pseudocost;
   /// Iterated root presolve (presolve.h): singleton-row elimination,
   /// activity-based bound tightening, big-M coefficient strengthening,
-  /// redundant-row removal, variable fixing. Off falls back to one pass of
-  /// root row propagation, reproducing the pre-presolve solver for
-  /// ablations.
+  /// redundant-row removal, variable fixing. Off falls back to the per-node
+  /// propagation over the root rows (up to 12 passes, stopping at a
+  /// fixpoint), reproducing the pre-presolve solver for ablations.
   bool presolve = true;
   /// Root cutting planes (cuts.h): Gomory mixed-integer + knapsack cover
   /// cuts separated in rounds over the optimal root basis, appended as rows

@@ -386,9 +386,11 @@ schedule extract_schedule(const assay::sequencing_graph& graph,
 }
 
 /// The racing portfolio behind options.portfolio: two branch-and-bound
-/// configurations (best_estimate and dfs, splitting the thread budget) and
-/// the simulated-annealing heuristic run concurrently on one shared
-/// incumbent board. Every heuristic improvement is translated into a full
+/// configurations (best_estimate and dfs) and the simulated-annealing
+/// heuristic run concurrently on one shared incumbent board. The heuristic
+/// runs on the calling thread; the tree searches split the remaining T - 1
+/// threads of the budget T, at least one each, so the race runs max(T, 3)
+/// threads. Every heuristic improvement is translated into a full
 /// MILP assignment and offered to the board, where it tightens BOTH tree
 /// searches' pruning bound; the first solver to PROVE optimality wins the
 /// race and cancels the rest. With no proof inside the time limit, the best
@@ -399,6 +401,7 @@ struct portfolio_outcome {
   long total_nodes = 0;          // summed across both tree searches
   long total_iterations = 0;
   std::optional<schedule> heuristic_best; // best annealed schedule seen
+  int threads = 0;               // threads the race ran, the caller's included
   bool all_joined = false;
 };
 
@@ -436,15 +439,16 @@ portfolio_outcome run_portfolio(const assay::sequencing_graph& graph,
     cancel_h.cancel();
   };
 
-  const int threads_a = std::max(1, total_threads / 2);
-  const int threads_b = std::max(1, total_threads - threads_a);
+  const int threads_a = std::max(1, (total_threads - 1) / 2);
+  const int threads_b = std::max(1, total_threads - 1 - threads_a);
   milp::solution sol_a, sol_b;
   std::atomic<int> winner{-1};
   std::atomic<int> tree_racers_done{0};
   auto run_racer = [&](int index, const milp::solver_options& so,
                        milp::solution& out) {
     out = milp::solve(m, so);
-    tree_racers_done.fetch_add(1, std::memory_order_release);
+    // The second tree racer to finish ends the heuristic's current chunk.
+    if (tree_racers_done.fetch_add(1) == 1) cancel_h.cancel();
     if (out.status == milp::solve_status::optimal) {
       int expected = -1;
       if (winner.compare_exchange_strong(expected, index)) cancel_all();
@@ -481,7 +485,6 @@ portfolio_outcome run_portfolio(const assay::sequencing_graph& graph,
     publish(current);
     std::uint64_t chunk = 0;
     while (!cancel_h.cancelled() &&
-           tree_racers_done.load(std::memory_order_acquire) < 2 &&
            watch.elapsed_seconds() < options.time_limit_seconds) {
       if (base.cancel.cancelled()) { // forward the caller's cancellation
         cancel_all();
@@ -513,15 +516,21 @@ portfolio_outcome run_portfolio(const assay::sequencing_graph& graph,
                        racer_options(milp::node_rule::dfs, threads_b,
                                      cancel_b.token()),
                        std::ref(sol_b));
-  std::thread thread_h(run_heuristic);
+  try {
+    run_heuristic();
+  } catch (...) {
+    // The tree racers still read this frame: stop and join them first.
+    cancel_all();
+    thread_a.join();
+    thread_b.join();
+    throw;
+  }
   thread_a.join();
   thread_b.join();
-  cancel_h.cancel();
-  thread_h.join();
 
   portfolio_outcome out;
-  out.all_joined = !thread_a.joinable() && !thread_b.joinable() &&
-                   !thread_h.joinable();
+  out.threads = 1 + threads_a + threads_b;
+  out.all_joined = !thread_a.joinable() && !thread_b.joinable();
   out.heuristic_best = heur_best;
   out.total_nodes = sol_a.nodes_explored + sol_b.nodes_explored;
   out.total_iterations = sol_a.simplex_iterations + sol_b.simplex_iterations;
@@ -593,6 +602,7 @@ ilp_schedule_result schedule_with_ilp(const assay::sequencing_graph& graph,
     heuristic_best = std::move(outcome.heuristic_best);
     result.nodes = outcome.total_nodes;
     result.simplex_iterations = outcome.total_iterations;
+    result.threads_used = outcome.threads;
     result.portfolio_racers = 3;
     result.portfolio_winner = std::move(outcome.winner);
     result.portfolio_all_joined = outcome.all_joined;
@@ -601,6 +611,7 @@ ilp_schedule_result schedule_with_ilp(const assay::sequencing_graph& graph,
     sol = milp::solve(m, solver_options);
     result.nodes = sol.nodes_explored;
     result.simplex_iterations = sol.simplex_iterations;
+    result.threads_used = sol.threads_used;
   }
 
   result.status = sol.status;
@@ -613,7 +624,6 @@ ilp_schedule_result schedule_with_ilp(const assay::sequencing_graph& graph,
   result.cuts_added = sol.cuts_added;
   result.cut_rounds = sol.cut_rounds;
   result.root_bound = sol.root_bound;
-  result.threads_used = sol.threads_used;
   result.workers = sol.workers;
 
   check(sol.has_solution(),

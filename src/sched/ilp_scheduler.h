@@ -65,7 +65,9 @@ struct ilp_scheduler_options {
   /// shared incumbent board. The first solver to PROVE optimality wins and
   /// cancels the others through their cancel tokens; with no proof, the
   /// best incumbent across all racers wins. `milp.threads` is the total
-  /// thread budget, split across the two tree searches.
+  /// thread budget T: the heuristic runs on the calling thread and the two
+  /// tree searches split the other T - 1, at least one each, so the race
+  /// runs max(T, 3) threads.
   bool portfolio = false;
   /// Base seed for the portfolio's annealing racer; per-chunk streams are
   /// derived from it (sched::derive_seed) so racer restarts differ while
@@ -94,8 +96,9 @@ struct ilp_schedule_result {
   int cuts_added = 0;
   int cut_rounds = 0;
   double root_bound = 0.0;   // objective-(6) LP bound after presolve + cuts
-  /// Worker threads the winning solve ran, and its per-worker breakdown
-  /// (empty for a one-thread solve; see milp::solution::workers).
+  /// Threads the solve ran (in portfolio mode, the whole race's, caller
+  /// included), and the winning solve's per-worker breakdown (empty for a
+  /// one-thread solve; see milp::solution::workers).
   int threads_used = 1;
   std::vector<milp::worker_stats> workers;
   /// Portfolio bookkeeping (zero / empty when options.portfolio is off):

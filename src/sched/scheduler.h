@@ -97,8 +97,9 @@ struct scheduling_result {
   int ilp_presolve_rows_removed = 0;
   int ilp_cuts_added = 0;
   double ilp_root_bound = 0.0;
-  /// Parallel-search footprint: worker threads the (winning) solve ran and
-  /// its per-worker breakdown (empty for a one-thread solve).
+  /// Parallel-search footprint: threads the solve ran (the whole race's in
+  /// portfolio mode) and the (winning) solve's per-worker breakdown (empty
+  /// for a one-thread solve).
   int ilp_threads = 1;
   std::vector<milp::worker_stats> ilp_workers;
   /// Portfolio bookkeeping (see ilp_schedule_result); racers is 0 when the

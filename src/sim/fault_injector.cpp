@@ -125,7 +125,7 @@ int pick_failed_device(const assay::sequencing_graph& graph,
 /// such a cache. Segments can host several cache placements, so the whole
 /// edge must be clean, not just one placement. Returns -1 when every
 /// segment is (conservatively) occupied.
-int pick_failed_storage(const sched::schedule& s, const arch::chip& chip,
+int pick_failed_storage(const arch::chip& chip,
                         const arch::routing_workload& workload,
                         int fault_time) {
   std::vector<bool> unsafe(static_cast<std::size_t>(chip.grid().edge_count()),
@@ -181,7 +181,7 @@ std::optional<fault_scenario> choose_fault_scenario(
       if (d < 0) return std::nullopt;
       scenario.faults.devices = {d};
     }
-    const int segment = pick_failed_storage(s, chip, workload, fault_time);
+    const int segment = pick_failed_storage(chip, workload, fault_time);
     if (segment >= 0) scenario.faults.storage = {segment};
     if (scenario.faults.empty()) return std::nullopt;
     if (recovery_blocker(graph, s, chip, workload, scenario.faults,

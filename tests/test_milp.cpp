@@ -377,14 +377,22 @@ TEST(Milp, TimeLimitReturnsBestEffort) {
 }
 
 TEST(Milp, RootPropagationProvesInfeasibility) {
-  // x + y >= 10 with x,y in [0,4] is infeasible by interval arithmetic alone.
+  // x + y >= 10 with x,y in [0,4] is infeasible by interval arithmetic alone:
+  // presolve, or the root propagation pass that replaces it when presolve is
+  // off, proves it before any node is explored.
   model m;
   const variable x = m.add_integer(0, 4, "x");
   const variable y = m.add_integer(0, 4, "y");
   m.add_constraint(linear_expr(x) + y, cmp::greater_equal, 10);
   m.set_objective(linear_expr(x), objective_sense::minimize);
-  const solution s = solve(m, quick_options());
-  EXPECT_EQ(s.status, solve_status::infeasible);
+  for (const bool presolve : {true, false}) {
+    SCOPED_TRACE(presolve);
+    solver_options o = quick_options();
+    o.presolve = presolve;
+    const solution s = solve(m, o);
+    EXPECT_EQ(s.status, solve_status::infeasible);
+    EXPECT_EQ(s.nodes_explored, 0);
+  }
 }
 
 TEST(Milp, GapIsZeroWhenOptimal) {

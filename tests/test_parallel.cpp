@@ -9,13 +9,16 @@
 //   * the incumbent board's improvement direction / version / fetch
 //     semantics,
 //   * the racing portfolio returns a verifier-passing schedule, reports a
-//     winner, and joins every racer thread (no-thread-leak invariant),
+//     winner, keeps to its thread count, and joins every racer thread
+//     (no-thread-leak invariant),
 //   * the run_context thread budget and the executor's oversubscription
 //     guard (W x T <= hardware_concurrency) as seen from job results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -62,18 +65,30 @@ long worker_node_sum(const milp::solution& sol) {
 
 // --- deterministic round engine ---------------------------------------------
 
-void expect_bit_identical(const assay::sequencing_graph& graph, int devices) {
+// With `node_cap`, the cap must stop the search before it proves
+// optimality, so the round engine's node-limit stop is what is compared.
+void expect_bit_identical(const assay::sequencing_graph& graph, int devices,
+                          std::optional<long> node_cap = std::nullopt) {
   const sched::scheduling_ilp ilp = make_ilp(graph, devices);
-  const milp::solution ref =
-      milp::solve(ilp.model, deterministic_options(ilp, 1));
-  ASSERT_EQ(ref.status, milp::solve_status::optimal);
+  auto solve_with = [&](int threads) {
+    milp::solver_options so = deterministic_options(ilp, threads);
+    if (node_cap) so.max_nodes = *node_cap;
+    return milp::solve(ilp.model, so);
+  };
+  const milp::solution ref = solve_with(1);
+  if (node_cap) {
+    ASSERT_EQ(ref.status, milp::solve_status::feasible);
+    EXPECT_GE(ref.nodes_explored, *node_cap);
+    EXPECT_FALSE(ref.interrupted);
+  } else {
+    ASSERT_EQ(ref.status, milp::solve_status::optimal);
+  }
   EXPECT_EQ(ref.threads_used, 1);
   EXPECT_EQ(worker_node_sum(ref), ref.nodes_explored);
 
   for (int threads : {2, 8}) {
-    const milp::solution sol =
-        milp::solve(ilp.model, deterministic_options(ilp, threads));
-    ASSERT_EQ(sol.status, milp::solve_status::optimal);
+    const milp::solution sol = solve_with(threads);
+    ASSERT_EQ(sol.status, ref.status);
     EXPECT_EQ(sol.threads_used, threads);
 
     // Bit-identical trajectory and result: exact integer and exact
@@ -112,12 +127,14 @@ TEST(Deterministic, BitIdenticalAcrossThreadCountsRa12) {
   expect_bit_identical(assay::make_random_assay(12, 12), 2);
 }
 
+// IVD's full deterministic tree is ~58k nodes; the first 8,000 cover the
+// same invariants at a seventh of the nodes, and the node-limit stop too.
 TEST(Deterministic, BitIdenticalAcrossThreadCountsIvd) {
 #ifndef NDEBUG
   GTEST_SKIP() << "the IVD sweep takes minutes under Debug/TSan; the Release "
                   "CI matrix runs it";
 #endif
-  expect_bit_identical(assay::make_ivd(), 2);
+  expect_bit_identical(assay::make_ivd(), 2, 8000);
 }
 
 // --- opportunistic pool engine ----------------------------------------------
@@ -214,29 +231,37 @@ TEST(Portfolio, ReturnsValidScheduleAndJoinsEveryRacer) {
   const sched::ilp_schedule_result plain = sched::schedule_with_ilp(graph, base);
   ASSERT_EQ(plain.status, milp::solve_status::optimal);
 
-  sched::ilp_scheduler_options po = base;
-  po.portfolio = true;
-  po.milp.threads = 2;
-  const sched::ilp_schedule_result pr = sched::schedule_with_ilp(graph, po);
+  for (const int budget : {1, 4}) {
+    SCOPED_TRACE(budget);
+    sched::ilp_scheduler_options po = base;
+    po.portfolio = true;
+    po.milp.threads = budget;
+    const sched::ilp_schedule_result pr = sched::schedule_with_ilp(graph, po);
 
-  // No thread leaks: every racer was joined before schedule_with_ilp
-  // returned, and the race bookkeeping is populated.
-  EXPECT_TRUE(pr.portfolio_all_joined);
-  EXPECT_EQ(pr.portfolio_racers, 3);
-  EXPECT_TRUE(pr.portfolio_winner == "best_estimate" ||
-              pr.portfolio_winner == "dfs" || pr.portfolio_winner == "heuristic")
-      << pr.portfolio_winner;
+    // No thread leaks: every racer was joined before schedule_with_ilp
+    // returned, and the race bookkeeping is populated.
+    EXPECT_TRUE(pr.portfolio_all_joined);
+    EXPECT_EQ(pr.portfolio_racers, 3);
+    EXPECT_TRUE(pr.portfolio_winner == "best_estimate" ||
+                pr.portfolio_winner == "dfs" ||
+                pr.portfolio_winner == "heuristic")
+        << pr.portfolio_winner;
+    // The annealing racer runs on the calling thread and the two tree
+    // searches split the rest of the budget, at least one thread each.
+    EXPECT_EQ(pr.threads_used, std::max(budget, 3));
 
-  // The race must deliver a schedule that survives the structural verifier,
-  // and when it proves optimality it must agree with the lone solver.
-  ASSERT_TRUE(pr.status == milp::solve_status::optimal ||
-              pr.status == milp::solve_status::feasible);
-  EXPECT_NO_THROW(pr.refined.validate(graph));
-  EXPECT_GT(pr.refined.makespan(), 0);
-  if (pr.status == milp::solve_status::optimal)
-    EXPECT_NEAR(pr.ilp_objective, plain.ilp_objective, 1e-6);
-  else
-    EXPECT_GE(pr.ilp_objective, plain.ilp_objective - 1e-6);
+    // The race must deliver a schedule that survives the structural
+    // verifier, and when it proves optimality it must agree with the lone
+    // solver.
+    ASSERT_TRUE(pr.status == milp::solve_status::optimal ||
+                pr.status == milp::solve_status::feasible);
+    EXPECT_NO_THROW(pr.refined.validate(graph));
+    EXPECT_GT(pr.refined.makespan(), 0);
+    if (pr.status == milp::solve_status::optimal)
+      EXPECT_NEAR(pr.ilp_objective, plain.ilp_objective, 1e-6);
+    else
+      EXPECT_GE(pr.ilp_objective, plain.ilp_objective - 1e-6);
+  }
 }
 
 // --- thread budgets ----------------------------------------------------------
