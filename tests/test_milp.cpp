@@ -495,9 +495,10 @@ TEST(Simplex, DualWarmStartMatchesPrimalOnRandomBoundedLps) {
     const lp_result expected = reference.solve(no_limit, false);
 
     ASSERT_EQ(resolved.status, expected.status) << "seed " << seed;
-    if (expected.status == lp_status::optimal)
+    if (expected.status == lp_status::optimal) {
       EXPECT_NEAR(resolved.objective, expected.objective, 1e-5)
           << "seed " << seed;
+    }
   }
   // The sweep must actually exercise the dual path, not just fall back.
   EXPECT_GT(dual_solves_seen, 10);
@@ -1620,10 +1621,11 @@ TEST(Milp, NodeRulesAgreeOnTheOptimum) {
     const solution a = solve(m, dfs);
     const solution b = solve(m, best);
     ASSERT_EQ(a.status, b.status) << "seed " << seed;
-    if (a.status == solve_status::optimal)
+    if (a.status == solve_status::optimal) {
       EXPECT_NEAR(a.objective, b.objective,
                   1e-6 * std::max(1.0, std::abs(a.objective)))
           << "seed " << seed;
+    }
   }
 }
 
@@ -1703,6 +1705,32 @@ struct pinned_trajectory {
   double objective;
 };
 
+/// Solves every case at one thread, through the round engine when
+/// `deterministic`, and checks its trajectory with exact equality.
+template <std::size_t N>
+void expect_pinned(const pinned_trajectory (&cases)[N], bool deterministic) {
+  for (const pinned_trajectory& c : cases) {
+    const sched::scheduling_ilp ilp =
+        make_ilp(assay::make_random_assay(c.operations, c.seed), c.devices);
+    solver_options o = quick_options(); // never binds: limits break the pin
+    o.threads = 1;
+    o.deterministic = deterministic;
+    o.node_selection = c.rule;
+    o.warm_start = ilp.warm_assignment;
+    const solution s = solve(ilp.model, o);
+    const std::string label =
+        std::to_string(c.operations) + " ops, seed " + std::to_string(c.seed) +
+        ", " + std::to_string(c.devices) + " devices, " +
+        (c.rule == node_rule::dfs ? "dfs" : "best_estimate");
+    ASSERT_EQ(s.status, solve_status::optimal) << label;
+    EXPECT_EQ(s.nodes_explored, c.nodes) << label;
+    EXPECT_EQ(s.simplex_iterations, c.simplex_iterations) << label;
+    EXPECT_EQ(s.dual_simplex_iterations, c.dual_simplex_iterations) << label;
+    EXPECT_EQ(s.strong_branch_probes, c.strong_branch_probes) << label;
+    EXPECT_EQ(s.objective, c.objective) << label;
+  }
+}
+
 } // namespace
 
 TEST(Milp, SequentialTrajectoryIsPinned) {
@@ -1726,25 +1754,31 @@ TEST(Milp, SequentialTrajectoryIsPinned) {
       {10, 1, 2, node_rule::best_estimate, 32, 8356, 6132, 100,
        220.49999999999986},
   };
-  for (const pinned_trajectory& c : cases) {
-    const sched::scheduling_ilp ilp =
-        make_ilp(assay::make_random_assay(c.operations, c.seed), c.devices);
-    solver_options o = quick_options(); // never binds: limits break the pin
-    o.threads = 1;
-    o.node_selection = c.rule;
-    o.warm_start = ilp.warm_assignment;
-    const solution s = solve(ilp.model, o);
-    const std::string label =
-        std::to_string(c.operations) + " ops, seed " + std::to_string(c.seed) +
-        ", " + std::to_string(c.devices) + " devices, " +
-        (c.rule == node_rule::dfs ? "dfs" : "best_estimate");
-    ASSERT_EQ(s.status, solve_status::optimal) << label;
-    EXPECT_EQ(s.nodes_explored, c.nodes) << label;
-    EXPECT_EQ(s.simplex_iterations, c.simplex_iterations) << label;
-    EXPECT_EQ(s.dual_simplex_iterations, c.dual_simplex_iterations) << label;
-    EXPECT_EQ(s.strong_branch_probes, c.strong_branch_probes) << label;
-    EXPECT_EQ(s.objective, c.objective) << label;
-  }
+  expect_pinned(cases, /*deterministic=*/false);
+}
+
+TEST(Milp, DeterministicTrajectoryIsPinned) {
+  // The deterministic round engine's exact trajectory on the same
+  // formulations (its cross-thread equality is test_parallel's concern).
+  // Every node of a round gets the probe allowance left when the round
+  // started, so a search may run more than the 100-probe budget.
+  const pinned_trajectory cases[] = {
+      {8, 2, 2, node_rule::dfs, 99, 7318, 6043, 112, 164.5},
+      {8, 2, 2, node_rule::best_estimate, 47, 6745, 5573, 112, 164.5},
+      {8, 4, 2, node_rule::dfs, 81, 7866, 5751, 102, 164.5},
+      {8, 4, 2, node_rule::best_estimate, 89, 8050, 5944, 102, 164.5},
+      {8, 5, 2, node_rule::dfs, 779, 16254, 13407, 112, 154.49999999999997},
+      {8, 5, 2, node_rule::best_estimate, 729, 15806, 12861, 112,
+       154.49999999999997},
+      {9, 1, 2, node_rule::dfs, 419, 11859, 10324, 112, 193.0},
+      {9, 1, 2, node_rule::best_estimate, 158, 9083, 7906, 112, 193.0},
+      {9, 1, 3, node_rule::dfs, 27, 8137, 5722, 138, 183.00000000000003},
+      {9, 1, 3, node_rule::best_estimate, 31, 8165, 5745, 138,
+       183.00000000000003},
+      {10, 1, 2, node_rule::dfs, 63, 6935, 5636, 112, 220.5},
+      {10, 1, 2, node_rule::best_estimate, 59, 6917, 5640, 112, 220.5},
+  };
+  expect_pinned(cases, /*deterministic=*/true);
 }
 
 TEST(Simplex, WarmDualResolvesArePinned) {
