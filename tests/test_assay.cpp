@@ -207,9 +207,13 @@ TEST_P(RandomAssaySweep, StructurallySound) {
   // Edges bounded by arity: at most 2 per op.
   EXPECT_LE(g.edge_count(), 2 * n);
   // The graph must not be edgeless for n > 1.
-  if (n > 1) EXPECT_GT(g.edge_count(), 0);
+  if (n > 1) {
+    EXPECT_GT(g.edge_count(), 0);
+  }
   // Critical path at least two levels for n >= 4.
-  if (n >= 4) EXPECT_GE(g.critical_path_duration(), 60);
+  if (n >= 4) {
+    EXPECT_GE(g.critical_path_duration(), 60);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, RandomAssaySweep,

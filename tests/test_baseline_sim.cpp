@@ -24,7 +24,7 @@ TEST(Baseline, UnitValveModel) {
   EXPECT_EQ(baseline::storage_unit_valves(1), 2 + 2 + 2);   // 1 cell
   EXPECT_EQ(baseline::storage_unit_valves(2), 4 + 2 + 2);   // log2(2)=1
   EXPECT_EQ(baseline::storage_unit_valves(8), 16 + 6 + 2);  // Fig. 1(c)
-  EXPECT_THROW(baseline::storage_unit_valves(-1), invalid_input_error);
+  EXPECT_THROW((void)baseline::storage_unit_valves(-1), invalid_input_error);
 }
 
 TEST(Baseline, DedicatedStorageProlongsExecution) {
@@ -126,7 +126,7 @@ TEST(Simulator, DetectsTamperedSchedule) {
       op.end -= s.transport_time;
       break;
     }
-  EXPECT_THROW(sim::simulate(graph, s, a.workload, a.result), ts_error);
+  EXPECT_THROW((void)sim::simulate(graph, s, a.workload, a.result), ts_error);
 }
 
 // Property sweep: simulate every synthesized random design end to end.

@@ -121,8 +121,9 @@ TEST(FaultSet, BannedMapsCoverValveIncidenceAndStorageOnlyFaults) {
   const std::vector<bool> storage = arch::banned_storage_map(f, grid);
   EXPECT_TRUE(storage[1]);
   for (int e = 0; e < grid.edge_count(); ++e)
-    if (edges[static_cast<std::size_t>(e)])
+    if (edges[static_cast<std::size_t>(e)]) {
       EXPECT_TRUE(storage[static_cast<std::size_t>(e)]) << e;
+    }
 }
 
 // -------------------------------------------------- fault-aware synthesis
@@ -218,7 +219,9 @@ TEST(Splice, PrefixKeptVerbatimAndResultValidates) {
   }
   for (int op : spliced.remainder_ops) {
     for (const sched::scheduled_op& so : s.ops)
-      if (so.op == op) EXPECT_GE(so.start, fault_time);
+      if (so.op == op) {
+        EXPECT_GE(so.start, fault_time);
+      }
   }
 }
 
@@ -300,8 +303,9 @@ TEST(Recover, AllSixAssaysSurviveMidAssayFaults) {
     const auto scenario = sim::choose_fault_scenario(
         graph, s, flow.architecture.result, flow.architecture.workload, 0.5);
     ASSERT_TRUE(scenario.has_value()) << r.name;
-    if (r.devices > 1)
+    if (r.devices > 1) {
       EXPECT_FALSE(scenario->faults.devices.empty()) << r.name;
+    }
     EXPECT_FALSE(scenario->faults.storage.empty()) << r.name;
 
     api::recovery_request req;
@@ -344,8 +348,9 @@ TEST(Recover, AllSixAssaysSurviveMidAssayFaults) {
     // No remainder operation runs on a failed device.
     for (int op : rec.rescheduled_ops)
       for (const sched::scheduled_op& so : recovered.ops)
-        if (so.op == op)
+        if (so.op == op) {
           for (int d : req.faults.devices) EXPECT_NE(so.device, d) << r.name;
+        }
 
     // Determinism: a second recovery produces the identical document.
     const std::string doc = api::to_json(graph, o, rec);

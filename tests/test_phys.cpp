@@ -66,7 +66,9 @@ TEST(Layout, BendsPreserveStorageLength) {
   phys_options opt;
   opt.storage_length = 9; // force bends: compressed segments are shorter
   const layout_result l = generate_layout(a.result, opt);
-  if (!a.result.caches.empty()) EXPECT_GT(l.bend_points, 0);
+  if (!a.result.caches.empty()) {
+    EXPECT_GT(l.bend_points, 0);
+  }
 }
 
 TEST(Layout, NoBendsWhenSegmentsLongEnough) {
