@@ -13,27 +13,6 @@
 namespace transtore::api {
 namespace {
 
-/// Translate the exception currently in flight into a stage failure.
-/// cancelled_error is attributed to the token or the deadline depending on
-/// which actually fired.
-template <typename T>
-result<T> failure_from_current_exception(const run_context& ctx) {
-  try {
-    throw;
-  } catch (const cancelled_error& e) {
-    return result<T>::failure(
-        ctx.cancelled() ? status::cancelled : status::time_limit, e.what());
-  } catch (const invalid_input_error& e) {
-    return result<T>::failure(status::invalid_input, e.what());
-  } catch (const infeasible_error& e) {
-    return result<T>::failure(status::infeasible, e.what());
-  } catch (const capacity_error& e) {
-    return result<T>::failure(status::capacity, e.what());
-  } catch (const std::exception& e) {
-    return result<T>::failure(status::internal, e.what());
-  }
-}
-
 /// Wrap a completed stage value: ok normally, partial when the run context
 /// was interrupted while the stage still produced something usable.
 template <typename T>

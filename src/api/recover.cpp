@@ -14,24 +14,6 @@
 namespace transtore::api {
 namespace {
 
-template <typename T>
-result<T> failure_from_current_exception(const run_context& ctx) {
-  try {
-    throw;
-  } catch (const cancelled_error& e) {
-    return result<T>::failure(
-        ctx.cancelled() ? status::cancelled : status::time_limit, e.what());
-  } catch (const invalid_input_error& e) {
-    return result<T>::failure(status::invalid_input, e.what());
-  } catch (const infeasible_error& e) {
-    return result<T>::failure(status::infeasible, e.what());
-  } catch (const capacity_error& e) {
-    return result<T>::failure(status::capacity, e.what());
-  } catch (const std::exception& e) {
-    return result<T>::failure(status::internal, e.what());
-  }
-}
-
 /// Assemble the recovered flow_result: compact the chip, replay the
 /// schedule through the independent simulator, and zero every wall-clock
 /// field so recovery documents are byte-identical across runs, machines,

@@ -12,6 +12,7 @@
 #include <string>
 #include <utility>
 
+#include "api/run_context.h"
 #include "common/error.h"
 
 namespace transtore::api {
@@ -106,5 +107,26 @@ private:
   std::optional<T> value_;
   std::string message_;
 };
+
+/// Translate the exception currently in flight into a stage failure; call
+/// it only from a catch block. cancelled_error is attributed to the token or
+/// the deadline depending on which actually fired.
+template <typename T>
+[[nodiscard]] result<T> failure_from_current_exception(const run_context& ctx) {
+  try {
+    throw;
+  } catch (const cancelled_error& e) {
+    return result<T>::failure(
+        ctx.cancelled() ? status::cancelled : status::time_limit, e.what());
+  } catch (const invalid_input_error& e) {
+    return result<T>::failure(status::invalid_input, e.what());
+  } catch (const infeasible_error& e) {
+    return result<T>::failure(status::infeasible, e.what());
+  } catch (const capacity_error& e) {
+    return result<T>::failure(status::capacity, e.what());
+  } catch (const std::exception& e) {
+    return result<T>::failure(status::internal, e.what());
+  }
+}
 
 } // namespace transtore::api
