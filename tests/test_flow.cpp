@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "api/pipeline.h"
+#include "api/serialize.h"
 #include "assay/benchmarks.h"
 
 namespace transtore::api {
@@ -149,6 +150,14 @@ TEST_P(GeneratedFlowSweep, VerifiedAndReproducible) {
         const flow_result again = completed_flow(graph, o);
         EXPECT_EQ(to_json(graph, first, /*include_timing=*/false),
                   to_json(graph, again, /*include_timing=*/false))
+            << label;
+        // The flow document round-trips byte-identically.
+        const std::string doc = serialize_flow(graph, o, first);
+        const auto restored = deserialize_flow(doc);
+        ASSERT_TRUE(restored.ok()) << label << ": " << restored.message();
+        EXPECT_EQ(serialize_flow(restored->graph, restored->options,
+                                 restored->flow),
+                  doc)
             << label;
       }
     }
