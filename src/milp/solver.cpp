@@ -5,7 +5,6 @@
 #include <barrier>
 #include <cmath>
 #include <condition_variable>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -64,6 +63,11 @@ struct standard_form {
   std::vector<bool> is_integer;
   double objective_sign = 1.0;  // +1 minimize, -1 maximize
   double objective_constant = 0.0;
+
+  /// The user-sense value of a min-form objective.
+  [[nodiscard]] double user_objective(double min_obj) const {
+    return objective_sign * min_obj + objective_constant;
+  }
 };
 
 standard_form build_standard_form(const model& m) {
@@ -284,24 +288,112 @@ bool propagate_node(const row_view& view, const std::vector<bool>& is_integer,
   return true;
 }
 
-// ---------------------------------------------------------- tree search
+// ---------------------------------------------------------- root phase
 
-/// Read-only inputs shared by both node sources (and every worker) of a
-/// tree search.
-struct tree_context {
-  const model& m;
-  const standard_form& sf;
-  const solver_options& options;
-  const std::vector<double>& root_lower;
-  const std::vector<double>& root_upper;
-  const row_view* rows; // null = node propagation off
-  const deadline& time_budget;
-  int n;
-  /// Whether children carry their parent's basis snapshot: with several
-  /// workers a node re-solves on whichever instance picks it up; a
-  /// one-worker pool search never reloads a basis, so it skips the capture.
-  bool snapshots;
+/// The root phase: standard form, presolve (or the root propagation pass),
+/// the root LP and the cut rounds. It owns the LP the tree solves and the
+/// cut loop's simplex over it; the simplex holds a reference into it, so a
+/// root_phase is built in place and never copied or moved.
+struct root_phase {
+  root_phase(const model& m, const solver_options& options,
+             const deadline& time_budget, solution& result);
+  root_phase(const root_phase&) = delete;
+  root_phase& operator=(const root_phase&) = delete;
+
+  /// The LP the tree solves: the (presolved) root problem plus the cuts
+  /// alive after the last round.
+  [[nodiscard]] const lp_problem& tree_lp() const {
+    return cut_lp ? *cut_lp : sf.lp;
+  }
+
+  standard_form sf;
+  bool infeasible = false; // proven by presolve or the propagation pass
+  std::unique_ptr<lp_problem> cut_lp; // null while no round changed the rows
+  std::unique_ptr<simplex_solver> lp; // the cut loop's simplex over tree_lp()
+  double bound = inf;                 // min-form LP bound of the (cut) root
+  bool solved = false;                // whether `bound` is known
+  long iterations = 0;
+  long dual_iterations = 0;
 };
+
+root_phase::root_phase(const model& m, const solver_options& options,
+                       const deadline& time_budget, solution& result)
+    : sf(build_standard_form(m)) {
+  // Root presolve: the iterated reduction loop when enabled, otherwise the
+  // node propagation pass over the root rows (the primal_only ablation
+  // needs it). Nothing writes sf.lp's variable bounds after this.
+  if (options.presolve) {
+    presolved_problem reduced = presolve(sf.lp, sf.is_integer);
+    result.presolve_rows_removed = reduced.stats.rows_removed;
+    result.presolve_bounds_tightened = reduced.stats.bounds_tightened;
+    result.presolve_coefficients_tightened =
+        reduced.stats.coefficients_tightened;
+    result.presolve_variables_fixed = reduced.stats.variables_fixed;
+    if (reduced.infeasible) {
+      infeasible = true;
+      return;
+    }
+    sf.lp = std::move(reduced.reduced);
+  } else if (!propagate_node(row_view(sf.lp), sf.is_integer, sf.lp.lower,
+                             sf.lp.upper, root_propagation_passes)) {
+    infeasible = true;
+    return;
+  }
+  lp = std::make_unique<simplex_solver>(sf.lp, options.lp);
+  if (!options.cuts || time_budget.expired()) return;
+
+  // Solve the root LP once, then separate Gomory + cover cuts in rounds,
+  // each round rebuilding the simplex over the extended rows and
+  // warm-restarting from the previous basis (the appended cut slacks enter
+  // basic, so the dual method re-solves in a handful of pivots).
+  const auto solve_counted = [&](bool warm) {
+    const lp_result r = lp->solve(time_budget, warm);
+    iterations += r.iterations;
+    dual_iterations += r.dual_iterations;
+    return r;
+  };
+  const auto has_fractional = [&](const lp_result& r) {
+    for (int j = 0; j < sf.lp.num_vars; ++j)
+      if (sf.is_integer[j] &&
+          std::abs(r.x[j] - std::round(r.x[j])) > integrality_tolerance)
+        return true;
+    return false;
+  };
+  const lp_result root = solve_counted(/*warm=*/false);
+  if (root.status != lp_status::optimal) return;
+  bound = root.objective;
+  solved = true;
+  if (!has_fractional(root)) return;
+  cut_generator cutter(sf.lp, sf.is_integer);
+  double bound_before_round = bound;
+  for (int round = 0; round < cut_rounds; ++round) {
+    if (time_budget.expired()) break;
+    if (!cutter.round(*lp, time_budget)) break;
+    std::vector<int> at_upper;
+    const std::vector<int> basis = cutter.remap_basis(*lp, at_upper);
+    auto next_problem = std::make_unique<lp_problem>(cutter.current());
+    auto next_lp = std::make_unique<simplex_solver>(*next_problem, options.lp);
+    next_lp->load_basis(basis, at_upper);
+    lp = std::move(next_lp);
+    cut_lp = std::move(next_problem);
+    const lp_result re = solve_counted(/*warm=*/true);
+    if (re.status != lp_status::optimal) break;
+    bound = re.objective;
+    if (!has_fractional(re)) break;
+    // Stalling termination: on these degenerate big-M relaxations a round
+    // that fails to move the bound is chasing alternate optima -- further
+    // rounds only bloat the tree's LPs.
+    if (bound - bound_before_round <=
+        cut_min_bound_improvement * std::max(1.0, std::abs(bound)))
+      break;
+    bound_before_round = bound;
+  }
+  result.cut_rounds = cutter.stats().rounds;
+  result.cuts_added = cutter.stats().added;
+  result.cuts_active = cutter.active_cuts();
+}
+
+// ---------------------------------------------------------- tree search
 
 enum class node_kind {
   skipped,       // pruned by parent bound before any work (not counted)
@@ -321,15 +413,12 @@ struct probe_record {
   double cost = 0.0; // degradation per unit of fractional distance
 };
 
-/// Everything the kernel learned about one node, handed to the engine's
+/// Everything the kernel learned about one node, handed to the source's
 /// commit step -- the only place search-global state (pseudocosts,
 /// incumbent, the open nodes) is mutated.
 struct node_result {
   node_kind kind = node_kind::skipped;
   double bound = -inf; // min-form LP objective
-  long iterations = 0;
-  long dual_iterations = 0;
-  long probes_run = 0;
   int processed_by = 0;
   std::vector<probe_record> probe_records;
   bool down_infeasible = false;
@@ -340,15 +429,15 @@ struct node_result {
   /// Effective node bounds of each fractional variable (post-propagation),
   /// aligned with `fractional` -- the child bound changes branch off these.
   std::vector<std::pair<double, double>> fractional_bounds;
-  /// Post-solve, pre-probe basis (null unless tree_context::snapshots).
+  /// Post-solve, pre-probe basis (null unless tree_search::snapshots).
   std::shared_ptr<const basis_snapshot> basis;
   // Integral candidate, already rounded and evaluated so the commit only
-  // compares objectives (under its lock, in the pool engine).
+  // compares objectives (under its lock, in the pool source).
   std::vector<double> candidate;
   double candidate_obj = inf; // min-form; inf = infeasible after rounding
 };
 
-/// The integral-candidate check every engine shares (node optima, the warm
+/// The integral-candidate check every source shares (node optima, the warm
 /// start, board adoptions): rounds `x`'s integer entries in place and
 /// returns its min-form objective, or +inf when the rounded point is
 /// infeasible.
@@ -360,212 +449,246 @@ double evaluate_candidate(const model& m, const standard_form& sf,
   return sf.objective_sign * (m.evaluate_objective(x) - sf.objective_constant);
 }
 
-/// This node's share of the search-wide strong-branching probe budget, given
-/// the probes already issued (0 when probing is off).
-long remaining_probes(const solver_options& options, long issued) {
-  if (options.branching != branch_rule::pseudocost) return 0;
-  return std::max(0L, strong_branch_limit - issued);
-}
-
-/// Fills per-candidate (up_count, down_count) pseudocost observations; the
-/// pool engine snapshots them under its lock, the round engine reads the
-/// table directly.
-using pc_count_fn = std::function<void(
-    const std::vector<int>&, std::vector<std::pair<long, long>>&)>;
-
-/// The node kernel every engine runs: per-node propagation, the LP
-/// re-solve, and the reliability probes. `reload_basis` warm-starts the LP
-/// from the node's recorded parent basis; false trusts the instance's
-/// current basis (a pool worker continuing its own dive, or any node of a
-/// one-worker search). `prune_obj` is the incumbent objective to prune
-/// against (+inf when none) and `probe_allowance` this node's share of the
-/// global probe budget -- both fixed by the engine so the result is a pure
-/// function of its arguments.
-node_result process_node(const tree_context& ctx, simplex_solver& lp,
-                         const bb_node& node, bool reload_basis,
-                         double prune_obj, long probe_allowance,
-                         const pc_count_fn& pc_counts,
-                         std::vector<double>& prop_lower,
-                         std::vector<double>& prop_upper) {
-  node_result out;
-  const int n = ctx.n;
-
-  if (node.parent_bound >= prune_obj - absolute_gap) {
-    out.kind = node_kind::skipped;
-    return out;
-  }
-
-  if (ctx.rows != nullptr && !node.changes.empty()) {
-    // Per-node propagation: branching fixes collapse big-M disjunctions,
-    // so a few interval passes often prune the node (or shrink its LP)
-    // before any pivot is spent.
-    prop_lower = ctx.root_lower;
-    prop_upper = ctx.root_upper;
-    for (const bound_change& change : node.changes) {
-      prop_lower[change.var] = change.lower;
-      prop_upper[change.var] = change.upper;
-    }
-    if (!propagate_node(*ctx.rows, ctx.sf.is_integer, prop_lower, prop_upper,
-                        node_propagation_passes)) {
-      out.kind = node_kind::prop_pruned;
-      return out;
-    }
-    for (int j = 0; j < n; ++j)
-      lp.set_variable_bounds(j, prop_lower[j], prop_upper[j]);
-  } else {
-    for (int j = 0; j < n; ++j)
-      lp.set_variable_bounds(j, ctx.root_lower[j], ctx.root_upper[j]);
-    for (const bound_change& change : node.changes)
-      lp.set_variable_bounds(change.var, change.lower, change.upper);
-  }
-
-  bool warm = true;
-  if (reload_basis) {
-    if (node.warm)
-      lp.load_basis(node.warm->basic, node.warm->at_upper);
-    else
-      warm = false; // snapshot-less node (the unsolved root): cold solve
-  }
-  const lp_result relax = lp.solve(ctx.time_budget, warm);
-  out.iterations = relax.iterations;
-  out.dual_iterations = relax.dual_iterations;
-  if (relax.status == lp_status::time_limit) {
-    out.kind = node_kind::time_limit;
-    return out;
-  }
-  if (relax.status == lp_status::infeasible) {
-    out.kind = node_kind::lp_infeasible;
-    return out;
-  }
-  if (relax.status == lp_status::unbounded) {
-    out.kind = node_kind::unbounded;
-    return out;
-  }
-  if (relax.status == lp_status::iteration_limit) {
-    // Requeueing would loop; the iteration cap is high enough that this
-    // indicates numerical trouble.
-    out.kind = node_kind::dropped;
-    return out;
-  }
-  out.bound = relax.objective;
-  if (out.bound >= prune_obj - absolute_gap) {
-    out.kind = node_kind::bound_pruned;
-    return out;
-  }
-
-  for (int j = 0; j < n; ++j) {
-    if (!ctx.sf.is_integer[j]) continue;
-    const double frac = std::abs(relax.x[j] - std::round(relax.x[j]));
-    if (frac <= integrality_tolerance) continue;
-    out.fractional.emplace_back(0.5 - std::abs(frac - 0.5), j);
-    out.fractional_bounds.emplace_back(lp.variable_lower(j),
-                                       lp.variable_upper(j));
-  }
-
-  if (out.fractional.empty()) {
-    // Integral optimum: do the O(nnz) rounding + feasibility check here,
-    // outside any engine lock, so the commit only compares objectives.
-    out.kind = node_kind::integral;
-    out.candidate = relax.x;
-    out.candidate_obj = evaluate_candidate(ctx.m, ctx.sf, out.candidate);
-    return out;
-  }
-
-  // The children's warm basis: this node's own optimal basis, captured
-  // before the probes below disturb it.
-  if (ctx.snapshots) out.basis = capture_basis(lp, n);
-
-  // Reliability initialization: before trusting pseudocosts, seed them
-  // with limited strong-branching probes -- warm-started dual re-solves
-  // with a tight iteration cap, most fractional candidates first. An
-  // infeasible probe direction prunes that child outright.
-  if (probe_allowance > 0) {
-    std::vector<std::pair<double, int>> order = out.fractional;
-    std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-      if (a.first != b.first) return a.first > b.first;
-      return a.second < b.second;
-    });
-    if (static_cast<int>(order.size()) > strong_branch_candidates)
-      order.resize(static_cast<std::size_t>(strong_branch_candidates));
-    std::vector<int> vars;
-    vars.reserve(order.size());
-    for (const auto& [closeness, j] : order) {
-      (void)closeness;
-      vars.push_back(j);
-    }
-    std::vector<std::pair<long, long>> counts;
-    pc_counts(vars, counts);
-    for (std::size_t c = 0; c < vars.size(); ++c) {
-      if (out.probes_run >= probe_allowance) break;
-      if (std::min(counts[c].first, counts[c].second) >= reliability)
-        continue;
-      const int j = vars[c];
-      const double value = relax.x[j];
-      const double floor_val = std::floor(value);
-      const double frac = value - floor_val;
-      const double node_lower = lp.variable_lower(j);
-      const double node_upper = lp.variable_upper(j);
-      bool local_down_infeasible = false;
-      bool local_up_infeasible = false;
-      for (const bool up : {false, true}) {
-        if (ctx.time_budget.expired()) break;
-        if (up)
-          lp.set_variable_bounds(j, floor_val + 1.0, node_upper);
-        else
-          lp.set_variable_bounds(j, node_lower, floor_val);
-        const lp_result probe = lp.solve(ctx.time_budget, /*warm_start=*/true,
-                                         strong_branch_iteration_limit);
-        lp.set_variable_bounds(j, node_lower, node_upper);
-        ++out.probes_run;
-        out.iterations += probe.iterations;
-        out.dual_iterations += probe.dual_iterations;
-        if (probe.status == lp_status::optimal) {
-          const double degradation =
-              std::max(0.0, probe.objective - out.bound);
-          const double distance = up ? 1.0 - frac : frac;
-          out.probe_records.push_back(
-              {j, up, degradation / std::max(distance, 1e-6)});
-        } else if (probe.status == lp_status::infeasible) {
-          // Infeasibility holds only under this node's bound set, so it
-          // must not pollute the search-global pseudocost averages; the
-          // child is pruned at commit instead.
-          if (up)
-            local_up_infeasible = true;
-          else
-            local_down_infeasible = true;
-        }
-        // Iteration/time-limited probes carry no trustworthy bound.
-      }
-      if (local_down_infeasible || local_up_infeasible) {
-        out.probed_infeasible_var = j;
-        out.down_infeasible = local_down_infeasible;
-        out.up_infeasible = local_up_infeasible;
-      }
-    }
-  }
-
-  out.x = relax.x;
-  out.kind = node_kind::branched;
-  return out;
-}
-
-/// Both children of a branched node, built at commit time (the caller
-/// holds whatever lock protects the pseudocost table and the id counter).
+/// Both children of a branched node, built at commit time; a child whose
+/// side a strong-branching probe proved infeasible is left empty.
 struct branch_output {
-  bb_node down, up;
-  bool down_infeasible = false;
-  bool up_infeasible = false;
-  bool down_preferred = true;
+  std::optional<bb_node> down, up;
+  bool down_preferred = true; // the down child is nearer the LP value
 };
 
-branch_output commit_branch(const tree_context& ctx, const bb_node& node,
-                            node_result& nr, pseudocost_table& pc,
-                            long& next_node_id) {
-  const solver_options& options = ctx.options;
+// The node-order rule of both node sources.
 
+/// Which open node a selection takes: the newest (LIFO), the best parent
+/// bound, or the best pseudocost completion estimate.
+enum class open_key { newest, bound, estimate };
+
+/// The key of the `turn`-th selection: a backtrack in the pool source, a
+/// round in the deterministic source. dfs always takes the newest node.
+/// best_estimate is hybrid backtracking: most turns stay LIFO (the adjacent
+/// open node keeps the warm basis hot); every second one restarts from the
+/// best-estimate node, and every `backtrack_interval`-th from the best-bound
+/// node (pumping the global dual bound). Pure best-first jumping doubles the
+/// LP cost per node -- the warm dual re-solve only pays off between nearby
+/// nodes.
+open_key key_for_turn(node_rule rule, long turn) {
+  if (rule != node_rule::best_estimate) return open_key::newest;
+  if (turn % backtrack_interval == 0) return open_key::bound;
+  return turn % 2 == 0 ? open_key::estimate : open_key::newest;
+}
+
+/// Strict total order of open nodes under `key`; ids are unique, so no
+/// ties remain and a scan or sort under it never depends on where a node
+/// sits in `open`.
+bool comes_first(open_key key, const bb_node& a, const bb_node& b) {
+  switch (key) {
+    case open_key::newest:
+      return a.id > b.id;
+    case open_key::bound:
+      if (a.parent_bound != b.parent_bound)
+        return a.parent_bound < b.parent_bound;
+      if (a.estimate != b.estimate) return a.estimate < b.estimate;
+      return a.id < b.id;
+    case open_key::estimate:
+      if (a.estimate != b.estimate) return a.estimate < b.estimate;
+      if (a.parent_bound != b.parent_bound)
+        return a.parent_bound < b.parent_bound;
+      return a.id < b.id;
+  }
+  return false;
+}
+
+/// Removes and returns the pool source's next open node. Its `newest` is
+/// the back of `open`, taken in O(1): LIFO over push order, which keeps a
+/// dfs backtrack next to the dive it leaves (a best_estimate pick's
+/// swap-removal can move an older node to the back). The other keys scan
+/// with comes_first. The deterministic source, whose open list its partial
+/// sort permutes, ranks `newest` by id instead.
+bb_node take_open(std::vector<bb_node>& open, open_key key) {
+  std::size_t pick = open.size() - 1;
+  if (key != open_key::newest) {
+    pick = 0;
+    for (std::size_t i = 1; i < open.size(); ++i)
+      if (comes_first(key, open[i], open[pick])) pick = i;
+  }
+  bb_node node = std::move(open[pick]);
+  open[pick] = std::move(open.back());
+  open.pop_back();
+  return node;
+}
+
+/// How the shared commit step settled a processed node.
+enum class settled {
+  done,      // nothing further: pruned, infeasible, dropped, no gain, stop
+  improved,  // an integral candidate became the incumbent
+  branch,    // still open: build its children
+};
+
+/// One tree search: the read-only inputs every worker reads, and the state
+/// both node sources share with the steps that commit to it. The pool
+/// source mutates that state only under its mutex; the round source only in
+/// its barrier's completion step, while every worker waits.
+struct tree_search {
+  tree_search(const model& m, root_phase& root, const solver_options& options,
+              const deadline& time_budget);
+
+  bool accept(double min_obj, const std::vector<double>& values);
+  [[nodiscard]] bool gap_closed() const;
+  bool should_stop();
+  [[nodiscard]] long probe_allowance() const;
+  settled settle(const bb_node& node, const node_result& nr);
+  branch_output branch(const bb_node& node, node_result& nr);
+  void finish(solution& result);
+
+  // Read-only inputs.
+  const model& m;
+  const standard_form& sf;
+  const solver_options& options;
+  const deadline& time_budget;
+  root_phase& root;
+  const int n;
+  const int threads;
+  /// Whether children carry their parent's basis snapshot: with several
+  /// simplex instances a node re-solves on whichever picks it up; a
+  /// one-worker pool search never reloads a basis, so it skips the capture
+  /// and reports no per-worker breakdown.
+  const bool snapshots;
+  /// Racing-portfolio hookup (null in deterministic mode, where adoption
+  /// timing would break bit-identity): improving incumbents are published
+  /// to the shared board, and the pool adopts board incumbents -- after
+  /// rounding and feasibility re-validation -- before each node.
+  incumbent_board* const board;
+  /// Row view of the tree's LP for per-node propagation (engaged when
+  /// node propagation is on).
+  std::optional<row_view> rows;
+
+  // Shared search state (minimization form).
+  bool have_incumbent = false;
+  double incumbent_obj = inf;
+  std::vector<double> incumbent_values;
+  pseudocost_table pseudocosts;
+  /// One entry per open, in-flight or unresolved node; the root's first.
+  std::multiset<double> open_bounds{-inf};
+  std::vector<worker_stats> workers;
+  long nodes = 0;
+  /// Strong-branching probes run so far; workers add theirs per node.
+  std::atomic<long> probes{0};
+  long next_node_id = 1; // the root is node 0
+  bool hit_limit = false;
+  bool unbounded = false;
+  bool stop = false;
+};
+
+/// threads <= 0 resolves to the hardware; at most 64 either way.
+int resolve_threads(int threads) {
+  if (threads <= 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    threads = hw == 0 ? 1 : static_cast<int>(std::min(hw, 64u));
+  }
+  return std::min(threads, 64);
+}
+
+tree_search::tree_search(const model& m, root_phase& root,
+                         const solver_options& options,
+                         const deadline& time_budget)
+    : m(m), sf(root.sf), options(options), time_budget(time_budget),
+      root(root), n(root.sf.lp.num_vars),
+      threads(resolve_threads(options.threads)),
+      snapshots(options.deterministic || threads > 1),
+      board(options.deterministic ? nullptr : options.shared_incumbent.get()),
+      pseudocosts(n), workers(static_cast<std::size_t>(threads)) {
+  if (options.node_propagation) rows.emplace(root.tree_lp());
+}
+
+/// Integral-candidate acceptance (node optima, the warm start, board
+/// adoptions): installs a candidate evaluate_candidate() scored when it
+/// improves the incumbent by more than the absolute gap.
+bool tree_search::accept(double min_obj, const std::vector<double>& values) {
+  if (min_obj == inf ||
+      (have_incumbent && min_obj >= incumbent_obj - absolute_gap))
+    return false;
+  have_incumbent = true;
+  incumbent_obj = min_obj;
+  incumbent_values = values;
+  return true;
+}
+
+/// The incumbent is within the relative or absolute gap of the best open
+/// bound. An empty bound set means the tree is exhausted.
+bool tree_search::gap_closed() const {
+  if (!have_incumbent) return false;
+  if (open_bounds.empty()) return true;
+  const double bound = *open_bounds.begin();
+  const double denom = std::max(1.0, std::abs(incumbent_obj));
+  return (incumbent_obj - bound) / denom <= relative_gap ||
+         incumbent_obj - bound <= absolute_gap;
+}
+
+/// Whether the search must stop before taking another node: an earlier
+/// stop, or the node limit or the deadline, which mark it limit-hit.
+bool tree_search::should_stop() {
+  if (!stop && (nodes >= options.max_nodes || time_budget.expired()))
+    hit_limit = stop = true;
+  return stop;
+}
+
+/// A node's share of the search-wide strong-branching probe budget (0 when
+/// probing is off).
+long tree_search::probe_allowance() const {
+  if (options.branching != branch_rule::pseudocost) return 0;
+  return std::max(0L,
+                  strong_branch_limit - probes.load(std::memory_order_relaxed));
+}
+
+/// The commit step of both sources: the node's entry in the open-bound
+/// multiset, the node count, the root bound, the stop flags and the
+/// incumbent. A node the deadline interrupted or the LP iteration limit
+/// dropped keeps its bound entry: its subtree was never searched, so the
+/// dual bound finish() reports must still cover it.
+settled tree_search::settle(const bb_node& node, const node_result& nr) {
+  if (nr.kind != node_kind::time_limit && nr.kind != node_kind::dropped)
+    open_bounds.erase(open_bounds.find(node.parent_bound));
+  if (nr.kind == node_kind::skipped)
+    return settled::done; // pruned by its parent bound: not counted
+  ++nodes;
+  ++workers[static_cast<std::size_t>(nr.processed_by)].nodes;
+  if (!root.solved && node.id == 0 && nr.bound != -inf) {
+    root.bound = nr.bound;
+    root.solved = true;
+  }
+  switch (nr.kind) {
+    case node_kind::time_limit:
+      hit_limit = stop = true;
+      return settled::done;
+    case node_kind::unbounded:
+      unbounded = stop = true;
+      return settled::done;
+    case node_kind::dropped:
+      // A limit was hit: with the node's subtree unsearched, the search
+      // can prove neither optimality nor infeasibility.
+      log_at(log_level::warn, "milp: dropped node after iteration limit");
+      hit_limit = true;
+      return settled::done;
+    case node_kind::integral:
+      return accept(nr.candidate_obj, nr.candidate) ? settled::improved
+                                                    : settled::done;
+    case node_kind::branched:
+      // An incumbent found since this node's LP solve (by an earlier
+      // commit of the same round, or a racing worker) may prune it.
+      if (have_incumbent && nr.bound >= incumbent_obj - absolute_gap)
+        return settled::done;
+      return settled::branch;
+    default:
+      return settled::done; // propagation, bound or LP infeasibility
+  }
+}
+
+/// Builds both children of a settled::branch node and adds an open-bound
+/// entry for each one a probe did not prune.
+branch_output tree_search::branch(const bb_node& node, node_result& nr) {
   // Probe observations first (in the order the probes ran), then the
   // branch-variable pick, then the parent's own pseudocost record; all
   // precede the children's estimates.
+  pseudocost_table& pc = pseudocosts;
   for (const probe_record& p : nr.probe_records) pc.record(p.var, p.up, p.cost);
 
   int branch_var = -1;
@@ -602,7 +725,7 @@ branch_output commit_branch(const tree_context& ctx, const bb_node& node,
     const bound_change& last = node.changes.back();
     const double degradation = nr.bound - node.parent_bound;
     if (node.parent_bound != -inf && degradation >= 0.0)
-      pc.record(last.var, last.lower > ctx.root_lower[last.var],
+      pc.record(last.var, last.lower > sf.lp.lower[last.var],
                 degradation / std::max(node.branch_distance, 1e-6));
   }
 
@@ -622,132 +745,460 @@ branch_output commit_branch(const tree_context& ctx, const bb_node& node,
     }
   }
 
-  branch_output out;
   const auto [eff_lower, eff_upper] = nr.fractional_bounds[branch_idx];
-
-  out.down.changes = node.changes;
-  out.down.changes.push_back({branch_var, eff_lower, floor_val});
-  out.down.parent_bound = nr.bound;
-  out.down.id = next_node_id++;
-  out.down.branch_distance = frac;
-  out.down.estimate = nr.bound +
-                      pc.down_cost(branch_var, fallback) * frac +
-                      estimate_rest;
-  out.down.warm = nr.basis;
-
-  out.up.changes = node.changes;
-  out.up.changes.push_back({branch_var, floor_val + 1.0, eff_upper});
-  out.up.parent_bound = nr.bound;
-  out.up.id = next_node_id++;
-  out.up.branch_distance = 1.0 - frac;
-  out.up.estimate = nr.bound +
-                    pc.up_cost(branch_var, fallback) * (1.0 - frac) +
-                    estimate_rest;
-  out.up.warm = nr.basis;
-
-  out.down_infeasible = nr.down_infeasible;
-  out.up_infeasible = nr.up_infeasible;
+  const auto child = [&](bool up) {
+    bb_node c;
+    c.changes = node.changes;
+    c.changes.push_back(up ? bound_change{branch_var, floor_val + 1.0, eff_upper}
+                           : bound_change{branch_var, eff_lower, floor_val});
+    c.parent_bound = nr.bound;
+    c.id = next_node_id++;
+    c.branch_distance = up ? 1.0 - frac : frac;
+    c.estimate = nr.bound +
+                 (up ? pc.up_cost(branch_var, fallback) * (1.0 - frac)
+                     : pc.down_cost(branch_var, fallback) * frac) +
+                 estimate_rest;
+    c.warm = nr.basis;
+    c.producer = nr.processed_by;
+    return c;
+  };
+  branch_output out;
+  bb_node down = child(false);
+  bb_node up = child(true);
+  if (!nr.down_infeasible) {
+    open_bounds.insert(nr.bound);
+    out.down = std::move(down);
+  }
+  if (!nr.up_infeasible) {
+    open_bounds.insert(nr.bound);
+    out.up = std::move(up);
+  }
   out.down_preferred = frac <= 0.5;
   return out;
 }
 
-/// The pool engine's child placement: the child nearest the LP value stays
-/// in hand for the next plunge step, its sibling joins `open` (push_back
-/// keeps dfs mode's LIFO order exact), and each queued child gets its entry
-/// in `bounds`. Children whose side a strong-branching probe proved
-/// infeasible are never queued.
-void plunge(branch_output& br, double bound, std::vector<bb_node>& open,
-            std::optional<bb_node>& hand, std::multiset<double>& bounds) {
-  if (!br.down_infeasible) bounds.insert(bound);
-  if (!br.up_infeasible) bounds.insert(bound);
-  bb_node& preferred = br.down_preferred ? br.down : br.up;
-  bb_node& sibling = br.down_preferred ? br.up : br.down;
-  const bool preferred_pruned =
-      br.down_preferred ? br.down_infeasible : br.up_infeasible;
-  const bool sibling_pruned =
-      br.down_preferred ? br.up_infeasible : br.down_infeasible;
-  if (!sibling_pruned) open.push_back(std::move(sibling));
-  if (!preferred_pruned) hand = std::move(preferred);
-}
-
-// The node-order rule of both node sources.
-
-/// Which open node a selection takes: the newest (LIFO), the best parent
-/// bound, or the best pseudocost completion estimate.
-enum class open_key { newest, bound, estimate };
-
-/// The key of the `turn`-th selection: a backtrack in the pool engine, a
-/// round in the deterministic engine. dfs always takes the newest node.
-/// best_estimate is hybrid backtracking: most turns stay LIFO (the adjacent
-/// open node keeps the warm basis hot); every second one restarts from the
-/// best-estimate node, and every `backtrack_interval`-th from the best-bound
-/// node (pumping the global dual bound). Pure best-first jumping doubles the
-/// LP cost per node -- the warm dual re-solve only pays off between nearby
-/// nodes.
-open_key key_for_turn(node_rule rule, long turn) {
-  if (rule != node_rule::best_estimate) return open_key::newest;
-  if (turn % backtrack_interval == 0) return open_key::bound;
-  return turn % 2 == 0 ? open_key::estimate : open_key::newest;
-}
-
-/// Strict total order of open nodes under `key`; ids are unique, so no
-/// ties remain and a scan or sort under it never depends on where a node
-/// sits in `open`.
-bool comes_first(open_key key, const bb_node& a, const bb_node& b) {
-  switch (key) {
-    case open_key::newest:
-      return a.id > b.id;
-    case open_key::bound:
-      if (a.parent_bound != b.parent_bound)
-        return a.parent_bound < b.parent_bound;
-      if (a.estimate != b.estimate) return a.estimate < b.estimate;
-      return a.id < b.id;
-    case open_key::estimate:
-      if (a.estimate != b.estimate) return a.estimate < b.estimate;
-      if (a.parent_bound != b.parent_bound)
-        return a.parent_bound < b.parent_bound;
-      return a.id < b.id;
+void tree_search::finish(solution& result) {
+  result.nodes_explored = nodes;
+  result.simplex_iterations = root.iterations;
+  result.dual_simplex_iterations = root.dual_iterations;
+  for (const worker_stats& ws : workers) {
+    result.simplex_iterations += ws.simplex_iterations;
+    result.dual_simplex_iterations += ws.dual_simplex_iterations;
   }
-  return false;
-}
-
-/// Removes and returns the pool engine's next open node. Its `newest` is
-/// the back of `open`, taken in O(1): LIFO over push order, which keeps a
-/// dfs backtrack next to the dive it leaves (a best_estimate pick's
-/// swap-removal can move an older node to the back). The other keys scan
-/// with comes_first. The deterministic engine, whose open list its partial
-/// sort permutes, ranks `newest` by id instead.
-bb_node take_open(std::vector<bb_node>& open, open_key key) {
-  std::size_t pick = open.size() - 1;
-  if (key != open_key::newest) {
-    pick = 0;
-    for (std::size_t i = 1; i < open.size(); ++i)
-      if (comes_first(key, open[i], open[pick])) pick = i;
+  result.strong_branch_probes = probes.load(std::memory_order_relaxed);
+  result.interrupted = hit_limit && time_budget.expired();
+  if (root.solved) result.root_bound = sf.user_objective(root.bound);
+  if (snapshots) result.workers = std::move(workers);
+  if (unbounded) {
+    result.status = solve_status::unbounded;
+  } else if (have_incumbent) {
+    result.values = incumbent_values;
+    result.objective = sf.user_objective(incumbent_obj);
+    const double open_bound = open_bounds.empty() ? inf : *open_bounds.begin();
+    result.best_bound = sf.user_objective(std::min(incumbent_obj, open_bound));
+    const bool proven = !hit_limit && gap_closed();
+    result.status = proven ? solve_status::optimal : solve_status::feasible;
+  } else {
+    result.status =
+        hit_limit ? solve_status::no_solution : solve_status::infeasible;
   }
-  bb_node node = std::move(open[pick]);
-  open[pick] = std::move(open.back());
-  open.pop_back();
-  return node;
 }
 
-/// How the shared commit step settled a processed node.
-enum class settled {
-  done,      // nothing further: pruned, infeasible, dropped, or no gain
-  improved,  // an integral candidate became the incumbent
-  branch,    // still open: build its children
-  stop,      // the search must stop (deadline mid-node, unbounded LP)
+/// One worker of either node source: its simplex instance (worker 0 reuses
+/// the cut loop's, every other builds its own over the tree LP), its
+/// propagation scratch and its stats.
+struct node_worker {
+  node_worker(tree_search& search, int id)
+      : search(search), id(id),
+        lp(id == 0 ? *search.root.lp
+                   : own.emplace(search.root.tree_lp(), search.options.lp)),
+        stats(search.workers[static_cast<std::size_t>(id)]) {}
+
+  node_result process(const bb_node& node, bool reload_basis,
+                      double prune_obj, long probe_allowance,
+                      std::mutex* table_lock);
+
+  tree_search& search;
+  const int id;
+  std::optional<simplex_solver> own;
+  simplex_solver& lp;
+  worker_stats& stats;
+  std::vector<double> lower, upper;
 };
 
-/// The worker team of both node sources: worker(0) runs on the calling
-/// thread (over the cut loop's simplex instance), workers 1..threads-1 on
-/// their own threads, all joined before this returns.
-template <class Worker>
-void run_team(int threads, const Worker& worker) {
+/// The node kernel every source runs: per-node propagation, the LP
+/// re-solve, and the reliability probes. `reload_basis` warm-starts the LP
+/// from the node's recorded parent basis; false trusts the instance's
+/// current basis (a pool worker continuing its own dive, or any node of a
+/// one-worker search). `prune_obj` is the incumbent objective to prune
+/// against (+inf when none) and `probe_allowance` this node's share of the
+/// global probe budget -- both fixed by the source so the result is a pure
+/// function of its arguments. `table_lock`, when set, guards the
+/// pseudocost-count reads.
+node_result node_worker::process(const bb_node& node, bool reload_basis,
+                                 double prune_obj, long probe_allowance,
+                                 std::mutex* table_lock) {
+  node_result out;
+  out.processed_by = id;
+  const int n = search.n;
+  const standard_form& sf = search.sf;
+  const deadline& time_budget = search.time_budget;
+
+  if (node.parent_bound >= prune_obj - absolute_gap) return out; // skipped
+
+  if (search.rows && !node.changes.empty()) {
+    // Per-node propagation: branching fixes collapse big-M disjunctions,
+    // so a few interval passes often prune the node (or shrink its LP)
+    // before any pivot is spent.
+    lower = sf.lp.lower;
+    upper = sf.lp.upper;
+    for (const bound_change& change : node.changes) {
+      lower[change.var] = change.lower;
+      upper[change.var] = change.upper;
+    }
+    if (!propagate_node(*search.rows, sf.is_integer, lower, upper,
+                        node_propagation_passes)) {
+      out.kind = node_kind::prop_pruned;
+      return out;
+    }
+    for (int j = 0; j < n; ++j) lp.set_variable_bounds(j, lower[j], upper[j]);
+  } else {
+    for (int j = 0; j < n; ++j)
+      lp.set_variable_bounds(j, sf.lp.lower[j], sf.lp.upper[j]);
+    for (const bound_change& change : node.changes)
+      lp.set_variable_bounds(change.var, change.lower, change.upper);
+  }
+
+  bool warm = true;
+  if (reload_basis) {
+    if (node.warm)
+      lp.load_basis(node.warm->basic, node.warm->at_upper);
+    else
+      warm = false; // snapshot-less node (the unsolved root): cold solve
+  }
+  const lp_result relax = lp.solve(time_budget, warm);
+  stats.simplex_iterations += relax.iterations;
+  stats.dual_simplex_iterations += relax.dual_iterations;
+  switch (relax.status) {
+    case lp_status::time_limit:
+      out.kind = node_kind::time_limit;
+      return out;
+    case lp_status::infeasible:
+      out.kind = node_kind::lp_infeasible;
+      return out;
+    case lp_status::unbounded:
+      out.kind = node_kind::unbounded;
+      return out;
+    case lp_status::iteration_limit:
+      // Requeueing would loop; the iteration cap is high enough that this
+      // indicates numerical trouble.
+      out.kind = node_kind::dropped;
+      return out;
+    default:
+      break;
+  }
+  out.bound = relax.objective;
+  if (out.bound >= prune_obj - absolute_gap) {
+    out.kind = node_kind::bound_pruned;
+    return out;
+  }
+
+  for (int j = 0; j < n; ++j) {
+    if (!sf.is_integer[j]) continue;
+    const double frac = std::abs(relax.x[j] - std::round(relax.x[j]));
+    if (frac <= integrality_tolerance) continue;
+    out.fractional.emplace_back(0.5 - std::abs(frac - 0.5), j);
+    out.fractional_bounds.emplace_back(lp.variable_lower(j),
+                                       lp.variable_upper(j));
+  }
+
+  if (out.fractional.empty()) {
+    // Integral optimum: do the O(nnz) rounding + feasibility check here,
+    // outside any source lock, so the commit only compares objectives.
+    out.kind = node_kind::integral;
+    out.candidate = relax.x;
+    out.candidate_obj = evaluate_candidate(search.m, sf, out.candidate);
+    return out;
+  }
+
+  // The children's warm basis: this node's own optimal basis, captured
+  // before the probes below disturb it.
+  if (search.snapshots) out.basis = capture_basis(lp, n);
+
+  // Reliability initialization: before trusting pseudocosts, seed them
+  // with limited strong-branching probes -- warm-started dual re-solves
+  // with a tight iteration cap, most fractional candidates first. An
+  // infeasible probe direction prunes that child outright.
+  if (probe_allowance > 0) {
+    std::vector<std::pair<double, int>> order = out.fractional;
+    std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+      if (a.first != b.first) return a.first > b.first;
+      return a.second < b.second;
+    });
+    if (static_cast<int>(order.size()) > strong_branch_candidates)
+      order.resize(static_cast<std::size_t>(strong_branch_candidates));
+    // The candidates without `reliability` observations in both directions.
+    std::vector<int> unreliable;
+    {
+      std::unique_lock<std::mutex> lock;
+      if (table_lock) lock = std::unique_lock<std::mutex>(*table_lock);
+      const pseudocost_table& pc = search.pseudocosts;
+      for (const auto& [closeness, j] : order)
+        if (std::min(pc.up_count[j], pc.down_count[j]) < reliability)
+          unreliable.push_back(j);
+    }
+    long probes_run = 0;
+    for (const int j : unreliable) {
+      if (probes_run >= probe_allowance) break;
+      const double value = relax.x[j];
+      const double floor_val = std::floor(value);
+      const double frac = value - floor_val;
+      const double node_lower = lp.variable_lower(j);
+      const double node_upper = lp.variable_upper(j);
+      bool local_down_infeasible = false;
+      bool local_up_infeasible = false;
+      for (const bool up : {false, true}) {
+        if (time_budget.expired()) break;
+        if (up)
+          lp.set_variable_bounds(j, floor_val + 1.0, node_upper);
+        else
+          lp.set_variable_bounds(j, node_lower, floor_val);
+        const lp_result probe = lp.solve(time_budget, /*warm_start=*/true,
+                                         strong_branch_iteration_limit);
+        lp.set_variable_bounds(j, node_lower, node_upper);
+        ++probes_run;
+        stats.simplex_iterations += probe.iterations;
+        stats.dual_simplex_iterations += probe.dual_iterations;
+        if (probe.status == lp_status::optimal) {
+          const double degradation =
+              std::max(0.0, probe.objective - out.bound);
+          const double distance = up ? 1.0 - frac : frac;
+          out.probe_records.push_back(
+              {j, up, degradation / std::max(distance, 1e-6)});
+        } else if (probe.status == lp_status::infeasible) {
+          // Infeasibility holds only under this node's bound set, so it
+          // must not pollute the search-global pseudocost averages; the
+          // child is pruned at commit instead.
+          if (up)
+            local_up_infeasible = true;
+          else
+            local_down_infeasible = true;
+        }
+        // Iteration/time-limited probes carry no trustworthy bound.
+      }
+      if (local_down_infeasible || local_up_infeasible) {
+        out.probed_infeasible_var = j;
+        out.down_infeasible = local_down_infeasible;
+        out.up_infeasible = local_up_infeasible;
+      }
+    }
+    search.probes.fetch_add(probes_run, std::memory_order_relaxed);
+  }
+
+  out.x = relax.x;
+  out.kind = node_kind::branched;
+  return out;
+}
+
+/// The worker team of both node sources: `body` runs on worker 0 on the
+/// calling thread and on workers 1..threads-1 on their own threads, each
+/// with its own node_worker, all joined before this returns.
+template <class Body>
+void run_team(tree_search& search, const Body& body) {
+  const auto run = [&](int id) {
+    node_worker worker(search, id);
+    body(worker);
+  };
   std::vector<std::thread> team;
-  team.reserve(static_cast<std::size_t>(threads - 1));
-  for (int w = 1; w < threads; ++w) team.emplace_back(worker, w);
-  worker(0);
+  team.reserve(static_cast<std::size_t>(search.threads - 1));
+  for (int w = 1; w < search.threads; ++w) team.emplace_back(run, w);
+  run(0);
   for (std::thread& t : team) t.join();
+}
+
+/// The deterministic node source: fixed-width rounds. Each round selects
+/// `round_width` open nodes by the node-order rule, processes them
+/// concurrently on the workers' simplex instances (every node re-solved
+/// from its recorded parent basis -- load_basis makes that a pure function
+/// of the node), then commits the results in ascending node-id order.
+/// Selection, pruning, pseudocost updates, and incumbent acceptance all
+/// happen in the barrier's completion step, which runs on one thread while
+/// every worker waits, so the trajectory depends on the round width but
+/// never on the thread count or on arrival order.
+void run_rounds(tree_search& t) {
+  // The root re-solves from the cut loop's root basis.
+  std::vector<bb_node> open(1);
+  if (t.root.solved) open[0].warm = capture_basis(*t.root.lp, t.n);
+
+  // The round in flight: written only by select_round (before the team
+  // starts, then in the completion step), read by the workers after the
+  // barrier releases them.
+  std::vector<bb_node> batch;
+  std::vector<node_result> results;
+  double prune_obj = inf;
+  long probe_allowance = 0;
+  std::atomic<std::size_t> cursor{0};
+  long round = 0;
+
+  // Fills `batch` with the next round, in node-id order; leaves it empty
+  // when the search is over.
+  const auto select_round = [&] {
+    batch.clear();
+    if (open.empty() || t.gap_closed() || t.should_stop()) return;
+    const open_key key = key_for_turn(t.options.node_selection, ++round);
+    const auto take = static_cast<std::ptrdiff_t>(
+        std::min<std::size_t>(round_width, open.size()));
+    std::partial_sort(open.begin(), open.begin() + take, open.end(),
+                      [key](const bb_node& a, const bb_node& b) {
+                        return comes_first(key, a, b);
+                      });
+    batch.assign(open.begin(), open.begin() + take);
+    open.erase(open.begin(), open.begin() + take);
+    std::sort(batch.begin(), batch.end(),
+              [](const bb_node& a, const bb_node& b) { return a.id < b.id; });
+    prune_obj = t.have_incumbent ? t.incumbent_obj : inf;
+    probe_allowance = t.probe_allowance();
+    results.assign(batch.size(), node_result{});
+    cursor.store(0, std::memory_order_relaxed);
+  };
+
+  // Commits the finished round in the batch's node-id order, never in
+  // completion order. A stop still commits the rest of the round: those
+  // nodes are already processed.
+  const auto commit_round = [&] {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (t.settle(batch[i], results[i]) != settled::branch) continue;
+      branch_output br = t.branch(batch[i], results[i]);
+      if (br.down) open.push_back(std::move(*br.down));
+      if (br.up) open.push_back(std::move(*br.up));
+    }
+  };
+
+  select_round();
+  std::barrier sync(t.threads, [&]() noexcept {
+    commit_round();
+    select_round();
+  });
+  run_team(t, [&](node_worker& worker) {
+    while (!batch.empty()) {
+      for (std::size_t i;
+           (i = cursor.fetch_add(1, std::memory_order_relaxed)) < batch.size();)
+        results[i] = worker.process(batch[i], /*reload_basis=*/true, prune_obj,
+                                    probe_allowance, /*table_lock=*/nullptr);
+      sync.arrive_and_wait();
+    }
+  });
+}
+
+/// The pool node source: a shared open pool under one mutex. Each worker
+/// dives on its own preferred child without touching the pool (warm basis
+/// kept hot); a finished dive pulls the best pool node by the node-order
+/// rule -- pulling a node another worker produced counts as a steal.
+/// Worker 0 starts with the root in hand. With one worker this is the
+/// sequential plunge: every node re-solves on the basis the previous one
+/// left, so no snapshot is ever captured or reloaded; with more, a pulled
+/// node re-solves from its recorded parent basis. The open-bound multiset
+/// holds one entry per open OR in-flight node (settled at commit), so the
+/// global dual bound and the gap test stay conservative while nodes are
+/// being processed.
+void run_pool(tree_search& t) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<bb_node> pool;
+  long backtracks = 0;
+  int active = 1; // worker 0 holds the root
+  std::atomic<double> prune_obj{t.have_incumbent ? t.incumbent_obj : inf};
+
+  run_team(t, [&](node_worker& worker) {
+    std::optional<bb_node> hand;
+    // True while this worker owns an in-flight node (processing it or
+    // holding the dive continuation in `hand`); `active` sums these, so
+    // pool-empty + active == 0 really means the tree is exhausted.
+    bool counted = worker.id == 0;
+    if (counted) hand.emplace(); // the root
+    std::uint64_t seen = 0;      // per-worker board stamp
+
+    for (;;) {
+      double bobj = 0.0;
+      std::vector<double> bvals;
+      if (t.board && t.board->fetch(seen, bobj, bvals)) {
+        // Re-validate outside the lock, adopt under it.
+        const double min_obj = evaluate_candidate(t.m, t.sf, bvals);
+        std::lock_guard<std::mutex> lock(mu);
+        if (t.accept(min_obj, bvals))
+          prune_obj.store(min_obj, std::memory_order_relaxed);
+      }
+
+      bb_node node;
+      bool reload = false; // a dive continues on the hot basis
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        if (t.should_stop()) {
+          if (counted) --active;
+          cv.notify_all();
+          break;
+        }
+        if (hand) {
+          node = std::move(*hand);
+          hand.reset();
+        } else {
+          cv.wait(lock, [&] { return t.stop || !pool.empty() || active == 0; });
+          if (t.stop || pool.empty()) { // stop, or exhausted (active == 0)
+            cv.notify_all();
+            break;
+          }
+          node = take_open(
+              pool, key_for_turn(t.options.node_selection, ++backtracks));
+          if (node.producer >= 0 && node.producer != worker.id)
+            ++worker.stats.steals;
+          reload = t.snapshots;
+          ++active;
+          counted = true;
+        }
+      }
+
+      node_result nr =
+          worker.process(node, reload, prune_obj.load(std::memory_order_relaxed),
+                         t.probe_allowance(), &mu);
+
+      double offer_obj = 0.0;
+      std::vector<double> offer_vals;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        switch (t.settle(node, nr)) {
+          case settled::improved:
+            prune_obj.store(t.incumbent_obj, std::memory_order_relaxed);
+            if (t.board) {
+              offer_obj = t.sf.user_objective(t.incumbent_obj);
+              offer_vals = t.incumbent_values;
+            }
+            break;
+          case settled::branch: {
+            // The child nearest the LP value stays in hand for the next
+            // plunge step; its sibling joins the pool (push_back keeps dfs
+            // mode's LIFO order exact).
+            branch_output br = t.branch(node, nr);
+            std::optional<bb_node>& dive = br.down_preferred ? br.down : br.up;
+            std::optional<bb_node>& sibling = br.down_preferred ? br.up : br.down;
+            if (sibling) pool.push_back(std::move(*sibling));
+            hand = std::move(dive);
+            break;
+          }
+          case settled::done:
+            break;
+        }
+        if (!hand) {
+          --active;
+          counted = false;
+        }
+        if (t.gap_closed()) t.stop = true;
+        cv.notify_all();
+        if (t.stop) break;
+      }
+      // Publish to the portfolio board outside the pool lock.
+      if (!offer_vals.empty()) t.board->offer(offer_obj, std::move(offer_vals));
+    }
+  });
 }
 
 } // namespace
@@ -791,146 +1242,36 @@ double solution::gap() const {
   return std::abs(incumbent - bound) / denom;
 }
 
+// Both node sources run the same node kernel (node_worker::process, settle,
+// branch) on the same worker team (run_team); they differ only in where the
+// next node comes from and in what order results are committed.
+// Deterministic mode always takes the rounds (their trajectory must not
+// depend on the thread count, so even threads == 1 runs them); otherwise
+// the pool runs `threads` workers.
 solution solve(const model& m, const solver_options& options) {
   stopwatch total_watch;
-  deadline time_budget(options.time_limit_seconds, options.cancel);
+  const deadline time_budget(options.time_limit_seconds, options.cancel);
   solution result;
-
   require(m.variable_count() > 0, "milp::solve: model has no variables");
 
-  standard_form sf = build_standard_form(m);
-  const int n = sf.lp.num_vars;
-
-  // Root presolve: the iterated reduction loop when enabled, otherwise the
-  // node propagation pass over the root rows (the primal_only ablation
-  // needs it).
-  if (options.presolve) {
-    presolved_problem reduced = presolve(sf.lp, sf.is_integer);
-    result.presolve_rows_removed = reduced.stats.rows_removed;
-    result.presolve_bounds_tightened = reduced.stats.bounds_tightened;
-    result.presolve_coefficients_tightened =
-        reduced.stats.coefficients_tightened;
-    result.presolve_variables_fixed = reduced.stats.variables_fixed;
-    if (reduced.infeasible) {
-      result.status = solve_status::infeasible;
-      result.seconds = total_watch.elapsed_seconds();
-      return result;
-    }
-    sf.lp = std::move(reduced.reduced);
-  } else if (!propagate_node(row_view(sf.lp), sf.is_integer, sf.lp.lower,
-                             sf.lp.upper, root_propagation_passes)) {
+  root_phase root(m, options, time_budget, result);
+  if (root.infeasible) {
     result.status = solve_status::infeasible;
     result.seconds = total_watch.elapsed_seconds();
     return result;
   }
-  const std::vector<double> root_lower = sf.lp.lower;
-  const std::vector<double> root_upper = sf.lp.upper;
 
-  // The LP the tree solves over: the (presolved) root problem, extended in
-  // place by the cut rounds below. `tree_problem` keeps the extended
-  // problem alive for the solver's lifetime (the solver holds a reference).
-  std::unique_ptr<lp_problem> tree_problem;
-  auto lp = std::make_unique<simplex_solver>(sf.lp, options.lp);
-
-  auto fractional_part = [&](double v) { return std::abs(v - std::round(v)); };
-
-  long simplex_iterations = 0;
-  long dual_iterations = 0;
-  double root_lp_bound = inf; // min-form LP bound of the (cut) root
-  bool root_solved = false;
-
-  // ------------------------------------------------------- root cut loop
-  // Solve the root LP once, then separate Gomory + cover cuts in rounds,
-  // each round rebuilding the simplex over the extended rows and
-  // warm-restarting from the previous basis (the appended cut slacks enter
-  // basic, so the dual method re-solves in a handful of pivots).
-  std::optional<cut_generator> cutter;
-  if (options.cuts && !time_budget.expired()) {
-    lp_result root = lp->solve(time_budget, /*warm_start=*/false);
-    simplex_iterations += root.iterations;
-    dual_iterations += root.dual_iterations;
-    auto has_fractional = [&](const lp_result& r) {
-      for (int j = 0; j < n; ++j)
-        if (sf.is_integer[j] && fractional_part(r.x[j]) > integrality_tolerance)
-          return true;
-      return false;
-    };
-    if (root.status == lp_status::optimal) {
-      root_lp_bound = root.objective;
-      root_solved = true;
-      if (has_fractional(root)) {
-        cutter.emplace(sf.lp, sf.is_integer);
-        double bound_before_round = root_lp_bound;
-        for (int round = 0; round < cut_rounds; ++round) {
-          if (time_budget.expired()) break;
-          if (!cutter->round(*lp, time_budget)) break;
-          std::vector<int> at_upper;
-          const std::vector<int> basis = cutter->remap_basis(*lp, at_upper);
-          auto next_problem = std::make_unique<lp_problem>(cutter->current());
-          auto next_lp =
-              std::make_unique<simplex_solver>(*next_problem, options.lp);
-          next_lp->load_basis(basis, at_upper);
-          lp = std::move(next_lp);
-          tree_problem = std::move(next_problem);
-          const lp_result re = lp->solve(time_budget, /*warm_start=*/true);
-          simplex_iterations += re.iterations;
-          dual_iterations += re.dual_iterations;
-          if (re.status != lp_status::optimal) break;
-          root_lp_bound = re.objective;
-          if (!has_fractional(re)) break;
-          // Stalling termination: on these degenerate big-M relaxations a
-          // round that fails to move the bound is chasing alternate optima
-          // -- further rounds only bloat the tree's LPs.
-          const double improvement = root_lp_bound - bound_before_round;
-          if (improvement <= cut_min_bound_improvement *
-                                 std::max(1.0, std::abs(root_lp_bound)))
-            break;
-          bound_before_round = root_lp_bound;
-        }
-        result.cut_rounds = cutter->stats().rounds;
-        result.cuts_added = cutter->stats().added;
-        result.cuts_active = cutter->active_cuts();
-      }
-    }
-  }
-
-  // Incumbent state (minimization form).
-  bool have_incumbent = false;
-  double incumbent_obj = inf;
-  std::vector<double> incumbent_values;
-  auto user_objective = [&](double min_obj) {
-    return sf.objective_sign * min_obj + sf.objective_constant;
-  };
-
-  // Racing-portfolio hookup (ignored in deterministic mode, where adoption
-  // timing would break bit-identity): improving incumbents are published to
-  // the shared board, and board incumbents are adopted -- after rounding and
-  // feasibility re-validation -- wherever this solve polls it.
-  incumbent_board* board =
-      options.deterministic ? nullptr : options.shared_incumbent.get();
-
-  // Integral-candidate acceptance, shared by every engine and by the
-  // warm-start and board intake: installs a candidate evaluate_candidate()
-  // scored when it improves the incumbent by more than the absolute gap.
-  // Callers hold whatever lock guards the incumbent.
-  auto accept = [&](double min_obj, const std::vector<double>& values) {
-    if (min_obj == inf ||
-        (have_incumbent && min_obj >= incumbent_obj - absolute_gap))
-      return false;
-    have_incumbent = true;
-    incumbent_obj = min_obj;
-    incumbent_values = values;
-    return true;
-  };
-
+  tree_search search(m, root, options, time_budget);
+  result.threads_used = search.threads;
   if (options.warm_start) {
-    require(static_cast<int>(options.warm_start->size()) == n,
+    require(static_cast<int>(options.warm_start->size()) == search.n,
             "milp::solve: warm start has wrong size");
     std::vector<double> warm = *options.warm_start;
-    if (accept(evaluate_candidate(m, sf, warm), warm)) {
-      if (board) board->offer(user_objective(incumbent_obj), incumbent_values);
+    if (search.accept(evaluate_candidate(m, root.sf, warm), warm)) {
       result.warm_start_accepted = true;
-      result.warm_start_objective = user_objective(incumbent_obj);
+      result.warm_start_objective = root.sf.user_objective(search.incumbent_obj);
+      if (search.board)
+        search.board->offer(result.warm_start_objective, search.incumbent_values);
       log_at(log_level::info, "milp: warm start accepted, objective ",
              result.warm_start_objective);
     } else {
@@ -938,405 +1279,13 @@ solution solve(const model& m, const solver_options& options) {
     }
   }
 
-  pseudocost_table pseudocosts(n);
-  // Pseudocost counts for the probe candidates, read straight from the
-  // table: the round engine only mutates it while its workers wait, and
-  // pool workers call this under the pool lock.
-  auto table_counts = [&](const std::vector<int>& vars,
-                          std::vector<std::pair<long, long>>& out) {
-    out.resize(vars.size());
-    for (std::size_t i = 0; i < vars.size(); ++i)
-      out[i] = {pseudocosts.up_count[vars[i]],
-                pseudocosts.down_count[vars[i]]};
-  };
-
-  // Row view of the tree's LP (base + surviving cuts) for per-node
-  // propagation, shared read-only by every engine.
-  std::optional<row_view> tree_rows;
-  if (options.node_propagation)
-    tree_rows.emplace(tree_problem ? *tree_problem : sf.lp);
-
-  // Outcome state shared by both node sources and the result tail.
-  long nodes = 0;
-  long probes = 0;
-  bool hit_limit = false;
-  bool unbounded = false;
-
-  // The gap-closed test of every engine: the incumbent is within the
-  // relative or absolute gap of the best open bound. An empty bound set
-  // means the tree is exhausted.
-  auto gap_closed = [&](const std::multiset<double>& open_bounds) {
-    if (!have_incumbent) return false;
-    if (open_bounds.empty()) return true;
-    const double bound = *open_bounds.begin();
-    const double denom = std::max(1.0, std::abs(incumbent_obj));
-    return (incumbent_obj - bound) / denom <= relative_gap ||
-           incumbent_obj - bound <= absolute_gap;
-  };
-
-  // The commit step every engine runs on a processed node: its entry in
-  // the engine's open-bound multiset, the node count, the root bound, the
-  // stop flags and the incumbent. Callers hold whatever lock guards that
-  // state. A node the deadline interrupted or the LP iteration limit
-  // dropped keeps its bound entry: its subtree was never searched, so the
-  // dual bound finish() reports must still cover it.
-  auto settle = [&](const bb_node& node, const node_result& nr,
-                    std::multiset<double>& open_bounds,
-                    worker_stats& ws) -> settled {
-    if (nr.kind != node_kind::time_limit && nr.kind != node_kind::dropped)
-      open_bounds.erase(open_bounds.find(node.parent_bound));
-    if (nr.kind == node_kind::skipped)
-      return settled::done; // pruned by its parent bound: not counted
-    ++nodes;
-    ++ws.nodes;
-    if (!root_solved && node.id == 0 && nr.bound != -inf) {
-      root_lp_bound = nr.bound;
-      root_solved = true;
-    }
-    switch (nr.kind) {
-      case node_kind::time_limit:
-        hit_limit = true;
-        return settled::stop;
-      case node_kind::unbounded:
-        unbounded = true;
-        return settled::stop;
-      case node_kind::dropped:
-        // A limit was hit: with the node's subtree unsearched, the search
-        // can prove neither optimality nor infeasibility.
-        log_at(log_level::warn, "milp: dropped node after iteration limit");
-        hit_limit = true;
-        return settled::done;
-      case node_kind::integral:
-        if (!accept(nr.candidate_obj, nr.candidate)) return settled::done;
-        return settled::improved;
-      case node_kind::branched:
-        // An incumbent found since this node's LP solve (by an earlier
-        // commit of the same round, or a racing worker) may prune it.
-        if (have_incumbent && nr.bound >= incumbent_obj - absolute_gap)
-          return settled::done;
-        return settled::branch;
-      default:
-        return settled::done; // propagation, bound or LP infeasibility
-    }
-  };
-
-  auto finish = [&](const std::multiset<double>& open_bounds) -> solution {
-    result.nodes_explored = nodes;
-    result.simplex_iterations = simplex_iterations;
-    result.dual_simplex_iterations = dual_iterations;
-    result.strong_branch_probes = probes;
-    result.seconds = total_watch.elapsed_seconds();
-    result.interrupted = hit_limit && time_budget.expired();
-    if (root_solved) result.root_bound = user_objective(root_lp_bound);
-    if (unbounded) {
-      result.status = solve_status::unbounded;
-      return result;
-    }
-    if (have_incumbent) {
-      result.values = incumbent_values;
-      result.objective = user_objective(incumbent_obj);
-      const double open_bound =
-          open_bounds.empty() ? inf : *open_bounds.begin();
-      result.best_bound = user_objective(std::min(incumbent_obj, open_bound));
-      const bool proven = !hit_limit && gap_closed(open_bounds);
-      result.status = proven ? solve_status::optimal : solve_status::feasible;
-      return result;
-    }
-    if (hit_limit) {
-      result.status = solve_status::no_solution;
-      return result;
-    }
-    result.status = solve_status::infeasible;
-    return result;
-  };
-
-  // ------------------------------------------------------ engine dispatch
-  // Both node sources run the same node kernel (process_node, settle,
-  // commit_branch) on the same worker team (run_team); they differ only in
-  // where the next node comes from and in what order results are
-  // committed. threads <= 0 resolves to the hardware; deterministic always
-  // takes the round engine (its trajectory must not depend on the thread
-  // count, so even threads == 1 runs it); otherwise the pool engine runs
-  // `threads` workers.
-  int threads = options.threads;
-  if (threads <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 1 : static_cast<int>(std::min(hw, 64u));
-  }
-  threads = std::min(threads, 64);
-  result.threads_used = threads;
-
-  const lp_problem& tree_lp_problem = tree_problem ? *tree_problem : sf.lp;
-  const tree_context ctx{m,          sf,
-                         options,    root_lower,
-                         root_upper, tree_rows ? &*tree_rows : nullptr,
-                         time_budget, n,
-                         options.deterministic || threads > 1};
-
-  // Both sources start from the root (id 0) with one -inf bound entry; the
-  // round engine re-solves it from the cut loop's root basis, the pool
-  // engine's first worker continues on that basis.
-  long next_node_id = 1;
-  bb_node root_node;
-  if (options.deterministic && root_solved)
-    root_node.warm = capture_basis(*lp, n);
-  // One entry per open, in-flight or unresolved node.
-  std::multiset<double> open_bounds{-inf};
-
-  if (options.deterministic) {
-    // ------------------------------------------ deterministic round engine
-    // Fixed-width rounds: select `round_width` open nodes by the node-order
-    // rule, process them concurrently on the workers' simplex instances
-    // (every node re-solved from its recorded parent basis -- load_basis
-    // makes that a pure function of the node), then commit the results in
-    // ascending node-id order. Selection, pruning, pseudocost updates, and
-    // incumbent acceptance all happen in the barrier's completion step,
-    // which runs on one thread while every worker waits, so the trajectory
-    // depends on the round width but never on the thread count or on
-    // arrival order.
-    std::vector<bb_node> open;
-    open.push_back(std::move(root_node));
-    std::vector<worker_stats> wstats(static_cast<std::size_t>(threads));
-
-    // The round in flight: written only by select_round (before the team
-    // starts, then in the completion step), read by the workers after the
-    // barrier releases them.
-    std::vector<bb_node> batch;
-    std::vector<node_result> results;
-    double round_prune_obj = inf;
-    long round_probe_allowance = 0;
-    std::atomic<std::size_t> batch_cursor{0};
-    long round = 0;
-    bool stop = false;
-
-    // Fills `batch` with the next round, in node-id order; leaves it empty
-    // when the search is over.
-    auto select_round = [&] {
-      batch.clear();
-      if (stop || open.empty() || gap_closed(open_bounds)) return;
-      if (nodes >= options.max_nodes || time_budget.expired()) {
-        hit_limit = true;
-        return;
-      }
-      const open_key key = key_for_turn(options.node_selection, ++round);
-      const auto take = static_cast<std::ptrdiff_t>(
-          std::min<std::size_t>(round_width, open.size()));
-      std::partial_sort(open.begin(), open.begin() + take, open.end(),
-                        [key](const bb_node& a, const bb_node& b) {
-                          return comes_first(key, a, b);
-                        });
-      batch.assign(open.begin(), open.begin() + take);
-      open.erase(open.begin(), open.begin() + take);
-      std::sort(batch.begin(), batch.end(),
-                [](const bb_node& a, const bb_node& b) { return a.id < b.id; });
-      round_prune_obj = have_incumbent ? incumbent_obj : inf;
-      round_probe_allowance = remaining_probes(options, probes);
-      results.assign(batch.size(), node_result{});
-      batch_cursor.store(0, std::memory_order_relaxed);
-    };
-
-    // Commits the finished round in ascending node-id order (the batch's
-    // order), never in completion order. A stop still commits the rest of
-    // the round: those nodes are already processed.
-    auto commit_round = [&] {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const bb_node& bnode = batch[i];
-        node_result& nr = results[i];
-        worker_stats& ws = wstats[static_cast<std::size_t>(nr.processed_by)];
-        simplex_iterations += nr.iterations;
-        dual_iterations += nr.dual_iterations;
-        ws.simplex_iterations += nr.iterations;
-        ws.dual_simplex_iterations += nr.dual_iterations;
-        probes += nr.probes_run;
-        const settled s = settle(bnode, nr, open_bounds, ws);
-        if (s == settled::stop) stop = true;
-        if (s != settled::branch) continue;
-        branch_output br =
-            commit_branch(ctx, bnode, nr, pseudocosts, next_node_id);
-        if (!br.down_infeasible) open_bounds.insert(nr.bound);
-        if (!br.up_infeasible) open_bounds.insert(nr.bound);
-        if (!br.down_infeasible) open.push_back(std::move(br.down));
-        if (!br.up_infeasible) open.push_back(std::move(br.up));
-      }
-    };
-
-    select_round();
-    std::barrier sync(threads, [&]() noexcept {
-      commit_round();
-      select_round();
-    });
-    run_team(threads, [&](int w) {
-      std::optional<simplex_solver> own;
-      simplex_solver& wlp =
-          w == 0 ? *lp : own.emplace(tree_lp_problem, options.lp);
-      std::vector<double> wl, wu;
-      while (!batch.empty()) {
-        for (;;) {
-          const std::size_t i =
-              batch_cursor.fetch_add(1, std::memory_order_relaxed);
-          if (i >= batch.size()) break;
-          results[i] = process_node(ctx, wlp, batch[i], /*reload_basis=*/true,
-                                    round_prune_obj, round_probe_allowance,
-                                    table_counts, wl, wu);
-          results[i].processed_by = w;
-        }
-        sync.arrive_and_wait();
-      }
-    });
-
-    result.workers = std::move(wstats);
-    return finish(open_bounds);
-  }
-
-  // ---------------------------------------------------------- pool engine
-  // A shared open pool under one mutex. Each worker dives on its own
-  // preferred child without touching the pool (warm basis kept hot); a
-  // finished dive pulls the best pool node by the node-order rule --
-  // pulling a node another worker produced counts as a steal. Worker 0 runs
-  // on this thread over the cut loop's simplex instance and starts with the
-  // root in hand. With one worker this is the sequential plunge: every node
-  // re-solves on the basis the previous one left, so no snapshot is ever
-  // captured or reloaded; with more, a pulled node re-solves from its
-  // recorded parent basis. `open_bounds` holds one entry per open OR
-  // in-flight node (settled at commit), so the global dual bound and the
-  // gap test stay conservative while nodes are being processed.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<bb_node> pool;
-  long backtracks = 0;
-  int active = 1; // worker 0 holds the root
-  bool stop = false;
-  std::atomic<double> prune_obj{have_incumbent ? incumbent_obj : inf};
-  std::atomic<long> probes_issued{0};
-  std::vector<worker_stats> wstats(static_cast<std::size_t>(threads));
-
-  auto worker = [&](int w) {
-    std::optional<simplex_solver> own;
-    simplex_solver& wlp =
-        w == 0 ? *lp : own.emplace(tree_lp_problem, options.lp);
-    std::vector<double> wl, wu;
-    std::optional<bb_node> hand;
-    // True while this worker owns an in-flight node (processing it or
-    // holding the dive continuation in `hand`); `active` sums these, so
-    // pool-empty + active == 0 really means the tree is exhausted.
-    bool counted = false;
-    if (w == 0) {
-      hand = std::move(root_node);
-      counted = true;
-    }
-    std::uint64_t seen = 0; // per-worker board stamp
-    worker_stats& ws = wstats[static_cast<std::size_t>(w)];
-
-    // Only the <= strong_branch_candidates probe-candidate counts are
-    // snapshotted under the lock (the full table would be a large copy
-    // per node).
-    auto pc_counts = [&](const std::vector<int>& vars,
-                         std::vector<std::pair<long, long>>& out) {
-      std::lock_guard<std::mutex> lock(mu);
-      table_counts(vars, out);
-    };
-
-    for (;;) {
-      double bobj = 0.0;
-      std::vector<double> bvals;
-      if (board && board->fetch(seen, bobj, bvals)) {
-        // Re-validate outside the lock, adopt under it.
-        const double min_obj = evaluate_candidate(m, sf, bvals);
-        std::lock_guard<std::mutex> lock(mu);
-        if (accept(min_obj, bvals))
-          prune_obj.store(min_obj, std::memory_order_relaxed);
-      }
-
-      bb_node node;
-      bool reload = false; // a dive continues on the hot basis
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        if (!stop && (nodes >= options.max_nodes || time_budget.expired())) {
-          hit_limit = true;
-          stop = true;
-        }
-        if (stop) {
-          if (counted) --active;
-          cv.notify_all();
-          break;
-        }
-        if (hand) {
-          node = std::move(*hand);
-          hand.reset();
-        } else {
-          cv.wait(lock,
-                  [&] { return stop || !pool.empty() || active == 0; });
-          if (stop || pool.empty()) { // stop, or exhausted (active == 0)
-            cv.notify_all();
-            break;
-          }
-          node = take_open(
-              pool, key_for_turn(options.node_selection, ++backtracks));
-          if (node.producer >= 0 && node.producer != w) ++ws.steals;
-          reload = ctx.snapshots;
-          ++active;
-          counted = true;
-        }
-      }
-
-      node_result nr = process_node(
-          ctx, wlp, node, reload, prune_obj.load(std::memory_order_relaxed),
-          remaining_probes(options,
-                           probes_issued.load(std::memory_order_relaxed)),
-          pc_counts, wl, wu);
-      if (nr.probes_run > 0)
-        probes_issued.fetch_add(nr.probes_run, std::memory_order_relaxed);
-      ws.simplex_iterations += nr.iterations;
-      ws.dual_simplex_iterations += nr.dual_iterations;
-
-      double offer_obj = 0.0;
-      std::vector<double> offer_vals;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        switch (settle(node, nr, open_bounds, ws)) {
-          case settled::stop:
-            stop = true;
-            break;
-          case settled::improved:
-            prune_obj.store(incumbent_obj, std::memory_order_relaxed);
-            if (board) {
-              offer_obj = user_objective(incumbent_obj);
-              offer_vals = incumbent_values;
-            }
-            break;
-          case settled::branch: {
-            branch_output br =
-                commit_branch(ctx, node, nr, pseudocosts, next_node_id);
-            br.down.producer = w;
-            br.up.producer = w;
-            plunge(br, nr.bound, pool, hand, open_bounds);
-            break;
-          }
-          case settled::done:
-            break;
-        }
-        if (!hand) {
-          --active;
-          counted = false;
-        }
-        if (gap_closed(open_bounds)) stop = true;
-        cv.notify_all();
-        if (stop) break;
-      }
-      // Publish to the portfolio board outside the pool lock.
-      if (!offer_vals.empty()) board->offer(offer_obj, std::move(offer_vals));
-    }
-  };
-
-  run_team(threads, worker);
-
-  for (const worker_stats& ws : wstats) {
-    simplex_iterations += ws.simplex_iterations;
-    dual_iterations += ws.dual_simplex_iterations;
-  }
-  probes = probes_issued.load(std::memory_order_relaxed);
-  if (threads > 1) result.workers = std::move(wstats);
-  return finish(open_bounds);
+  if (options.deterministic)
+    run_rounds(search);
+  else
+    run_pool(search);
+  search.finish(result);
+  result.seconds = total_watch.elapsed_seconds();
+  return result;
 }
 
 } // namespace transtore::milp
