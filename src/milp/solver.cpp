@@ -813,6 +813,8 @@ struct node_worker {
         lp(id == 0 ? *search.root.lp
                    : own.emplace(search.root.tree_lp(), search.options.lp)),
         stats(search.workers[static_cast<std::size_t>(id)]) {}
+  node_worker(const node_worker&) = delete; // `lp` may refer to `own`
+  node_worker& operator=(const node_worker&) = delete;
 
   node_result process(const bb_node& node, bool reload_basis,
                       double prune_obj, long probe_allowance,
