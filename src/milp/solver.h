@@ -119,9 +119,13 @@ struct solver_options {
   cancel_token cancel;
   long max_nodes = 5'000'000;
   /// Under pseudocost branching, a variable's pseudocosts are initialized
-  /// by strong-branching probes (cheap dual re-solves) until each direction
-  /// has a few observations (at most 100 probes per search, of up to 100
-  /// iterations each); most-fractional branching runs no probes.
+  /// by strong-branching probes (cheap dual re-solves of up to 100
+  /// iterations) until each direction has a few observations;
+  /// most-fractional branching runs no probes. The search-wide budget is
+  /// 100 probes, and each node gets the allowance left when it starts: a
+  /// one-worker search stops at 100, but the deterministic rounds give
+  /// every node of a round the allowance left when the round started, so
+  /// they can run more (as can concurrent pool workers).
   branch_rule branching = branch_rule::pseudocost;
   /// Iterated root presolve (presolve.h): singleton-row elimination,
   /// activity-based bound tightening, big-M coefficient strengthening,
@@ -138,7 +142,7 @@ struct solver_options {
   /// rows) tighten the remaining variable bounds before the LP re-solve --
   /// on the big-M formulations a fixed binary collapses its disjunction, so
   /// children are often pruned without solving any LP. Off = root-only
-  /// propagation (today's behaviour).
+  /// propagation.
   bool node_propagation = true;
   /// Node selection (see node_rule).
   node_rule node_selection = node_rule::dfs;

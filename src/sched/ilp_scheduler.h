@@ -82,8 +82,11 @@ struct ilp_schedule_result {
   schedule refined;          // extracted assignment/order, re-timed
   milp::solve_status status = milp::solve_status::no_solution;
   bool interrupted = false;  // stopped by the time limit or a cancel token
-  double ilp_objective = 0.0; // objective (6) value of the MILP incumbent
-  double ilp_bound = 0.0;     // dual bound on objective (6)
+  /// Objective (6) of the MILP incumbent and the MILP's dual bound on it.
+  /// Both are the model's: the model omits device-port serialization, so
+  /// `refined`, re-timed with it, can score higher than either.
+  double ilp_objective = 0.0;
+  double ilp_bound = 0.0;
   long nodes = 0;
   long simplex_iterations = 0;
   double seconds = 0.0;
