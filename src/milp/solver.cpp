@@ -544,6 +544,8 @@ struct tree_search {
   const standard_form& sf;
   const solver_options& options;
   const deadline& time_budget;
+  /// Also lends worker 0 its simplex, and takes the root node's LP bound
+  /// when the root phase did not solve the root.
   root_phase& root;
   const int n;
   const int threads;
