@@ -751,7 +751,8 @@ branch_output tree_search::branch(const bb_node& node, node_result& nr) {
   const auto child = [&](bool up) {
     bb_node c;
     c.changes = node.changes;
-    c.changes.push_back(up ? bound_change{branch_var, floor_val + 1.0, eff_upper}
+    c.changes.push_back(up ? bound_change{branch_var, floor_val + 1.0,
+                                          eff_upper}
                            : bound_change{branch_var, eff_lower, floor_val});
     c.parent_bound = nr.bound;
     c.id = next_node_id++;
@@ -1161,9 +1162,9 @@ void run_pool(tree_search& t) {
         }
       }
 
-      node_result nr =
-          worker.process(node, reload, prune_obj.load(std::memory_order_relaxed),
-                         t.probe_allowance(), &mu);
+      node_result nr = worker.process(
+          node, reload, prune_obj.load(std::memory_order_relaxed),
+          t.probe_allowance(), &mu);
 
       double offer_obj = 0.0;
       std::vector<double> offer_vals;
@@ -1182,10 +1183,10 @@ void run_pool(tree_search& t) {
             // plunge step; its sibling joins the pool (push_back keeps dfs
             // mode's LIFO order exact).
             branch_output br = t.branch(node, nr);
-            std::optional<bb_node>& dive = br.down_preferred ? br.down : br.up;
-            std::optional<bb_node>& sibling = br.down_preferred ? br.up : br.down;
+            const bool down = br.down_preferred;
+            std::optional<bb_node>& sibling = down ? br.up : br.down;
             if (sibling) pool.push_back(std::move(*sibling));
-            hand = std::move(dive);
+            hand = std::move(down ? br.down : br.up);
             break;
           }
           case settled::done:
@@ -1271,11 +1272,12 @@ solution solve(const model& m, const solver_options& options) {
     require(static_cast<int>(options.warm_start->size()) == search.n,
             "milp::solve: warm start has wrong size");
     std::vector<double> warm = *options.warm_start;
-    if (search.accept(evaluate_candidate(m, root.sf, warm), warm)) {
+    const double warm_obj = evaluate_candidate(m, root.sf, warm);
+    if (search.accept(warm_obj, warm)) {
       result.warm_start_accepted = true;
-      result.warm_start_objective = root.sf.user_objective(search.incumbent_obj);
+      result.warm_start_objective = root.sf.user_objective(warm_obj);
       if (search.board)
-        search.board->offer(result.warm_start_objective, search.incumbent_values);
+        search.board->offer(result.warm_start_objective, std::move(warm));
       log_at(log_level::info, "milp: warm start accepted, objective ",
              result.warm_start_objective);
     } else {
