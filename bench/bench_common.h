@@ -26,7 +26,7 @@ namespace transtore::bench {
 /// One (assay, configuration) measurement.
 struct bench_record {
   std::string assay;
-  std::string config;   // e.g. "lu_dual_devex" / "primal_only"
+  std::string config;   // e.g. "lu_dual_devex" / "dense_dual_devex"
   double seconds = 0.0; // wall time of the solve
   long nodes = 0;
   long simplex_iterations = 0;

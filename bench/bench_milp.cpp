@@ -1,7 +1,8 @@
 // MILP substrate benchmark: solves the paper's Table 2 scheduling
 // formulations (Table 1 model, objective (6)) with the sparse-LU dual
-// simplex defaults, the dense-inverse engine ablation, the seed-equivalent
-// primal-only ablation, the deterministic parallel engine at 1/4/8 workers
+// simplex defaults, best-estimate node selection, the no-presolve
+// ablation, the dense-inverse engine ablation, the deterministic parallel
+// engine at 1/4/8 workers
 // (threads1/threads4/threads8, bit-identical search, nodes_per_sec extra),
 // and the racing portfolio; reports iterations, nodes and wall time per
 // assay, and dumps BENCH_milp.json for cross-PR tracking.
@@ -9,7 +10,7 @@
 //   bench_milp [--seconds S] [--assays PCR,IVD,...] [--row-limit R]
 //              [--dense-row-limit R] [--out FILE] [--smoke]
 //
-// The dense configurations only run formulations up to --dense-row-limit
+// The dense configuration only runs formulations up to --dense-row-limit
 // rows (default 2500, the historical dense-basis viability bound); the
 // sparse-LU configuration runs everything up to --row-limit, which is what
 // finally admits CPA (~8.2k rows), RA70 (~9.3k) and RA100 (~18k).
@@ -109,20 +110,6 @@ int main(int argc, char** argv) {
   }
 
   std::vector<bench::bench_record> records;
-  long total_iters_new = 0;
-  long total_iters_old = 0;
-  long total_nodes_new = 0;
-  long total_nodes_old = 0;
-  double total_secs_new = 0.0;
-  double total_secs_old = 0.0;
-  // Equal-work subset: assays the LU defaults and the primal-only seed both
-  // solve to proven optimality (under a time limit, total iterations are
-  // budget-bound and meaningless to compare).
-  long optimal_iters_new = 0;
-  long optimal_iters_old = 0;
-  double optimal_secs_new = 0.0;
-  double optimal_secs_old = 0.0;
-  int optimal_assays = 0;
   bool objectives_match = true;
   int above_dense_ceiling = 0; // formulations only the sparse engine ran
 
@@ -200,10 +187,7 @@ int main(int argc, char** argv) {
                                       {"threads1", threads1},
                                       {"threads4", threads4},
                                       {"threads8", threads8}};
-    if (dense_viable) {
-      specs.push_back({"dense_dual_devex", dense_devex});
-      specs.push_back({"primal_only", milp::classic_primal_only_options()});
-    }
+    if (dense_viable) specs.push_back({"dense_dual_devex", dense_devex});
 
     std::vector<milp::solution> sols(specs.size());
     for (std::size_t s = 0; s < specs.size(); ++s) {
@@ -245,18 +229,6 @@ int main(int argc, char** argv) {
         r.extras.emplace_back("steals", static_cast<double>(steals));
       }
       records.push_back(r);
-
-      if (s == 0 && dense_viable) {
-        // Aggregate only over the subset both configurations run, so the
-        // iterations/node headline compares equal workloads.
-        total_iters_new += sol.simplex_iterations;
-        total_nodes_new += sol.nodes_explored;
-        total_secs_new += elapsed;
-      } else if (specs[s].label == std::string("primal_only")) {
-        total_iters_old += sol.simplex_iterations;
-        total_nodes_old += sol.nodes_explored;
-        total_secs_old += elapsed;
-      }
       std::printf("%-7s %-12s %10d %8ld %10ld %10ld %8ld %12.3f %.3fs (%s)\n",
                   name.c_str(), specs[s].label, rows, sol.nodes_explored,
                   sol.simplex_iterations, sol.dual_simplex_iterations,
@@ -394,48 +366,8 @@ int main(int argc, char** argv) {
                       specs[b_idx].label, sols[b_idx].objective);
         }
       }
-    if (dense_viable) {
-      const milp::solution& lu = sols[0];
-      const milp::solution& seed = sols.back();
-      if (lu.status == milp::solve_status::optimal &&
-          seed.status == milp::solve_status::optimal) {
-        ++optimal_assays;
-        optimal_iters_new += lu.simplex_iterations;
-        optimal_iters_old += seed.simplex_iterations;
-        optimal_secs_new += lu.seconds;
-        optimal_secs_old += seed.seconds;
-      } else if (objectives_differ(lu.objective, seed.objective)) {
-        std::printf("%-7s note: incumbents differ under the time limit "
-                    "(%.3f vs %.3f)\n",
-                    name.c_str(), lu.objective, seed.objective);
-      }
-    }
   }
 
-  if (total_iters_old > 0 && total_nodes_new > 0 && total_nodes_old > 0) {
-    std::printf("\niterations/node:   lu_dual_devex=%.1f primal_only=%.1f "
-                "(%.2fx fewer LP iterations per node)\n",
-                static_cast<double>(total_iters_new) /
-                    static_cast<double>(total_nodes_new),
-                static_cast<double>(total_iters_old) /
-                    static_cast<double>(total_nodes_old),
-                static_cast<double>(total_iters_old) * total_nodes_new /
-                    (static_cast<double>(total_iters_new) * total_nodes_old));
-    std::printf("totals:            lu_dual_devex=%ld iters %.3fs | "
-                "primal_only=%ld iters %.3fs\n",
-                total_iters_new, total_secs_new, total_iters_old,
-                total_secs_old);
-  }
-  if (optimal_assays > 0 && optimal_iters_new > 0) {
-    std::printf("proven-optimal subset (%d assays, equal work): "
-                "lu_dual_devex=%ld iters %.3fs | primal_only=%ld iters %.3fs "
-                "(%.2fx iteration reduction), objectives %s\n",
-                optimal_assays, optimal_iters_new, optimal_secs_new,
-                optimal_iters_old, optimal_secs_old,
-                static_cast<double>(optimal_iters_old) /
-                    static_cast<double>(optimal_iters_new),
-                objectives_match ? "identical" : "DIFFER");
-  }
   if (above_dense_ceiling > 0)
     std::printf("formulations above the %d-row dense ceiling run by the "
                 "sparse engine: %d\n",

@@ -545,8 +545,9 @@ void simplex_solver::record_basis_update(int leaving_pos, double pivot_element,
 
 simplex_solver::refactor_cause simplex_solver::refactor_due(
     int pivots_since_refactor) const {
-  if (pivots_since_refactor >= options_.refactor_interval ||
-      static_cast<int>(eta_pos_.size()) >= options_.refactor_interval)
+  constexpr int refactor_interval = 200;
+  if (pivots_since_refactor >= refactor_interval ||
+      static_cast<int>(eta_pos_.size()) >= refactor_interval)
     return refactor_cause::interval;
   // Fill trigger: refactor once the eta file outgrows its base
   // representation -- m^2/8 against the dense inverse, a small multiple of
@@ -646,27 +647,18 @@ double simplex_solver::pricing_violation(int column, double reduced,
   return 0.0;
 }
 
-simplex_solver::entering_choice simplex_solver::price_full_scan(
-    bool phase1, bool bland, const std::vector<double>& y) {
+simplex_solver::entering_choice simplex_solver::price_bland(
+    bool phase1, const std::vector<double>& y) {
   entering_choice choice;
-  double best_violation = optimality_tolerance;
   for (int j = 0; j < total_columns(); ++j) {
     if (status_[j] == status::basic) continue;
     const double own_cost = phase1 ? 0.0 : column_cost_phase2(j);
     const double d = own_cost + reduced_cost(j, y);
     int dir = 0;
-    const double violation = pricing_violation(j, d, dir);
-    if (dir == 0) continue;
-    if (bland) {
-      choice.column = j;
-      choice.direction = dir;
-      return choice;
-    }
-    if (violation > best_violation) {
-      best_violation = violation;
-      choice.column = j;
-      choice.direction = dir;
-    }
+    if (pricing_violation(j, d, dir) <= 0.0) continue;
+    choice.column = j;
+    choice.direction = dir;
+    return choice;
   }
   return choice;
 }
@@ -725,9 +717,7 @@ simplex_solver::entering_choice simplex_solver::price_devex(
 }
 
 void simplex_solver::update_devex_weights(int entering, int leaving_pos,
-                                          double pivot_element, bool phase1) {
-  (void)phase1;
-  if (options_.pricing != pricing_rule::devex) return;
+                                          double pivot_element) {
   btran_row(leaving_pos, work_rho_);
   const double weight_q = devex_weight_[entering];
   const double inv_pivot_sq = 1.0 / (pivot_element * pivot_element);
@@ -774,12 +764,9 @@ simplex_solver::pivot_outcome simplex_solver::iterate(bool phase1,
   compute_duals(work_cost_, work_row_);
 
   // Entering column selection: devex over the partial-pricing candidate
-  // list, unless Bland's anti-cycling rule or the Dantzig ablation forces a
-  // full scan.
-  const entering_choice choice =
-      (bland || options_.pricing == pricing_rule::dantzig)
-          ? price_full_scan(phase1, bland, work_row_)
-          : price_devex(phase1, work_row_);
+  // list, unless Bland's anti-cycling rule forces a full scan.
+  const entering_choice choice = bland ? price_bland(phase1, work_row_)
+                                       : price_devex(phase1, work_row_);
   const int entering = choice.column;
   const int direction = choice.direction;
 
@@ -862,9 +849,8 @@ simplex_solver::pivot_outcome simplex_solver::iterate(bool phase1,
   }
 
 
-  if (leaving_pos >= 0 && !bland &&
-      options_.pricing == pricing_rule::devex)
-    update_devex_weights(entering, leaving_pos, best_pivot, phase1);
+  if (leaving_pos >= 0 && !bland)
+    update_devex_weights(entering, leaving_pos, best_pivot);
 
   apply_pivot(entering, direction, best_step, leaving_pos, best_pivot,
               work_col_, leaving_to_upper);
@@ -1190,7 +1176,7 @@ lp_result simplex_solver::solve(const deadline& time_budget, bool warm_start,
   // A warm-started basis after branching keeps its reduced costs, so when
   // primal feasibility broke but dual feasibility survived, the dual
   // simplex re-solves in a handful of pivots.
-  if (options_.allow_dual && warmed && state == mode::phase1) {
+  if (warmed && state == mode::phase1) {
     for (int p = 0; p < m_; ++p)
       work_cost_[p] = column_cost_phase2(basis_[p]);
     compute_duals(work_cost_, work_row_);

@@ -10,8 +10,8 @@
 //     for warm re-solves after branch-and-bound bound changes, where the
 //     previous optimal basis stays dual feasible;
 //   * devex reference-weight pricing over a rotating partial-pricing
-//     candidate list (Dantzig available for ablations, Bland's rule as the
-//     anti-cycling fallback after a run of degenerate steps);
+//     candidate list (Bland's rule as the anti-cycling fallback after a run
+//     of degenerate steps);
 //   * a basis factorization refreshed by periodic refactorization and kept
 //     current between refactorizations by product-form (eta) updates
 //     (eta-on-LU). Two engines are available behind `basis_engine`: the
@@ -36,8 +36,6 @@
 
 namespace transtore::milp {
 
-enum class pricing_rule : unsigned char { dantzig, devex };
-
 /// Basis-inverse representation. sparse_lu is the default; dense keeps the
 /// explicit m x m inverse (the seed representation, O(m^2) per solve step
 /// and O(m^2) memory -- viable only to ~2500 rows).
@@ -46,12 +44,6 @@ enum class basis_engine : unsigned char { dense, sparse_lu };
 /// Tunables for one simplex solve.
 struct simplex_options {
   long max_iterations = 200000;
-  int refactor_interval = 200;
-  /// Use the dual simplex on warm starts whose basis is dual feasible but
-  /// primal infeasible (the branch-and-bound re-solve pattern). false
-  /// reproduces the primal-only seed behaviour for ablations.
-  bool allow_dual = true;
-  pricing_rule pricing = pricing_rule::devex;
   /// Basis-inverse representation. The dense engine remains the numerical
   /// fallback: a singular sparse LU factorization retries densely before
   /// the slack-basis repair.
@@ -73,7 +65,7 @@ struct simplex_stats {
 
   // Refactorizations by cause; exactly one is counted per refactorization.
   long refactor_eta_fill = 0;    // eta file outgrew its nonzero cap
-  long refactor_interval = 0;    // refactor_interval pivots or etas reached
+  long refactor_interval = 0;    // 200 pivots or etas since the last one
   long refactor_infeasibility_proof = 0; // fresh factors for a dual proof
   long refactor_dual_abort = 0;  // ftran'd pivot disagreed with the row
   long refactor_phase2_retry = 0; // "optimal" basis lost primal feasibility
@@ -279,12 +271,12 @@ private:
   };
   [[nodiscard]] double pricing_violation(int column, double reduced,
                                          int& direction) const;
-  entering_choice price_full_scan(bool phase1, bool bland,
-                                  const std::vector<double>& y);
+  /// Bland's anti-cycling rule: the lowest-index attractive column.
+  entering_choice price_bland(bool phase1, const std::vector<double>& y);
   entering_choice price_devex(bool phase1, const std::vector<double>& y);
   void refill_candidates(bool phase1, const std::vector<double>& y);
-  void update_devex_weights(int entering, int leaving_pos, double pivot_element,
-                            bool phase1);
+  void update_devex_weights(int entering, int leaving_pos,
+                            double pivot_element);
   void reset_devex();
 
   struct pivot_outcome {

@@ -211,24 +211,6 @@ struct pseudocost_table {
   }
 };
 
-} // namespace
-
-solver_options classic_primal_only_options() {
-  solver_options o;
-  o.branching = branch_rule::most_fractional;
-  o.lp.allow_dual = false;
-  o.lp.pricing = pricing_rule::dantzig;
-  o.lp.refactor_interval = 120; // the seed's dense-update cadence
-  o.lp.engine = basis_engine::dense; // the seed's basis representation
-  o.presolve = false;                // the seed ran bare root propagation
-  o.cuts = false;
-  o.node_propagation = false;
-  o.node_selection = node_rule::dfs; // pure depth-first plunging
-  return o;
-}
-
-namespace {
-
 /// Row-wise view of an lp_problem for the propagation passes.
 struct row_view {
   std::vector<row_terms> rows;
@@ -320,8 +302,9 @@ root_phase::root_phase(const model& m, const solver_options& options,
                        const deadline& time_budget, solution& result)
     : sf(build_standard_form(m)) {
   // Root presolve: the iterated reduction loop when enabled, otherwise the
-  // node propagation pass over the root rows (the primal_only ablation
-  // needs it). Nothing writes sf.lp's variable bounds after this.
+  // node propagation pass over the root rows (the pre-presolve solver that
+  // the no_presolve ablation and the presolve-off tests run). Nothing
+  // writes sf.lp's variable bounds after this.
   if (options.presolve) {
     presolved_problem reduced = presolve(sf.lp, sf.is_integer);
     result.presolve_rows_removed = reduced.stats.rows_removed;
@@ -633,10 +616,8 @@ bool tree_search::should_stop() {
   return stop;
 }
 
-/// A node's share of the search-wide strong-branching probe budget (0 when
-/// probing is off).
+/// A node's share of the search-wide strong-branching probe budget.
 long tree_search::probe_allowance() const {
-  if (options.branching != branch_rule::pseudocost) return 0;
   return std::max(0L,
                   strong_branch_limit - probes.load(std::memory_order_relaxed));
 }
@@ -698,11 +679,8 @@ branch_output tree_search::branch(const bb_node& node, node_result& nr) {
   double branch_frac = 0.0;
   double best_score = -1.0;
   for (std::size_t i = 0; i < nr.fractional.size(); ++i) {
-    const auto& [closeness, j] = nr.fractional[i];
-    const double score =
-        options.branching == branch_rule::pseudocost
-            ? pc.score(j, nr.x[j] - std::floor(nr.x[j]), 1.0)
-            : closeness;
+    const int j = nr.fractional[i].second;
+    const double score = pc.score(j, nr.x[j] - std::floor(nr.x[j]), 1.0);
     if (score > best_score) {
       best_score = score;
       branch_var = j;

@@ -19,7 +19,14 @@
 //     periodic best-bound backtracking available (`node_rule`) for
 //     incumbent quality under tight time limits, and global best-bound
 //     tracking for gap reporting;
-//   * most-fractional or pseudocost branching;
+//   * pseudocost branching. A variable's pseudocosts are initialized by
+//     strong-branching probes (cheap dual re-solves of up to 100
+//     iterations) until each direction has a few observations. The
+//     search-wide budget is 100 probes, and each node gets the allowance
+//     left when it starts: a one-worker search stops at 100, but the
+//     deterministic rounds give every node of a round the allowance left
+//     when the round started, so they can run more (as can concurrent pool
+//     workers);
 //   * optional caller-supplied incumbent (used by the synthesis flow to
 //     seed the search with the heuristic schedule), deterministic results,
 //     and hard time/node limits returning best-effort incumbents -- the
@@ -45,8 +52,6 @@ enum class solve_status {
   unbounded,        // objective unbounded
   no_solution,      // limits hit before any incumbent was found
 };
-
-enum class branch_rule { most_fractional, pseudocost };
 
 /// Per-worker breakdown of a parallel tree search (solution::workers): how
 /// many nodes each thread processed, the simplex work it spent on them, and
@@ -118,15 +123,6 @@ struct solver_options {
   /// limit. Default-constructed tokens never fire.
   cancel_token cancel;
   long max_nodes = 5'000'000;
-  /// Under pseudocost branching, a variable's pseudocosts are initialized
-  /// by strong-branching probes (cheap dual re-solves of up to 100
-  /// iterations) until each direction has a few observations;
-  /// most-fractional branching runs no probes. The search-wide budget is
-  /// 100 probes, and each node gets the allowance left when it starts: a
-  /// one-worker search stops at 100, but the deterministic rounds give
-  /// every node of a round the allowance left when the round started, so
-  /// they can run more (as can concurrent pool workers).
-  branch_rule branching = branch_rule::pseudocost;
   /// Iterated root presolve (presolve.h): singleton-row elimination,
   /// activity-based bound tightening, big-M coefficient strengthening,
   /// redundant-row removal, variable fixing. Off falls back to the per-node
@@ -146,8 +142,8 @@ struct solver_options {
   bool node_propagation = true;
   /// Node selection (see node_rule).
   node_rule node_selection = node_rule::dfs;
-  /// LP engine tunables, forwarded to the simplex (allow_dual / pricing are
-  /// the ablation switches back to the primal-only seed behaviour).
+  /// LP engine tunables, forwarded to the simplex: the iteration cap per
+  /// solve and the basis engine (the dense engine is an ablation).
   simplex_options lp;
   /// Optional known-feasible assignment used as the initial incumbent.
   std::optional<std::vector<double>> warm_start;
@@ -179,11 +175,6 @@ struct solver_options {
   /// would break bit-identity.
   std::shared_ptr<incumbent_board> shared_incumbent;
 };
-
-/// Seed-equivalent configuration for ablations/benchmarks: primal-only
-/// simplex with Dantzig pricing and most-fractional branching, no
-/// strong-branching probes.
-[[nodiscard]] solver_options classic_primal_only_options();
 
 struct solution {
   solve_status status = solve_status::no_solution;

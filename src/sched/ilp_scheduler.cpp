@@ -156,9 +156,10 @@ scheduling_ilp build_scheduling_ilp(const assay::sequencing_graph& graph,
   // overlap in time. Precedence-related pairs and pairs with disjoint
   // ASAP/ALAP windows are skipped (provably redundant).
   auto& pairs = ilp.order_pairs;
+  const assay::reachability reach(graph);
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
-      if (graph.reaches(i, j) || graph.reaches(j, i)) continue;
+      if (reach.reaches(i, j) || reach.reaches(j, i)) continue;
       if (est[static_cast<std::size_t>(i)] >=
               lft[static_cast<std::size_t>(j)] ||
           est[static_cast<std::size_t>(j)] >=

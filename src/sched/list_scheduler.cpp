@@ -8,9 +8,7 @@
 #include "common/stopwatch.h"
 
 namespace transtore::sched {
-namespace {
 
-/// Longest execution-time path from each op to any sink (inclusive).
 std::vector<int> remaining_path(const assay::sequencing_graph& graph) {
   std::vector<int> order = graph.topological_order();
   std::vector<int> path(static_cast<std::size_t>(graph.operation_count()), 0);
@@ -22,6 +20,8 @@ std::vector<int> remaining_path(const assay::sequencing_graph& graph) {
   }
   return path;
 }
+
+namespace {
 
 /// One greedy construction on `builder` (reset first), which then holds
 /// the schedule. Returns its objective (6) under `final_beta`, summed from

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "assay/sequencing_graph.h"
 #include "common/interrupt.h"
@@ -38,6 +39,12 @@ struct list_scheduler_options {
   double time_budget_seconds = 0.0;
   cancel_token cancel;
 };
+
+/// Longest execution-time path from each op to any sink (inclusive): the
+/// critical-path priority that breaks storage-aware ties. The fault
+/// re-scheduler (splice.h) uses it too.
+[[nodiscard]] std::vector<int> remaining_path(
+    const assay::sequencing_graph& graph);
 
 /// Build a schedule heuristically. Throws invalid_input_error for malformed
 /// inputs (empty graph, non-positive device count).

@@ -49,20 +49,6 @@ schedule greedy_seed(const assay::sequencing_graph& graph,
   return schedule_with_list(graph, lo);
 }
 
-/// Longest execution-time path from each op to any sink (inclusive) -- the
-/// list scheduler's critical-path priority, reused for RCL tie context.
-std::vector<int> remaining_path(const assay::sequencing_graph& graph) {
-  std::vector<int> order = graph.topological_order();
-  std::vector<int> path(static_cast<std::size_t>(graph.operation_count()), 0);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    int best = 0;
-    for (int child : graph.children(*it))
-      best = std::max(best, path[static_cast<std::size_t>(child)]);
-    path[static_cast<std::size_t>(*it)] = best + graph.at(*it).duration;
-  }
-  return path;
-}
-
 // ------------------------------------------------------------------- SA ---
 
 /// Mutate `candidate` with one randomly chosen neighborhood move, recorded
@@ -221,11 +207,10 @@ namespace {
 /// One randomized-greedy construction on `builder` (reset first): the
 /// list scheduler's scoring rule, but each step picks uniformly from the
 /// restricted candidate list of placements scoring within
-/// threshold_alpha * (max - min) of the best.
+/// rcl_alpha * (max - min) of the best.
 schedule rcl_pass(const assay::sequencing_graph& graph,
-                  const grasp_scheduler_options& options,
-                  const std::vector<int>& priority, double threshold_alpha,
-                  prng& rng, timeline_builder& builder) {
+                  const grasp_scheduler_options& options, prng& rng,
+                  timeline_builder& builder) {
   builder.reset();
   const int n = graph.operation_count();
   const double beta = options.storage_aware ? options.beta : 0.0;
@@ -234,7 +219,6 @@ schedule rcl_pass(const assay::sequencing_graph& graph,
     int op = -1;
     int device = -1;
     double score = 0.0;
-    int priority = 0;
   };
   std::vector<candidate> candidates;
   std::vector<std::size_t> rcl;
@@ -250,8 +234,7 @@ schedule rcl_pass(const assay::sequencing_graph& graph,
         const double score =
             options.alpha * placement.end +
             beta * static_cast<double>(placement.cache_time_added);
-        candidates.push_back(
-            {op, d, score, priority[static_cast<std::size_t>(op)]});
+        candidates.push_back({op, d, score});
         min_score = std::min(min_score, score);
         max_score = std::max(max_score, score);
       }
@@ -259,29 +242,12 @@ schedule rcl_pass(const assay::sequencing_graph& graph,
     check(!candidates.empty(), "grasp: no ready operation (cycle?)");
 
     const double threshold =
-        min_score + threshold_alpha * (max_score - min_score) + 1e-9;
+        min_score + rcl_alpha * (max_score - min_score) + 1e-9;
     rcl.clear();
     for (std::size_t i = 0; i < candidates.size(); ++i)
       if (candidates[i].score <= threshold) rcl.push_back(i);
 
-    std::size_t pick;
-    if (threshold_alpha <= 0.0) {
-      // Pure greedy round: argmin with the list scheduler's critical-path
-      // tie break, so round 0 matches one deterministic list pass.
-      pick = rcl[0];
-      for (std::size_t i : rcl) {
-        const candidate& c = candidates[i];
-        const candidate& b = candidates[pick];
-        const bool tie_better =
-            c.priority > b.priority ||
-            (c.priority == b.priority && c.op < b.op);
-        if (c.score < b.score - 1e-9 ||
-            (c.score < b.score + 1e-9 && tie_better))
-          pick = i;
-      }
-    } else {
-      pick = rcl[rng.index(rcl.size())];
-    }
+    const std::size_t pick = rcl[rng.index(rcl.size())];
     builder.commit(candidates[pick].op, candidates[pick].device);
   }
   return builder.build();
@@ -298,7 +264,6 @@ schedule schedule_with_grasp(const assay::sequencing_graph& graph,
 
   const double beta = options.storage_aware ? options.beta : 0.0;
   const deadline budget(options.time_budget_seconds, options.cancel);
-  const std::vector<int> priority = remaining_path(graph);
 
   schedule best;
   double best_cost = std::numeric_limits<double>::infinity();
@@ -309,11 +274,17 @@ schedule schedule_with_grasp(const assay::sequencing_graph& graph,
 
   for (int round = 0; round < options.rounds; ++round) {
     if (round > 0 && budget.expired()) break;
-    // Derived (not reused) seeds: every round constructs and anneals with
-    // its own independent stream.
-    prng rng(derive_seed(options.seed, 0x47524153ULL + round));
-    schedule constructed = rcl_pass(graph, options, priority,
-                                    round == 0 ? 0.0 : rcl_alpha, rng, builder);
+    // Round 0 is one deterministic list pass; later rounds construct with
+    // derived (not reused) seeds, each its own independent stream.
+    schedule constructed;
+    if (round == 0) {
+      constructed = greedy_seed(graph, options.device_count, options.timing,
+                                options.alpha, options.beta,
+                                options.storage_aware, options.seed);
+    } else {
+      prng rng(derive_seed(options.seed, 0x47524153ULL + round));
+      constructed = rcl_pass(graph, options, rng, builder);
+    }
 
     if (options.improvement_iterations > 0 && !budget.expired()) {
       sa_scheduler_options sa;

@@ -72,8 +72,9 @@ struct grasp_scheduler_options {
   double alpha = 1.0;
   double beta = 0.15;
   bool storage_aware = true;
-  /// Construction + improvement rounds. Round 0 is pure greedy (RCL alpha
-  /// forced to 0) so GRASP starts no worse than one list pass.
+  /// Construction + improvement rounds. Round 0 is one deterministic list
+  /// pass (schedule_with_list with one restart), so GRASP starts no worse
+  /// than it; later rounds construct from the randomized candidate list.
   int rounds = 8;
   /// SA iterations spent polishing each round's construction.
   int improvement_iterations = 1500;

@@ -46,10 +46,11 @@ ilp_scheduler_options ilp_options(const scheduler_options& o,
 long estimate_ilp_rows(const assay::sequencing_graph& graph,
                        const scheduler_options& o) {
   const long n = graph.operation_count();
+  const assay::reachability reach(graph);
   long unrelated_pairs = 0;
   for (int i = 0; i < n; ++i)
     for (int j = i + 1; j < n; ++j)
-      if (!graph.reaches(i, j) && !graph.reaches(j, i)) ++unrelated_pairs;
+      if (!reach.reaches(i, j) && !reach.reaches(j, i)) ++unrelated_pairs;
   return 2 * n + n + graph.edge_count() * (2L * o.device_count + 2) +
          unrelated_pairs * 2L * o.device_count + n;
 }

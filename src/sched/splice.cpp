@@ -5,25 +5,9 @@
 
 #include "common/prng.h"
 #include "common/stopwatch.h"
+#include "sched/list_scheduler.h"
 
 namespace transtore::sched {
-namespace {
-
-/// Longest execution-time path from each op to any sink (inclusive) --
-/// the same priority the list scheduler uses.
-std::vector<int> remaining_path(const assay::sequencing_graph& graph) {
-  std::vector<int> order = graph.topological_order();
-  std::vector<int> path(static_cast<std::size_t>(graph.operation_count()), 0);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    int best = 0;
-    for (int child : graph.children(*it))
-      best = std::max(best, path[static_cast<std::size_t>(child)]);
-    path[static_cast<std::size_t>(*it)] = best + graph.at(*it).duration;
-  }
-  return path;
-}
-
-} // namespace
 
 crossing_state classify_crossing(const schedule& s, const edge_transfer& tr,
                                  int fault_time) {

@@ -135,6 +135,33 @@ TEST(Metaheuristics, NeverWorseThanPlainListScheduling) {
   }
 }
 
+TEST(Metaheuristics, GraspRoundZeroIsOneListPass) {
+  // With one round and no annealing, GRASP returns its round-0
+  // construction, which must be the list scheduler's greedy pass in both
+  // modes: the time-only pass breaks time ties by lowest id, not by the
+  // critical path.
+  for (const char* name : {"PCR", "IVD", "CPA", "RA30", "RA70", "RA100"}) {
+    const sequencing_graph g = make_benchmark(name);
+    for (int devices = 1; devices <= 4; ++devices) {
+      for (const bool storage_aware : {true, false}) {
+        list_scheduler_options lo;
+        lo.device_count = devices;
+        lo.storage_aware = storage_aware;
+        lo.restarts = 1;
+        grasp_scheduler_options go;
+        go.device_count = devices;
+        go.storage_aware = storage_aware;
+        go.rounds = 1;
+        go.improvement_iterations = 0;
+        EXPECT_TRUE(schedules_identical(schedule_with_grasp(g, go),
+                                        schedule_with_list(g, lo)))
+            << name << " devices " << devices << " storage_aware "
+            << storage_aware;
+      }
+    }
+  }
+}
+
 TEST(Metaheuristics, SaStartIncumbentIsAFloor) {
   const sequencing_graph g = make_benchmark("IVD");
   const schedule start = plain_list(g, 2);

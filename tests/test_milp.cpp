@@ -326,31 +326,6 @@ TEST(Milp, EqualityWithIntegers) {
   EXPECT_NEAR(s.value(y), 2.0, 1e-6);
 }
 
-TEST(Milp, PseudocostBranchingFindsSameOptimum) {
-  model m;
-  std::vector<variable> xs;
-  prng r(99);
-  linear_expr weight_sum, value_sum;
-  for (int i = 0; i < 14; ++i) {
-    xs.push_back(m.add_binary());
-    weight_sum += static_cast<double>(r.uniform_int(5, 30)) * xs.back();
-    value_sum += static_cast<double>(r.uniform_int(10, 60)) * xs.back();
-  }
-  m.add_constraint(weight_sum, cmp::less_equal, 90);
-  m.set_objective(value_sum, objective_sense::maximize);
-
-  solver_options most_frac = quick_options();
-  most_frac.branching = branch_rule::most_fractional;
-  solver_options pseudo = quick_options();
-  pseudo.branching = branch_rule::pseudocost;
-
-  const solution a = solve(m, most_frac);
-  const solution b = solve(m, pseudo);
-  ASSERT_EQ(a.status, solve_status::optimal);
-  ASSERT_EQ(b.status, solve_status::optimal);
-  EXPECT_NEAR(a.objective, b.objective, 1e-6);
-}
-
 TEST(Milp, TimeLimitReturnsBestEffort) {
   // A knapsack big enough not to finish in ~0 seconds, with a warm start:
   // the solver must return the incumbent, not fail.
@@ -453,7 +428,8 @@ lp_problem random_bounded_lp(std::uint64_t seed, int nvars, int nrows) {
 
 TEST(Simplex, DualWarmStartMatchesPrimalOnRandomBoundedLps) {
   // After a branching-style bound change, the dual re-solve must reach the
-  // same objective as a primal-only solve of the modified problem.
+  // same objective as a cold solve of the modified problem, which always
+  // runs the primal method from the slack basis.
   const deadline no_limit(0.0);
   long dual_solves_seen = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
@@ -462,8 +438,7 @@ TEST(Simplex, DualWarmStartMatchesPrimalOnRandomBoundedLps) {
     const int nrows = static_cast<int>(r.uniform_int(2, 8));
     lp_problem p = random_bounded_lp(seed, nvars, nrows);
 
-    simplex_options dual_on;
-    simplex_solver warm(p, dual_on);
+    simplex_solver warm(p, simplex_options{});
     const lp_result root = warm.solve(no_limit, /*warm_start=*/false);
     ASSERT_EQ(root.status, lp_status::optimal) << "seed " << seed;
 
@@ -488,11 +463,9 @@ TEST(Simplex, DualWarmStartMatchesPrimalOnRandomBoundedLps) {
       tightened.lower[j] = warm.variable_lower(j);
       tightened.upper[j] = warm.variable_upper(j);
     }
-    simplex_options primal_only;
-    primal_only.allow_dual = false;
-    primal_only.pricing = pricing_rule::dantzig;
-    simplex_solver reference(tightened, primal_only);
+    simplex_solver reference(tightened, simplex_options{});
     const lp_result expected = reference.solve(no_limit, false);
+    EXPECT_FALSE(expected.used_dual) << "seed " << seed;
 
     ASSERT_EQ(resolved.status, expected.status) << "seed " << seed;
     if (expected.status == lp_status::optimal) {
@@ -604,32 +577,6 @@ TEST(Milp, BranchAndBoundIsDeterministic) {
   EXPECT_EQ(a.simplex_iterations, b.simplex_iterations);
   EXPECT_EQ(a.dual_simplex_iterations, b.dual_simplex_iterations);
   EXPECT_EQ(a.values, b.values);
-}
-
-TEST(Milp, PrimalOnlyAblationMatchesDefault) {
-  // The seed-equivalent ablation must agree with the new configuration on
-  // instances solved to optimality.
-  for (std::uint64_t seed : {5u, 23u, 41u}) {
-    model m;
-    prng r(seed);
-    std::vector<variable> xs;
-    linear_expr weight, value;
-    for (int i = 0; i < 15; ++i) {
-      xs.push_back(m.add_binary());
-      weight += static_cast<double>(r.uniform_int(4, 30)) * xs.back();
-      value += static_cast<double>(r.uniform_int(5, 50)) * xs.back();
-    }
-    m.add_constraint(weight, cmp::less_equal, 120.0);
-    m.set_objective(value, objective_sense::maximize);
-
-    solver_options classic = classic_primal_only_options();
-    classic.time_limit_seconds = 30.0;
-    const solution a = solve(m, quick_options());
-    const solution b = solve(m, classic);
-    ASSERT_EQ(a.status, solve_status::optimal);
-    ASSERT_EQ(b.status, solve_status::optimal);
-    EXPECT_NEAR(a.objective, b.objective, 1e-6) << "seed " << seed;
-  }
 }
 
 // Property sweep: random small knapsacks, solver vs exhaustive enumeration.
@@ -1114,10 +1061,9 @@ TEST(Simplex, EngineDifferentialOnWarmDualResolves) {
     }
     simplex_options dense_primal;
     dense_primal.engine = basis_engine::dense;
-    dense_primal.allow_dual = false;
-    dense_primal.pricing = pricing_rule::dantzig;
     simplex_solver reference(tightened_p, dense_primal);
     const lp_result expected = reference.solve(no_limit, false);
+    EXPECT_FALSE(expected.used_dual) << "seed " << seed;
 
     ASSERT_EQ(resolved.status, expected.status) << "seed " << seed;
     if (expected.status == lp_status::optimal) {
