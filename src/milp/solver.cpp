@@ -156,10 +156,10 @@ struct bb_node {
   /// branch's own expected degradation plus the cheapest rounding of every
   /// other fractional variable at the parent.
   double estimate = -inf;
-  /// Parent basis for cross-worker warm starts (null when snapshots are
-  /// off -- a one-worker pool search, whose nodes all re-solve on its one
-  /// warm instance -- and for the root outside the round engine). Siblings
-  /// share the one immutable snapshot.
+  /// Parent's optimal basis, which the node re-solves from unless it
+  /// continues its parent's dive on an undisturbed instance (null for the
+  /// root outside the round engine). Siblings share the one immutable
+  /// snapshot.
   std::shared_ptr<const basis_snapshot> warm;
   /// Worker that created this node (-1 for the root); a worker pulling a
   /// pool node produced by another worker counts it as a steal.
@@ -296,6 +296,8 @@ struct root_phase {
   bool solved = false;                // whether `bound` is known
   long iterations = 0;
   long dual_iterations = 0;
+  /// Counters of the cut rounds' replaced simplex instances.
+  simplex_stats retired_stats;
 };
 
 root_phase::root_phase(const model& m, const solver_options& options,
@@ -357,6 +359,7 @@ root_phase::root_phase(const model& m, const solver_options& options,
     auto next_problem = std::make_unique<lp_problem>(cutter.current());
     auto next_lp = std::make_unique<simplex_solver>(*next_problem, options.lp);
     next_lp->load_basis(basis, at_upper);
+    retired_stats += lp->stats();
     lp = std::move(next_lp);
     cut_lp = std::move(next_problem);
     const lp_result re = solve_counted(/*warm=*/true);
@@ -412,8 +415,11 @@ struct node_result {
   /// Effective node bounds of each fractional variable (post-propagation),
   /// aligned with `fractional` -- the child bound changes branch off these.
   std::vector<std::pair<double, double>> fractional_bounds;
-  /// Post-solve, pre-probe basis (null unless tree_search::snapshots).
+  /// Post-solve, pre-probe basis: the children's warm start (branched).
   std::shared_ptr<const basis_snapshot> basis;
+  /// Strong-branching probes run on this node; they leave the instance on
+  /// the last probe's basis instead of this node's optimum.
+  long probes_run = 0;
   // Integral candidate, already rounded and evaluated so the commit only
   // compares objectives (under its lock, in the pool source).
   std::vector<double> candidate;
@@ -532,11 +538,6 @@ struct tree_search {
   root_phase& root;
   const int n;
   const int threads;
-  /// Whether children carry their parent's basis snapshot: with several
-  /// simplex instances a node re-solves on whichever picks it up; a
-  /// one-worker pool search never reloads a basis, so it skips the capture
-  /// and reports no per-worker breakdown.
-  const bool snapshots;
   /// Racing-portfolio hookup (null in deterministic mode, where adoption
   /// timing would break bit-identity): improving incumbents are published
   /// to the shared board, and the pool adopts board incumbents -- after
@@ -554,6 +555,9 @@ struct tree_search {
   /// One entry per open, in-flight or unresolved node; the root's first.
   std::multiset<double> open_bounds{-inf};
   std::vector<worker_stats> workers;
+  /// LP counters of the workers' own simplex instances (worker 0's entry
+  /// stays empty: it runs on the root phase's instance).
+  std::vector<simplex_stats> worker_lp_stats;
   long nodes = 0;
   /// Strong-branching probes run so far; workers add theirs per node.
   std::atomic<long> probes{0};
@@ -578,9 +582,9 @@ tree_search::tree_search(const model& m, root_phase& root,
     : m(m), sf(root.sf), options(options), time_budget(time_budget),
       root(root), n(root.sf.lp.num_vars),
       threads(resolve_threads(options.threads)),
-      snapshots(options.deterministic || threads > 1),
       board(options.deterministic ? nullptr : options.shared_incumbent.get()),
-      pseudocosts(n), workers(static_cast<std::size_t>(threads)) {
+      pseudocosts(n), workers(static_cast<std::size_t>(threads)),
+      worker_lp_stats(static_cast<std::size_t>(threads)) {
   if (options.node_propagation) rows.emplace(root.tree_lp());
 }
 
@@ -767,9 +771,13 @@ void tree_search::finish(solution& result) {
     result.dual_simplex_iterations += ws.dual_simplex_iterations;
   }
   result.strong_branch_probes = probes.load(std::memory_order_relaxed);
+  result.lp_stats = root.retired_stats;
+  result.lp_stats += root.lp->stats();
+  for (const simplex_stats& st : worker_lp_stats) result.lp_stats += st;
   result.interrupted = hit_limit && time_budget.expired();
   if (root.solved) result.root_bound = sf.user_objective(root.bound);
-  if (snapshots) result.workers = std::move(workers);
+  // One-worker pool searches report no per-worker breakdown.
+  if (options.deterministic || threads > 1) result.workers = std::move(workers);
   if (unbounded) {
     result.status = solve_status::unbounded;
   } else if (have_incumbent) {
@@ -812,8 +820,8 @@ struct node_worker {
 /// The node kernel every source runs: per-node propagation, the LP
 /// re-solve, and the reliability probes. `reload_basis` warm-starts the LP
 /// from the node's recorded parent basis; false trusts the instance's
-/// current basis (a pool worker continuing its own dive, or any node of a
-/// one-worker search). `prune_obj` is the incumbent objective to prune
+/// current basis, which must be that parent basis (a pool worker continuing
+/// its own dive after a node that ran no probes). `prune_obj` is the incumbent objective to prune
 /// against (+inf when none) and `probe_allowance` this node's share of the
 /// global probe budget -- both fixed by the source so the result is a pure
 /// function of its arguments. `table_lock`, when set, guards the
@@ -906,7 +914,7 @@ node_result node_worker::process(const bb_node& node, bool reload_basis,
 
   // The children's warm basis: this node's own optimal basis, captured
   // before the probes below disturb it.
-  if (search.snapshots) out.basis = capture_basis(lp, n);
+  out.basis = capture_basis(lp, n);
 
   // Reliability initialization: before trusting pseudocosts, seed them
   // with limited strong-branching probes -- warm-started dual re-solves
@@ -976,6 +984,7 @@ node_result node_worker::process(const bb_node& node, bool reload_basis,
       }
     }
     search.probes.fetch_add(probes_run, std::memory_order_relaxed);
+    out.probes_run = probes_run;
   }
 
   out.x = relax.x;
@@ -991,6 +1000,8 @@ void run_team(tree_search& search, const Body& body) {
   const auto run = [&](int id) {
     node_worker worker(search, id);
     body(worker);
+    if (worker.own)
+      search.worker_lp_stats[static_cast<std::size_t>(id)] = worker.own->stats();
   };
   std::vector<std::thread> team;
   team.reserve(static_cast<std::size_t>(search.threads - 1));
@@ -1074,13 +1085,14 @@ void run_rounds(tree_search& t) {
 }
 
 /// The pool node source: a shared open pool under one mutex. Each worker
-/// dives on its own preferred child without touching the pool (warm basis
-/// kept hot); a finished dive pulls the best pool node by the node-order
-/// rule -- pulling a node another worker produced counts as a steal.
-/// Worker 0 starts with the root in hand. With one worker this is the
-/// sequential plunge: every node re-solves on the basis the previous one
-/// left, so no snapshot is ever captured or reloaded; with more, a pulled
-/// node re-solves from its recorded parent basis. The open-bound multiset
+/// dives on its own preferred child without touching the pool; a finished
+/// dive pulls the best pool node by the node-order rule -- pulling a node
+/// another worker produced counts as a steal. Worker 0 starts with the root
+/// in hand. Every node starts from its parent's optimal basis, whatever the
+/// worker count: a pulled node reloads its recorded parent basis, and so
+/// does a dive child whose parent ran strong-branching probes (they leave
+/// the last probe's basis behind); only a dive child of an unprobed parent
+/// re-solves on the basis already in place. The open-bound multiset
 /// holds one entry per open OR in-flight node (settled at commit), so the
 /// global dual bound and the gap test stay conservative while nodes are
 /// being processed.
@@ -1099,7 +1111,10 @@ void run_pool(tree_search& t) {
     // pool-empty + active == 0 really means the tree is exhausted.
     bool counted = worker.id == 0;
     if (counted) hand.emplace(); // the root
-    std::uint64_t seen = 0;      // per-worker board stamp
+    // Whether the node in hand must reload its parent's basis: the probes
+    // of its parent moved the instance off it.
+    bool hand_reload = false;
+    std::uint64_t seen = 0; // per-worker board stamp
 
     for (;;) {
       double bobj = 0.0;
@@ -1113,7 +1128,7 @@ void run_pool(tree_search& t) {
       }
 
       bb_node node;
-      bool reload = false; // a dive continues on the hot basis
+      bool reload = true;
       {
         std::unique_lock<std::mutex> lock(mu);
         if (t.should_stop()) {
@@ -1124,6 +1139,7 @@ void run_pool(tree_search& t) {
         if (hand) {
           node = std::move(*hand);
           hand.reset();
+          reload = hand_reload;
         } else {
           cv.wait(lock, [&] { return t.stop || !pool.empty() || active == 0; });
           if (t.stop || pool.empty()) { // stop, or exhausted (active == 0)
@@ -1134,7 +1150,6 @@ void run_pool(tree_search& t) {
               pool, key_for_turn(t.options.node_selection, ++backtracks));
           if (node.producer >= 0 && node.producer != worker.id)
             ++worker.stats.steals;
-          reload = t.snapshots;
           ++active;
           counted = true;
         }
@@ -1165,6 +1180,7 @@ void run_pool(tree_search& t) {
             std::optional<bb_node>& sibling = down ? br.up : br.down;
             if (sibling) pool.push_back(std::move(*sibling));
             hand = std::move(down ? br.down : br.up);
+            hand_reload = nr.probes_run > 0;
             break;
           }
           case settled::done:
