@@ -347,7 +347,7 @@ TEST(IlpSynthesis, PcrModelIsPinned) {
   EXPECT_EQ(r.constraints, 687);
   EXPECT_DOUBLE_EQ(r.objective, 2.0);
   EXPECT_EQ(r.result.used_edge_count(), 2);
-  EXPECT_EQ(r.nodes, 37);
+  EXPECT_EQ(r.nodes, 47);
 }
 
 TEST(IlpSynthesis, TinyDirectTaskIsShortestPath) {

@@ -1685,20 +1685,19 @@ TEST(Milp, SequentialTrajectoryIsPinned) {
   // probing, branching, child order or the node-order rule shows up here
   // as a different node or iteration count. Exact equality throughout.
   const pinned_trajectory cases[] = {
-      {8, 2, 2, node_rule::dfs, 80, 7893, 5617, 100, 164.5},
-      {8, 2, 2, node_rule::best_estimate, 53, 8902, 6482, 100, 164.5},
-      {8, 4, 2, node_rule::dfs, 88, 8866, 7553, 100, 164.5},
-      {8, 4, 2, node_rule::best_estimate, 75, 10381, 8992, 100, 164.5},
-      {8, 5, 2, node_rule::dfs, 880, 20460, 16586, 100, 154.50000000000003},
-      {8, 5, 2, node_rule::best_estimate, 482, 20899, 17727, 100, 154.5},
-      {9, 1, 2, node_rule::dfs, 91, 9213, 8341, 100, 193.0},
-      {9, 1, 2, node_rule::best_estimate, 89, 10244, 9354, 100, 193.0},
-      {9, 1, 3, node_rule::dfs, 102, 10069, 8529, 100, 183.00000000000003},
-      {9, 1, 3, node_rule::best_estimate, 36, 7440, 5922, 100,
-       183.00000000000003},
-      {10, 1, 2, node_rule::dfs, 44, 7536, 5553, 100, 220.5},
-      {10, 1, 2, node_rule::best_estimate, 32, 8356, 6132, 100,
-       220.49999999999986},
+      {8, 2, 2, node_rule::dfs, 70, 5955, 4444, 100, 164.5},
+      {8, 2, 2, node_rule::best_estimate, 119, 6785, 5133, 100, 164.5},
+      {8, 4, 2, node_rule::dfs, 164, 9041, 7264, 100, 164.5},
+      {8, 4, 2, node_rule::best_estimate, 97, 8320, 6656, 100, 164.5},
+      {8, 5, 2, node_rule::dfs, 660, 13640, 10447, 100, 154.49999999999997},
+      {8, 5, 2, node_rule::best_estimate, 491, 11630, 8755, 100, 154.5},
+      {9, 1, 2, node_rule::dfs, 83, 6367, 5530, 100, 193.0},
+      {9, 1, 2, node_rule::best_estimate, 95, 6513, 5659, 100, 193.0},
+      {9, 1, 3, node_rule::dfs, 52, 3322, 2952, 100, 183.00000000000006},
+      {9, 1, 3, node_rule::best_estimate, 15, 3023, 2692, 100,
+       183.00000000000006},
+      {10, 1, 2, node_rule::dfs, 42, 5623, 4464, 100, 220.5},
+      {10, 1, 2, node_rule::best_estimate, 35, 5566, 4414, 100, 220.5},
   };
   expect_pinned(cases, /*deterministic=*/false);
 }
