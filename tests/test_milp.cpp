@@ -1820,6 +1820,84 @@ TEST(Simplex, WarmDualResolvesArePinned) {
   EXPECT_EQ(st.refactor_infeasibility_proof, 31);
 }
 
+TEST(Simplex, LoadBasisResolveIsPure) {
+  // The tree search re-solves a node from its parent's recorded basis on
+  // whichever simplex instance holds it, after that instance ran capped
+  // strong-branching probes. load_basis must erase everything the probes
+  // left behind (pricing, devex and eta state), so the re-solve equals,
+  // bit for bit, the one of a fresh instance that loads the same basis.
+  const sched::scheduling_ilp ilp =
+      make_ilp(assay::make_random_assay(9, 1), 2);
+  std::vector<bool> is_integer;
+  const lp_problem p = model_to_lp(ilp.model, is_integer);
+  const deadline no_limit(0.0);
+  simplex_solver probed(p, simplex_options{});
+  const lp_result root = probed.solve(no_limit, /*warm_start=*/false);
+  ASSERT_EQ(root.status, lp_status::optimal);
+
+  const std::vector<int> basic = probed.basic_columns();
+  std::vector<int> at_upper;
+  for (int c = 0; c < p.num_vars + probed.rows(); ++c)
+    if (probed.column_at_upper(c)) at_upper.push_back(c);
+  std::vector<int> fractional;
+  for (int j = 0; j < p.num_vars; ++j)
+    if (is_integer[static_cast<std::size_t>(j)] &&
+        std::abs(root.x[j] - std::round(root.x[j])) > 1e-6)
+      fractional.push_back(j);
+  ASSERT_GE(fractional.size(), 2u);
+
+  // Child -1 re-solves the parent's own bounds; child k >= 0 branches on
+  // fractional[k / 2], down for even k and up for odd k.
+  long probe_iterations = 0;
+  const int children = static_cast<int>(std::min<std::size_t>(
+      2 * fractional.size(), 8));
+  for (int k = -1; k < children; ++k) {
+    // A few capped probes under changed bounds, restoring them after each.
+    for (std::size_t i = 0; i < std::min<std::size_t>(fractional.size(), 3);
+         ++i) {
+      const int j = fractional[i];
+      const double lo = probed.variable_lower(j);
+      const double up = probed.variable_upper(j);
+      const double floor_val = std::floor(root.x[j]);
+      probed.set_variable_bounds(j, lo, floor_val);
+      probe_iterations +=
+          probed.solve(no_limit, /*warm_start=*/true, 5).iterations;
+      probed.set_variable_bounds(j, floor_val + 1.0, up);
+      probe_iterations +=
+          probed.solve(no_limit, /*warm_start=*/true, 5).iterations;
+      probed.set_variable_bounds(j, lo, up);
+    }
+
+    simplex_solver fresh(p, simplex_options{});
+    int var = -1;
+    double lower = 0.0, upper = 0.0;
+    if (k >= 0) {
+      var = fractional[static_cast<std::size_t>(k / 2)];
+      const double floor_val = std::floor(root.x[var]);
+      lower = k % 2 == 0 ? p.lower[var] : floor_val + 1.0;
+      upper = k % 2 == 0 ? floor_val : p.upper[var];
+      probed.set_variable_bounds(var, lower, upper);
+      fresh.set_variable_bounds(var, lower, upper);
+    }
+    ASSERT_TRUE(probed.load_basis(basic, at_upper));
+    ASSERT_TRUE(fresh.load_basis(basic, at_upper));
+    const lp_result a = probed.solve(no_limit, /*warm_start=*/true);
+    const lp_result b = fresh.solve(no_limit, /*warm_start=*/true);
+    const std::string label = "child " + std::to_string(k);
+    EXPECT_EQ(a.status, b.status) << label;
+    EXPECT_EQ(a.objective, b.objective) << label;
+    EXPECT_EQ(a.x, b.x) << label;
+    EXPECT_EQ(a.iterations, b.iterations) << label;
+    EXPECT_EQ(a.dual_iterations, b.dual_iterations) << label;
+    if (k < 0) { // the parent's optimum, certified by one pricing pass
+      EXPECT_EQ(a.iterations, 1) << label;
+      EXPECT_NEAR(a.objective, root.objective, 1e-9) << label;
+    }
+    if (var >= 0) probed.set_variable_bounds(var, p.lower[var], p.upper[var]);
+  }
+  EXPECT_GT(probe_iterations, 0); // the probes did move the basis
+}
+
 namespace {
 
 /// The tree-search variants: one worker (the sequential plunge), the pool
@@ -1835,6 +1913,33 @@ std::vector<std::pair<std::string, solver_options>> engine_variants(
 }
 
 } // namespace
+
+TEST(Milp, LpStatsSumEverySimplexInstance) {
+  // solution::lp_stats adds up the cut rounds' replaced instances, the cut
+  // loop's instance (which worker 0 continues on) and every other worker's
+  // own: its iteration counters must equal the solution's iteration totals,
+  // neither missing a worker nor counting worker 0 twice.
+  const sched::scheduling_ilp ilp =
+      make_ilp(assay::make_random_assay(9, 1), 2);
+  solver_options base = quick_options();
+  base.warm_start = ilp.warm_assignment;
+  for (const auto& [label, options] : engine_variants(base)) {
+    const solution s = solve(ilp.model, options);
+    ASSERT_EQ(s.status, solve_status::optimal) << label;
+    ASSERT_GT(s.cut_rounds, 1) << label; // some instances were replaced
+    const simplex_stats& st = s.lp_stats;
+    EXPECT_EQ(st.primal_iterations + st.dual_iterations, s.simplex_iterations)
+        << label;
+    EXPECT_EQ(st.dual_iterations, s.dual_simplex_iterations) << label;
+    EXPECT_EQ(st.refactor_eta_fill + st.refactor_interval +
+                  st.refactor_infeasibility_proof + st.refactor_dual_abort +
+                  st.refactor_phase2_retry + st.refactor_load_basis +
+                  st.refactor_slack_reset,
+              st.refactorizations)
+        << label;
+    EXPECT_GT(st.refactor_load_basis, s.cut_rounds) << label; // node reloads
+  }
+}
 
 TEST(Milp, InterruptedSearchReportsAnOpenGap) {
   // CPA's root LP does not finish in half a second, so the root node is
