@@ -196,8 +196,12 @@ inline bench_record flow_record(const assay_config& c, int grid_used,
                                 const api::flow_result& r) {
   bench_record rec;
   rec.assay = c.name;
-  rec.config = "d" + std::to_string(c.devices) + "_g" +
-               std::to_string(grid_used) + "x" + std::to_string(grid_used);
+  rec.config = "d";
+  rec.config += std::to_string(c.devices);
+  rec.config += "_g";
+  rec.config += std::to_string(grid_used);
+  rec.config += 'x';
+  rec.config += std::to_string(grid_used);
   rec.seconds = r.total_seconds;
   rec.objective = r.scheduling.best.makespan();
   rec.status = r.scheduling.used_ilp

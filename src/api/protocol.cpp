@@ -145,8 +145,10 @@ std::string scenario_tag(const arch::fault_set& f, int fault_time) {
     std::string out;
     if (ids.empty()) return out;
     out += std::string(" ") + label + "=";
-    for (std::size_t i = 0; i < ids.size(); ++i)
-      out += (i ? "," : "") + std::to_string(ids[i]);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (i) out += ',';
+      out += std::to_string(ids[i]);
+    }
     return out;
   };
   return "recover t=" + std::to_string(fault_time) +

@@ -64,8 +64,11 @@ sequencing_graph make_cpa() {
     std::vector<int> current;
     const int width = 1 << level;
     for (int k = 0; k < width; ++k) {
-      const int id = g.add_operation(
-          "d" + std::to_string(level) + "_" + std::to_string(k), 30);
+      std::string name = "d";
+      name += std::to_string(level);
+      name += '_';
+      name += std::to_string(k);
+      const int id = g.add_operation(std::move(name), 30);
       g.add_dependency(levels.back()[static_cast<std::size_t>(k / 2)], id);
       current.push_back(id);
     }
@@ -112,7 +115,9 @@ sequencing_graph make_random_assay(int operations, std::uint64_t seed,
   std::vector<int> child_slots; // remaining output capacity per op
 
   for (int i = 0; i < operations; ++i) {
-    const int id = g.add_operation("o" + std::to_string(i + 1), duration);
+    std::string name = "o";
+    name += std::to_string(i + 1);
+    const int id = g.add_operation(std::move(name), duration);
     child_slots.push_back(sequencing_graph::max_children);
     if (i == 0) continue;
 

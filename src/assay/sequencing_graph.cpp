@@ -8,8 +8,11 @@ namespace transtore::assay {
 int sequencing_graph::add_operation(std::string name, int duration_seconds) {
   require(duration_seconds > 0, "sequencing_graph: duration must be positive");
   operation op;
-  op.name = name.empty() ? "o" + std::to_string(ops_.size() + 1)
-                         : std::move(name);
+  if (name.empty()) {
+    name += 'o';
+    name += std::to_string(ops_.size() + 1);
+  }
+  op.name = std::move(name);
   op.duration = duration_seconds;
   ops_.push_back(std::move(op));
   children_.emplace_back();

@@ -13,9 +13,11 @@ variable model::add_variable(var_kind kind, double lower, double upper,
   }
   require(lower <= upper, "model: variable lower bound exceeds upper bound");
   var_info info;
-  info.name = name.empty()
-                  ? "x" + std::to_string(variables_.size())
-                  : std::move(name);
+  if (name.empty()) {
+    name += 'x';
+    name += std::to_string(variables_.size());
+  }
+  info.name = std::move(name);
   info.kind = kind;
   info.lower = lower;
   info.upper = upper;
@@ -45,8 +47,11 @@ int model::add_range_constraint(const linear_expr& expr, double lower,
                                 double upper, std::string name) {
   require(lower <= upper, "model: row lower bound exceeds upper bound");
   row_info row;
-  row.name =
-      name.empty() ? "c" + std::to_string(rows_.size()) : std::move(name);
+  if (name.empty()) {
+    name += 'c';
+    name += std::to_string(rows_.size());
+  }
+  row.name = std::move(name);
   row.lower = lower - expr.constant();
   row.upper = upper == infinity ? infinity : upper - expr.constant();
   if (lower == -infinity) row.lower = -infinity;
