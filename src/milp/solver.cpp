@@ -125,11 +125,12 @@ struct bound_change {
   double upper;
 };
 
-/// Basis of a solved node, captured for cross-worker warm starts: after
-/// load_basis() a simplex instance's solve is a pure function of (problem,
-/// bounds, basic set, upper-parked set) -- load_basis resets every hidden
-/// pricing/devex/eta state -- so any worker can re-solve any node from its
-/// parent's snapshot and reach the same result.
+/// Optimal basis of a solved node, captured as its children's warm start:
+/// after load_basis() a simplex instance's solve is a pure function of
+/// (problem, bounds, basic set, upper-parked set) -- load_basis resets
+/// every hidden pricing/devex/eta state, including what strong-branching
+/// probes left -- so any worker can re-solve any node from its parent's
+/// snapshot and reach the same result.
 struct basis_snapshot {
   std::vector<int> basic;
   std::vector<int> at_upper;
@@ -454,11 +455,11 @@ enum class open_key { newest, bound, estimate };
 /// The key of the `turn`-th selection: a backtrack in the pool source, a
 /// round in the deterministic source. dfs always takes the newest node.
 /// best_estimate is hybrid backtracking: most turns stay LIFO (the adjacent
-/// open node keeps the warm basis hot); every second one restarts from the
-/// best-estimate node, and every `backtrack_interval`-th from the best-bound
-/// node (pumping the global dual bound). Pure best-first jumping doubles the
-/// LP cost per node -- the warm dual re-solve only pays off between nearby
-/// nodes.
+/// open node shares most of the dive's bound changes); every second one
+/// restarts from the best-estimate node, and every `backtrack_interval`-th
+/// from the best-bound node (pumping the global dual bound). Pure
+/// best-first jumping doubled the LP cost per node when a backtrack
+/// re-solved from the previous node's basis instead of its parent's.
 open_key key_for_turn(node_rule rule, long turn) {
   if (rule != node_rule::best_estimate) return open_key::newest;
   if (turn % backtrack_interval == 0) return open_key::bound;

@@ -104,9 +104,10 @@ private:
 };
 
 /// Open-node selection policy.
-///   * dfs: depth-first with plunging, pure LIFO -- the default: adjacent
-///     nodes keep the warm dual basis hot, which is what lets the
-///     propagation+cuts stack prove optimality (IVD closes in ~12 s).
+///   * dfs: depth-first with plunging, pure LIFO -- the default: every node
+///     re-solves from its parent's optimal basis, one bound change away,
+///     so the dual simplex closes it in a few pivots, which is what lets
+///     the propagation+cuts stack prove optimality (IVD closes in ~12 s).
 ///   * best_estimate: dives like dfs, but alternate backtracks restart the
 ///     dive from the open node with the best pseudocost completion
 ///     estimate, and every eighth backtrack from the best-bound node
@@ -150,24 +151,25 @@ struct solver_options {
   /// Worker threads for the branch-and-bound tree search; 0 or negative
   /// resolves to hardware_concurrency. Unless `deterministic` is set, the
   /// workers share one open pool and each dives on its own children; the
-  /// first runs on the calling thread and starts with the root. 1 (default)
-  /// is the sequential plunge: one warm simplex instance, no basis
-  /// snapshots. > 1 gives every further worker a private simplex instance
-  /// that re-solves a node pulled from the pool warm from the node's
-  /// recorded parent basis (first-come node order, so results are
-  /// run-to-run nondeterministic). The pool and the deterministic rounds
-  /// run the same node kernel; they differ only in where the next node
-  /// comes from and in commit order.
+  /// first runs on the calling thread and starts with the root. At any
+  /// count, every node re-solves from its parent's recorded optimal basis:
+  /// a node pulled from the pool reloads it, and so does a dive child whose
+  /// parent ran strong-branching probes. 1 (default) is the sequential
+  /// plunge on one simplex instance; > 1 gives every further worker a
+  /// private instance (first-come node order, so results are run-to-run
+  /// nondeterministic). The pool and the deterministic rounds run the same
+  /// node kernel; they differ only in where the next node comes from and
+  /// in commit order.
   int threads = 1;
   /// Round-synchronized deterministic parallel search: workers expand a
   /// fixed-width round of eight nodes concurrently, then commit them in
   /// node-id order (selection, incumbent acceptance, and pseudocost
   /// updates all resolve by id, never by arrival time). Results are
   /// bit-identical for ANY `threads` value, including 1 -- but the
-  /// trajectory intentionally differs from the one-worker pool's, whose
-  /// iteration counts depend on serial warm-basis continuity. Determinism
-  /// holds as long as no time limit / cancellation fires mid-search (the
-  /// same caveat as a one-thread solve).
+  /// trajectory intentionally differs from the one-worker pool's, which
+  /// dives on the child it keeps in hand and commits one node at a time.
+  /// Determinism holds as long as no time limit / cancellation fires
+  /// mid-search (the same caveat as a one-thread solve).
   bool deterministic = false;
   /// Cross-solve shared incumbent for racing portfolios (see
   /// incumbent_board). All solves sharing one board must be solving the
