@@ -778,7 +778,8 @@ void tree_search::finish(solution& result) {
   result.interrupted = hit_limit && time_budget.expired();
   if (root.solved) result.root_bound = sf.user_objective(root.bound);
   // One-worker pool searches report no per-worker breakdown.
-  if (options.deterministic || threads > 1) result.workers = std::move(workers);
+  if (options.deterministic || threads > 1)
+    result.workers = std::move(workers);
   if (unbounded) {
     result.status = solve_status::unbounded;
   } else if (have_incumbent) {
@@ -822,11 +823,11 @@ struct node_worker {
 /// re-solve, and the reliability probes. `reload_basis` warm-starts the LP
 /// from the node's recorded parent basis; false trusts the instance's
 /// current basis, which must be that parent basis (a pool worker continuing
-/// its own dive after a node that ran no probes). `prune_obj` is the incumbent objective to prune
-/// against (+inf when none) and `probe_allowance` this node's share of the
-/// global probe budget -- both fixed by the source so the result is a pure
-/// function of its arguments. `table_lock`, when set, guards the
-/// pseudocost-count reads.
+/// its own dive after a node that ran no probes). `prune_obj` is the
+/// incumbent objective to prune against (+inf when none) and
+/// `probe_allowance` this node's share of the global probe budget -- both
+/// fixed by the source so the result is a pure function of its arguments.
+/// `table_lock`, when set, guards the pseudocost-count reads.
 node_result node_worker::process(const bb_node& node, bool reload_basis,
                                  double prune_obj, long probe_allowance,
                                  std::mutex* table_lock) {
@@ -1002,7 +1003,8 @@ void run_team(tree_search& search, const Body& body) {
     node_worker worker(search, id);
     body(worker);
     if (worker.own)
-      search.worker_lp_stats[static_cast<std::size_t>(id)] = worker.own->stats();
+      search.worker_lp_stats[static_cast<std::size_t>(id)] =
+          worker.own->stats();
   };
   std::vector<std::thread> team;
   team.reserve(static_cast<std::size_t>(search.threads - 1));
