@@ -196,7 +196,7 @@ inline bench_record flow_record(const assay_config& c, int grid_used,
                                 const api::flow_result& r) {
   bench_record rec;
   rec.assay = c.name;
-  rec.config = "d";
+  rec.config += 'd';
   rec.config += std::to_string(c.devices);
   rec.config += "_g";
   rec.config += std::to_string(grid_used);
