@@ -5,9 +5,7 @@
 // engine at 1/4/8 workers
 // (threads1/threads4/threads8, bit-identical search, nodes_per_sec extra),
 // and the racing portfolio; reports iterations, nodes and wall time per
-// assay, and dumps BENCH_milp.json to track them across changes (every row
-// but the portfolio's also records its LP refactorizations and basis
-// reloads).
+// assay, and dumps BENCH_milp.json for cross-PR tracking.
 //
 //   bench_milp [--seconds S] [--assays PCR,IVD,...] [--row-limit R]
 //              [--dense-row-limit R] [--out FILE] [--smoke]
@@ -64,17 +62,6 @@ std::vector<std::string> split_csv(const std::string& csv) {
 
 bool objectives_differ(double a, double b) {
   return std::abs(a - b) > 1e-6 * std::max(1.0, std::abs(b));
-}
-
-/// The LP engine's refactorizations and, of those, the caller-installed
-/// bases: the tree search reloads a node's parent basis at the price of one
-/// refactorization, which these show next to the iterations it saves.
-void add_lp_extras(bench::bench_record& r, const milp::solution& sol) {
-  r.extras.emplace_back("refactorizations",
-                        static_cast<double>(sol.lp_stats.refactorizations));
-  r.extras.emplace_back(
-      "refactor_load_basis",
-      static_cast<double>(sol.lp_stats.refactor_load_basis));
 }
 
 } // namespace
@@ -241,7 +228,6 @@ int main(int argc, char** argv) {
         for (const auto& ws : sol.workers) steals += ws.steals;
         r.extras.emplace_back("steals", static_cast<double>(steals));
       }
-      add_lp_extras(r, sol);
       records.push_back(r);
       std::printf("%-7s %-12s %10d %8ld %10ld %10ld %8ld %12.3f %.3fs (%s)\n",
                   name.c_str(), specs[s].label, rows, sol.nodes_explored,
@@ -294,7 +280,6 @@ int main(int argc, char** argv) {
                ? static_cast<double>(sol.nodes_explored) /
                      static_cast<double>(sols[0].nodes_explored)
                : 1.0}};
-      add_lp_extras(r, sol);
       records.push_back(r);
       std::printf("%-7s %-12s %10d %8ld %10ld %10ld %8ld %12.3f %.3fs (%s, "
                   "nodes vs list warm %.2fx)\n",

@@ -74,27 +74,6 @@ simplex_solver::simplex_solver(const lp_problem& problem,
   work_rhs_.assign(m_, 0.0);
 }
 
-simplex_stats& simplex_stats::operator+=(const simplex_stats& other) {
-  primal_iterations += other.primal_iterations;
-  dual_iterations += other.dual_iterations;
-  dual_bound_flips += other.dual_bound_flips;
-  refactorizations += other.refactorizations;
-  dual_solves += other.dual_solves;
-  dual_updates += other.dual_updates;
-  dual_recomputes += other.dual_recomputes;
-  primal_fallbacks += other.primal_fallbacks;
-  lu_factorizations += other.lu_factorizations;
-  dense_fallbacks += other.dense_fallbacks;
-  refactor_eta_fill += other.refactor_eta_fill;
-  refactor_interval += other.refactor_interval;
-  refactor_infeasibility_proof += other.refactor_infeasibility_proof;
-  refactor_dual_abort += other.refactor_dual_abort;
-  refactor_phase2_retry += other.refactor_phase2_retry;
-  refactor_load_basis += other.refactor_load_basis;
-  refactor_slack_reset += other.refactor_slack_reset;
-  return *this;
-}
-
 void simplex_solver::set_variable_bounds(int var, double lower, double upper) {
   require(var >= 0 && var < n_, "simplex: bound change on unknown variable");
   require(lower <= upper, "simplex: crossing bounds");

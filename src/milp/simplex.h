@@ -71,9 +71,6 @@ struct simplex_stats {
   long refactor_phase2_retry = 0; // "optimal" basis lost primal feasibility
   long refactor_load_basis = 0;  // caller-installed basis (load_basis)
   long refactor_slack_reset = 0; // singular basis repaired to the slack basis
-
-  /// Adds every counter of `other` (summing several instances' work).
-  simplex_stats& operator+=(const simplex_stats& other);
 };
 
 /// Stateful solver: keeps the basis between solves so that branch-and-bound

@@ -297,8 +297,6 @@ struct root_phase {
   bool solved = false;                // whether `bound` is known
   long iterations = 0;
   long dual_iterations = 0;
-  /// Counters of the cut rounds' replaced simplex instances.
-  simplex_stats retired_stats;
 };
 
 root_phase::root_phase(const model& m, const solver_options& options,
@@ -360,7 +358,6 @@ root_phase::root_phase(const model& m, const solver_options& options,
     auto next_problem = std::make_unique<lp_problem>(cutter.current());
     auto next_lp = std::make_unique<simplex_solver>(*next_problem, options.lp);
     next_lp->load_basis(basis, at_upper);
-    retired_stats += lp->stats();
     lp = std::move(next_lp);
     cut_lp = std::move(next_problem);
     const lp_result re = solve_counted(/*warm=*/true);
@@ -556,9 +553,6 @@ struct tree_search {
   /// One entry per open, in-flight or unresolved node; the root's first.
   std::multiset<double> open_bounds{-inf};
   std::vector<worker_stats> workers;
-  /// LP counters of the workers' own simplex instances (worker 0's entry
-  /// stays empty: it runs on the root phase's instance).
-  std::vector<simplex_stats> worker_lp_stats;
   long nodes = 0;
   /// Strong-branching probes run so far; workers add theirs per node.
   std::atomic<long> probes{0};
@@ -584,8 +578,7 @@ tree_search::tree_search(const model& m, root_phase& root,
       root(root), n(root.sf.lp.num_vars),
       threads(resolve_threads(options.threads)),
       board(options.deterministic ? nullptr : options.shared_incumbent.get()),
-      pseudocosts(n), workers(static_cast<std::size_t>(threads)),
-      worker_lp_stats(static_cast<std::size_t>(threads)) {
+      pseudocosts(n), workers(static_cast<std::size_t>(threads)) {
   if (options.node_propagation) rows.emplace(root.tree_lp());
 }
 
@@ -772,9 +765,6 @@ void tree_search::finish(solution& result) {
     result.dual_simplex_iterations += ws.dual_simplex_iterations;
   }
   result.strong_branch_probes = probes.load(std::memory_order_relaxed);
-  result.lp_stats = root.retired_stats;
-  result.lp_stats += root.lp->stats();
-  for (const simplex_stats& st : worker_lp_stats) result.lp_stats += st;
   result.interrupted = hit_limit && time_budget.expired();
   if (root.solved) result.root_bound = sf.user_objective(root.bound);
   // One-worker pool searches report no per-worker breakdown.
@@ -1002,9 +992,6 @@ void run_team(tree_search& search, const Body& body) {
   const auto run = [&](int id) {
     node_worker worker(search, id);
     body(worker);
-    if (worker.own)
-      search.worker_lp_stats[static_cast<std::size_t>(id)] =
-          worker.own->stats();
   };
   std::vector<std::thread> team;
   team.reserve(static_cast<std::size_t>(search.threads - 1));

@@ -187,10 +187,6 @@ struct solution {
   long simplex_iterations = 0;       // total, including probes and cut rounds
   long dual_simplex_iterations = 0;  // subset taken by the dual method
   long strong_branch_probes = 0;     // reliability-initialization re-solves
-  /// LP engine counters summed over every simplex instance of the solve:
-  /// the root LP and cut rounds, then each worker's tree search (worker 0
-  /// continues on the cut loop's instance, counted once).
-  simplex_stats lp_stats;
   // Presolve + cutting-plane footprint of the root (all zero when the
   // respective options are off).
   int presolve_rows_removed = 0;

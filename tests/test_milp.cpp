@@ -1914,33 +1914,6 @@ std::vector<std::pair<std::string, solver_options>> engine_variants(
 
 } // namespace
 
-TEST(Milp, LpStatsSumEverySimplexInstance) {
-  // solution::lp_stats adds up the cut rounds' replaced instances, the cut
-  // loop's instance (which worker 0 continues on) and every other worker's
-  // own: its iteration counters must equal the solution's iteration totals,
-  // neither missing a worker nor counting worker 0 twice.
-  const sched::scheduling_ilp ilp =
-      make_ilp(assay::make_random_assay(9, 1), 2);
-  solver_options base = quick_options();
-  base.warm_start = ilp.warm_assignment;
-  for (const auto& [label, options] : engine_variants(base)) {
-    const solution s = solve(ilp.model, options);
-    ASSERT_EQ(s.status, solve_status::optimal) << label;
-    ASSERT_GT(s.cut_rounds, 1) << label; // some instances were replaced
-    const simplex_stats& st = s.lp_stats;
-    EXPECT_EQ(st.primal_iterations + st.dual_iterations, s.simplex_iterations)
-        << label;
-    EXPECT_EQ(st.dual_iterations, s.dual_simplex_iterations) << label;
-    EXPECT_EQ(st.refactor_eta_fill + st.refactor_interval +
-                  st.refactor_infeasibility_proof + st.refactor_dual_abort +
-                  st.refactor_phase2_retry + st.refactor_load_basis +
-                  st.refactor_slack_reset,
-              st.refactorizations)
-        << label;
-    EXPECT_GT(st.refactor_load_basis, s.cut_rounds) << label; // node reloads
-  }
-}
-
 TEST(Milp, InterruptedSearchReportsAnOpenGap) {
   // CPA's root LP does not finish in half a second, so the root node is
   // interrupted mid-LP: its bound must stay open, and an unproven solve
