@@ -29,9 +29,9 @@ RATIO between thread configs is not gated here, only that per-config
 throughput does not collapse.
 
 A proven-optimal record whose nodes or iterations fell below
---tighten-ratio of the baseline gets a non-failing "tighten baseline" note:
-the gate only catches growth, so a win is locked in only once the baseline
-is regenerated.
+TIGHTEN_RATIO (0.8x) of the baseline gets a non-failing "tighten
+baseline" note: the gate only catches growth, so a win is locked in only
+once the baseline is regenerated.
 
 Exit codes: 0 ok, 1 regression(s), 2 usage/IO error, 3 baseline file
 missing (a distinct code so CI can tell "needs a baseline refresh" apart
@@ -41,6 +41,10 @@ from a real regression -- run the refresh-baselines workflow dispatch).
 import argparse
 import json
 import sys
+
+# Proven-optimal counts below this fraction of the baseline earn a
+# "tighten baseline" note.
+TIGHTEN_RATIO = 0.8
 
 
 def load(path, role="new"):
@@ -79,10 +83,6 @@ def main():
     ap.add_argument("--max-objective-ratio", type=float, default=1.05,
                     help="allowed objective growth on objective_gate "
                          "records (default 1.05)")
-    ap.add_argument("--tighten-ratio", type=float, default=0.8,
-                    help="note proven-optimal records whose iterations or "
-                         "nodes fell below this fraction of the baseline "
-                         "(default 0.8)")
     args = ap.parse_args()
 
     new = load(args.new_path, "new")
@@ -175,7 +175,7 @@ def main():
                     f"{assay}/{config}: {field} regressed "
                     f"{b[field]} -> {n[field]} "
                     f"(> {args.max_iter_ratio:.2f}x)")
-            elif n.get(field, 0) < args.tighten_ratio * b.get(field, 0):
+            elif n.get(field, 0) < TIGHTEN_RATIO * b.get(field, 0):
                 tighten.append(f"{assay}/{config}: {field} "
                                f"{b[field]} -> {n[field]}")
         bt, nt = b.get("seconds", 0.0), n.get("seconds", 0.0)
@@ -189,7 +189,7 @@ def main():
               f"not in baseline (ok)")
     for t in tighten:
         print(f"diff_bench: note: tighten baseline: {t} "
-              f"(< {args.tighten_ratio:.2f}x; regenerate "
+              f"(< {TIGHTEN_RATIO:.2f}x; regenerate "
               f"{args.baseline_path} to lock the gain in)")
 
     if failures:
