@@ -3,9 +3,9 @@
 // simplex defaults, best-estimate node selection, the no-presolve
 // ablation, the dense-inverse engine ablation, the deterministic parallel
 // engine at 1/4/8 workers
-// (threads1/threads4/threads8, bit-identical search, nodes_per_sec extra),
-// and the racing portfolio; reports iterations, nodes and wall time per
-// assay, and dumps BENCH_milp.json for cross-PR tracking.
+// (threads1/threads4/threads8, bit-identical search, nodes_per_sec extra);
+// reports iterations, nodes and wall time per assay, and dumps
+// BENCH_milp.json for cross-PR tracking.
 //
 //   bench_milp [--seconds S] [--assays PCR,IVD,...] [--row-limit R]
 //              [--dense-row-limit R] [--out FILE] [--smoke]
@@ -298,56 +298,6 @@ int main(int argc, char** argv) {
         std::printf("%-7s ERROR: warm_meta optimum %.6f differs from "
                     "lu_dual_devex %.6f\n",
                     name.c_str(), sol.objective, sols[0].objective);
-      }
-    }
-
-    // Racing portfolio (sched::schedule_with_ilp): best_estimate + dfs +
-    // annealing on one shared incumbent board. Nodes/iterations are summed
-    // across both tree racers, so nodes_per_sec reads as aggregate
-    // portfolio throughput.
-    {
-      sched::ilp_scheduler_options po = so;
-      po.time_limit_seconds = seconds;
-      po.portfolio = true;
-      po.milp.threads = 2;
-      stopwatch watch;
-      const sched::ilp_schedule_result pr = sched::schedule_with_ilp(graph, po);
-      const double elapsed = watch.elapsed_seconds();
-
-      bench::bench_record r;
-      r.assay = name;
-      r.config = "portfolio";
-      r.seconds = elapsed;
-      r.nodes = pr.nodes;
-      r.simplex_iterations = pr.simplex_iterations;
-      r.objective = pr.ilp_objective;
-      r.status = status_name(pr.status);
-      r.variables = ilp.model.variable_count();
-      r.constraints = rows;
-      r.extras = {{"nodes_per_sec",
-                   elapsed > 0.0 ? static_cast<double>(pr.nodes) / elapsed
-                                 : 0.0},
-                  {"racers", static_cast<double>(pr.portfolio_racers)}};
-      records.push_back(r);
-      std::printf("%-7s %-12s %10d %8ld %10ld %10s %8s %12.3f %.3fs (%s, "
-                  "winner %s)\n",
-                  name.c_str(), "portfolio", rows, pr.nodes,
-                  pr.simplex_iterations, "-", "-", pr.ilp_objective, elapsed,
-                  status_name(pr.status).c_str(),
-                  pr.portfolio_winner.c_str());
-      // The portfolio must land on the same optimum as any proven-optimal
-      // single-config run.
-      for (std::size_t s = 0; s < specs.size(); ++s) {
-        if (pr.status != milp::solve_status::optimal ||
-            sols[s].status != milp::solve_status::optimal)
-          continue;
-        if (objectives_differ(pr.ilp_objective, sols[s].objective)) {
-          objectives_match = false;
-          std::printf("%-7s ERROR: portfolio optimum %.6f differs from "
-                      "%s %.6f\n",
-                      name.c_str(), pr.ilp_objective, specs[s].label,
-                      sols[s].objective);
-        }
       }
     }
 

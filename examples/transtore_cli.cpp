@@ -32,9 +32,6 @@
 //                   machine's cores (see api/README.md)
 //   --deterministic round-synchronized parallel search: bit-identical
 //                   results at any --threads value
-//   --portfolio     racing portfolio for the scheduling ILP: best_estimate
-//                   + dfs + annealing race on a shared incumbent; first
-//                   optimality proof cancels the rest
 //   --queue N       serve: bounded pending-job queue; overflow requests are
 //                   rejected with status "queue_full" (0 = unbounded)
 //   --cache-capacity N  in-memory result-cache entries (default 64;
@@ -101,7 +98,7 @@ int usage() {
       "       [--engine heuristic|ilp|combined|sa|grasp]\n"
       "       [--beta B] [--time-only] [--baseline] [--json FILE|-]\n"
       "       [--svg FILE] [--seed S] [--deadline S] [--workers N]\n"
-      "       [--threads N] [--deterministic] [--portfolio]\n"
+      "       [--threads N] [--deterministic]\n"
       "       [--queue N] [--cache-capacity N] [--cache-bytes N]\n"
       "       [--cache-dir DIR] [--socket PATH] [--tcp PORT]\n"
       "       [--max-inflight N]\n"
@@ -352,8 +349,6 @@ bool parse_flags(int argc, char** argv, int from, cli_args& args) {
       }
     } else if (arg == "--deterministic") {
       args.options.solver_deterministic = true;
-    } else if (arg == "--portfolio") {
-      args.options.portfolio = true;
     } else if (arg == "--fault") {
       if ((value = next()) == nullptr) return false;
       if (!parse_fault_spec(value, args)) return false;

@@ -46,8 +46,8 @@ void write_schedule_section(json_writer& w, const assay::sequencing_graph& g,
     w.field("ilp_presolve_rows_removed", scheduling.ilp_presolve_rows_removed);
     w.field("ilp_cuts_added", scheduling.ilp_cuts_added);
     w.field("ilp_root_bound", scheduling.ilp_root_bound);
-    // Parallel-search footprint: emitted only when the parallel engine (or
-    // the portfolio) actually ran, so sequential documents are unchanged.
+    // Parallel-search footprint: emitted only when the parallel engine
+    // actually ran, so sequential documents are unchanged.
     if (scheduling.ilp_threads > 1) w.field("ilp_threads", scheduling.ilp_threads);
     if (!scheduling.ilp_workers.empty()) {
       w.begin_array("ilp_workers");
@@ -59,10 +59,6 @@ void write_schedule_section(json_writer& w, const assay::sequencing_graph& g,
         w.end_object();
       }
       w.end_array();
-    }
-    if (scheduling.portfolio_racers > 0) {
-      w.field("portfolio_racers", scheduling.portfolio_racers);
-      w.field("portfolio_winner", scheduling.portfolio_winner);
     }
   }
   w.begin_array("operations");
@@ -245,7 +241,6 @@ result<scheduled> pipeline::schedule(const run_context& ctx) const {
     // guard), applied here so it never feeds into the cache key.
     so.solver_threads = ctx.clamp_threads(o.solver_threads);
     so.solver_deterministic = o.solver_deterministic;
-    so.portfolio = o.portfolio;
 
     scheduled stage;
     stage.state_ = state_;

@@ -79,9 +79,6 @@ struct pipeline_options {
   /// Bit-identical deterministic parallel search at any thread count
   /// (milp::solver_options::deterministic).
   bool solver_deterministic = false;
-  /// Racing solver portfolio for the scheduling MILP
-  /// (sched::scheduler_options::portfolio).
-  bool portfolio = false;
 
   // Architecture.
   arch::synthesis_engine arch_engine = arch::synthesis_engine::heuristic;

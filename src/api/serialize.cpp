@@ -159,7 +159,7 @@ void write_scheduling(json_writer& w, const sched::scheduling_result& r) {
   w.field("ilp_presolve_rows_removed", r.ilp_presolve_rows_removed);
   w.field("ilp_cuts_added", r.ilp_cuts_added);
   w.field_exact("ilp_root_bound", r.ilp_root_bound);
-  // Parallel/portfolio footprint, only when present -- sequential documents
+  // Parallel footprint, only when present -- sequential documents
   // keep the pre-parallel byte layout.
   if (r.ilp_threads != 1) w.field("ilp_threads", r.ilp_threads);
   if (!r.ilp_workers.empty()) {
@@ -173,10 +173,6 @@ void write_scheduling(json_writer& w, const sched::scheduling_result& r) {
       w.end_object();
     }
     w.end_array();
-  }
-  if (r.portfolio_racers > 0) {
-    w.field("portfolio_racers", r.portfolio_racers);
-    w.field("portfolio_winner", r.portfolio_winner);
   }
   w.key("best");
   sched::write_schedule(w, r.best);
@@ -212,10 +208,6 @@ void write_scheduling(json_writer& w, const sched::scheduling_result& r) {
       r.ilp_workers.push_back(ws);
     }
   }
-  if (const json_value* racers = v.find("portfolio_racers"))
-    r.portfolio_racers = racers->as_int();
-  if (const json_value* winner = v.find("portfolio_winner"))
-    r.portfolio_winner = winner->as_string();
   r.best = sched::schedule_from_value(v.at("best"));
   return r;
 }
@@ -537,7 +529,6 @@ void write_options(json_writer& w, const pipeline_options& o) {
   if (o.solver_threads != 1) w.field("solver_threads", o.solver_threads);
   if (o.solver_deterministic)
     w.field("solver_deterministic", o.solver_deterministic);
-  if (o.portfolio) w.field("portfolio", o.portfolio);
   // Seeds above 2^53 would lose precision as JSON numbers; emit those as
   // decimal strings (the reader accepts both forms).
   if (o.seed <= (std::uint64_t{1} << 53))
@@ -586,7 +577,6 @@ pipeline_options options_from_value(const json_value& v,
     else if (key == "solver_threads") o.solver_threads = value.as_int();
     else if (key == "solver_deterministic")
       o.solver_deterministic = value.as_bool();
-    else if (key == "portfolio") o.portfolio = value.as_bool();
     else if (key == "fault_devices" || key == "fault_valves" ||
              key == "fault_edges" || key == "fault_storage") {
       std::vector<int> ids;

@@ -424,10 +424,9 @@ struct node_result {
   double candidate_obj = inf; // min-form; inf = infeasible after rounding
 };
 
-/// The integral-candidate check every source shares (node optima, the warm
-/// start, board adoptions): rounds `x`'s integer entries in place and
-/// returns its min-form objective, or +inf when the rounded point is
-/// infeasible.
+/// The integral-candidate check every source shares (node optima and the
+/// warm start): rounds `x`'s integer entries in place and returns its
+/// min-form objective, or +inf when the rounded point is infeasible.
 double evaluate_candidate(const model& m, const standard_form& sf,
                           std::vector<double>& x) {
   for (std::size_t j = 0; j < sf.is_integer.size(); ++j)
@@ -536,11 +535,6 @@ struct tree_search {
   root_phase& root;
   const int n;
   const int threads;
-  /// Racing-portfolio hookup (null in deterministic mode, where adoption
-  /// timing would break bit-identity): improving incumbents are published
-  /// to the shared board, and the pool adopts board incumbents -- after
-  /// rounding and feasibility re-validation -- before each node.
-  incumbent_board* const board;
   /// Row view of the tree's LP for per-node propagation (engaged when
   /// node propagation is on).
   std::optional<row_view> rows;
@@ -577,14 +571,13 @@ tree_search::tree_search(const model& m, root_phase& root,
     : m(m), sf(root.sf), options(options), time_budget(time_budget),
       root(root), n(root.sf.lp.num_vars),
       threads(resolve_threads(options.threads)),
-      board(options.deterministic ? nullptr : options.shared_incumbent.get()),
       pseudocosts(n), workers(static_cast<std::size_t>(threads)) {
   if (options.node_propagation) rows.emplace(root.tree_lp());
 }
 
-/// Integral-candidate acceptance (node optima, the warm start, board
-/// adoptions): installs a candidate evaluate_candidate() scored when it
-/// improves the incumbent by more than the absolute gap.
+/// Integral-candidate acceptance (node optima and the warm start): installs
+/// a candidate evaluate_candidate() scored when it improves the incumbent
+/// by more than the absolute gap.
 bool tree_search::accept(double min_obj, const std::vector<double>& values) {
   if (min_obj == inf ||
       (have_incumbent && min_obj >= incumbent_obj - absolute_gap))
@@ -1104,19 +1097,8 @@ void run_pool(tree_search& t) {
     // Whether the node in hand must reload its parent's basis: the probes
     // of its parent moved the instance off it.
     bool hand_reload = false;
-    std::uint64_t seen = 0; // per-worker board stamp
 
     for (;;) {
-      double bobj = 0.0;
-      std::vector<double> bvals;
-      if (t.board && t.board->fetch(seen, bobj, bvals)) {
-        // Re-validate outside the lock, adopt under it.
-        const double min_obj = evaluate_candidate(t.m, t.sf, bvals);
-        std::lock_guard<std::mutex> lock(mu);
-        if (t.accept(min_obj, bvals))
-          prune_obj.store(min_obj, std::memory_order_relaxed);
-      }
-
       bb_node node;
       bool reload = true;
       {
@@ -1149,17 +1131,11 @@ void run_pool(tree_search& t) {
           node, reload, prune_obj.load(std::memory_order_relaxed),
           t.probe_allowance(), &mu);
 
-      double offer_obj = 0.0;
-      std::vector<double> offer_vals;
       {
         std::lock_guard<std::mutex> lock(mu);
         switch (t.settle(node, nr)) {
           case settled::improved:
             prune_obj.store(t.incumbent_obj, std::memory_order_relaxed);
-            if (t.board) {
-              offer_obj = t.sf.user_objective(t.incumbent_obj);
-              offer_vals = t.incumbent_values;
-            }
             break;
           case settled::branch: {
             // The child nearest the LP value stays in hand for the next
@@ -1184,44 +1160,11 @@ void run_pool(tree_search& t) {
         cv.notify_all();
         if (t.stop) break;
       }
-      // Publish to the portfolio board outside the pool lock.
-      if (!offer_vals.empty()) t.board->offer(offer_obj, std::move(offer_vals));
     }
   });
 }
 
 } // namespace
-
-// ---------------------------------------------------------- incumbent_board
-
-bool incumbent_board::offer(double objective, std::vector<double> values) {
-  std::lock_guard<std::mutex> guard(lock_);
-  const bool better = !have_ || (minimize_ ? objective < objective_ - 1e-12
-                                           : objective > objective_ + 1e-12);
-  if (!better) return false;
-  have_ = true;
-  objective_ = objective;
-  values_ = std::move(values);
-  version_.fetch_add(1, std::memory_order_acq_rel);
-  return true;
-}
-
-bool incumbent_board::fetch(std::uint64_t& seen, double& objective,
-                            std::vector<double>& values) const {
-  if (version_.load(std::memory_order_acquire) == seen) return false;
-  std::lock_guard<std::mutex> guard(lock_);
-  seen = version_.load(std::memory_order_relaxed);
-  if (!have_) return false;
-  objective = objective_;
-  values = values_;
-  return true;
-}
-
-double incumbent_board::best_objective() const {
-  std::lock_guard<std::mutex> guard(lock_);
-  if (!have_) return minimize_ ? inf : -inf;
-  return objective_;
-}
 
 double solution::gap() const {
   if (!has_solution()) return inf;
@@ -1260,8 +1203,6 @@ solution solve(const model& m, const solver_options& options) {
     if (search.accept(warm_obj, warm)) {
       result.warm_start_accepted = true;
       result.warm_start_objective = root.sf.user_objective(warm_obj);
-      if (search.board)
-        search.board->offer(result.warm_start_objective, std::move(warm));
       log_at(log_level::info, "milp: warm start accepted, objective ",
              result.warm_start_objective);
     } else {

@@ -33,10 +33,6 @@
 //     paper's own protocol for the larger assays.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -65,49 +61,12 @@ struct worker_stats {
   long steals = 0;
 };
 
-/// Cross-solve shared incumbent for racing portfolios: several solves of
-/// the SAME model (plus any heuristic that can produce full variable
-/// assignments for it) publish improving incumbents here and adopt each
-/// other's, so one racer's incumbent prunes every other racer's tree.
-/// Objectives are in the user sense of the shared model; `minimize` fixes
-/// the improvement direction. Thread-safe. Adopted values are re-validated
-/// by the adopting solver (rounded, feasibility-checked), so a stale or
-/// foreign assignment can never corrupt a search -- it is just ignored.
-class incumbent_board {
-public:
-  explicit incumbent_board(bool minimize = true) : minimize_(minimize) {}
-
-  /// Adopt (objective, values) when it improves on the board's incumbent.
-  /// Returns true when adopted (the version stamp bumps).
-  bool offer(double objective, std::vector<double> values);
-
-  /// Cheap monotone change stamp: 0 while empty, bumps on every adoption.
-  [[nodiscard]] std::uint64_t version() const {
-    return version_.load(std::memory_order_acquire);
-  }
-
-  /// Copy out the incumbent when the board is newer than `seen` (which is
-  /// updated); false when empty or unchanged since `seen`.
-  bool fetch(std::uint64_t& seen, double& objective,
-             std::vector<double>& values) const;
-
-  /// Board objective, or +/- infinity (per direction) while empty.
-  [[nodiscard]] double best_objective() const;
-
-private:
-  const bool minimize_;
-  mutable std::mutex lock_;
-  std::atomic<std::uint64_t> version_{0};
-  bool have_ = false;
-  double objective_ = 0.0;
-  std::vector<double> values_;
-};
-
 /// Open-node selection policy.
 ///   * dfs: depth-first with plunging, pure LIFO -- the default: every node
 ///     re-solves from its parent's optimal basis, one bound change away,
 ///     so the dual simplex closes it in a few pivots, which is what lets
-///     the propagation+cuts stack prove optimality (IVD closes in ~12 s).
+///     the propagation+cuts stack prove optimality (`synth IVD --devices 2
+///     --engine ilp` closes in 34,339 nodes, 8-10 s on one thread).
 ///   * best_estimate: dives like dfs, but alternate backtracks restart the
 ///     dive from the open node with the best pseudocost completion
 ///     estimate, and every eighth backtrack from the best-bound node
@@ -171,11 +130,6 @@ struct solver_options {
   /// Determinism holds as long as no time limit / cancellation fires
   /// mid-search (the same caveat as a one-thread solve).
   bool deterministic = false;
-  /// Cross-solve shared incumbent for racing portfolios (see
-  /// incumbent_board). All solves sharing one board must be solving the
-  /// same model. Ignored in deterministic mode, where adoption timing
-  /// would break bit-identity.
-  std::shared_ptr<incumbent_board> shared_incumbent;
 };
 
 struct solution {

@@ -1,17 +1,7 @@
 #include "sched/ilp_scheduler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdint>
-#include <limits>
-#include <memory>
-#include <thread>
-
-#include "common/stopwatch.h"
-#include "sched/list_scheduler.h"
-#include "sched/local_search.h"
-#include "sched/metaheuristics.h" // derive_seed
 
 namespace transtore::sched {
 namespace {
@@ -386,189 +376,6 @@ schedule extract_schedule(const assay::sequencing_graph& graph,
   return refined;
 }
 
-/// The racing portfolio behind options.portfolio: two branch-and-bound
-/// configurations (best_estimate and dfs) and the simulated-annealing
-/// heuristic run concurrently on one shared incumbent board. The heuristic
-/// runs on the calling thread; the tree searches split the remaining T - 1
-/// threads of the budget T, at least one each, so the race runs max(T, 3)
-/// threads. Every heuristic improvement is translated into a full
-/// MILP assignment and offered to the board, where it tightens BOTH tree
-/// searches' pruning bound; the first solver to PROVE optimality wins the
-/// race and cancels the rest. With no proof inside the time limit, the best
-/// incumbent across all racers wins.
-struct portfolio_outcome {
-  milp::solution sol;            // winning (or synthesized) MILP solution
-  std::string winner;            // "best_estimate", "dfs" or "heuristic"
-  long total_nodes = 0;          // summed across both tree searches
-  long total_iterations = 0;
-  std::optional<schedule> heuristic_best; // best annealed schedule seen
-  int threads = 0;               // threads the race ran, the caller's included
-  bool all_joined = false;
-};
-
-portfolio_outcome run_portfolio(const assay::sequencing_graph& graph,
-                                const scheduling_ilp& ilp,
-                                const ilp_scheduler_options& options,
-                                const milp::solver_options& base) {
-  const milp::model& m = ilp.model;
-  auto board = std::make_shared<milp::incumbent_board>(true);
-
-  int total_threads = base.threads;
-  if (total_threads <= 0)
-    total_threads = static_cast<int>(std::thread::hardware_concurrency());
-  if (total_threads <= 0) total_threads = 1;
-
-  auto racer_options = [&](milp::node_rule rule, int threads,
-                           cancel_token cancel) {
-    milp::solver_options so = base;
-    so.node_selection = rule;
-    so.threads = threads;
-    // The race resolves by arrival time, so per-run determinism is off the
-    // table regardless; the round engine's synchronization would only slow
-    // the racers down.
-    so.deterministic = false;
-    so.shared_incumbent = board;
-    so.warm_start = ilp.warm_assignment;
-    so.cancel = std::move(cancel);
-    return so;
-  };
-
-  cancel_source cancel_a, cancel_b, cancel_h;
-  auto cancel_all = [&] {
-    cancel_a.cancel();
-    cancel_b.cancel();
-    cancel_h.cancel();
-  };
-
-  const int threads_a = std::max(1, (total_threads - 1) / 2);
-  const int threads_b = std::max(1, total_threads - 1 - threads_a);
-  milp::solution sol_a, sol_b;
-  std::atomic<int> winner{-1};
-  std::atomic<int> tree_racers_done{0};
-  auto run_racer = [&](int index, const milp::solver_options& so,
-                       milp::solution& out) {
-    out = milp::solve(m, so);
-    // The second tree racer to finish ends the heuristic's current chunk.
-    if (tree_racers_done.fetch_add(1) == 1) cancel_h.cancel();
-    if (out.status == milp::solve_status::optimal) {
-      int expected = -1;
-      if (winner.compare_exchange_strong(expected, index)) cancel_all();
-    }
-  };
-
-  // Heuristic racer: anneal from the warm start (or a fresh list schedule)
-  // in short cancellable chunks, publishing every improvement to the board.
-  std::optional<schedule> heur_best;
-  auto run_heuristic = [&] {
-    stopwatch watch;
-    schedule current;
-    if (options.warm_start) {
-      current = *options.warm_start;
-    } else {
-      list_scheduler_options lo;
-      lo.device_count = options.device_count;
-      lo.timing = options.timing;
-      lo.alpha = options.alpha;
-      lo.beta = options.beta;
-      lo.seed = options.seed;
-      lo.cancel = cancel_h.token();
-      current = schedule_with_list(graph, lo);
-    }
-    auto publish = [&](const schedule& s) {
-      std::vector<double> values = schedule_assignment(ilp, s);
-      const double objective = m.evaluate_objective(values);
-      board->offer(objective, std::move(values));
-      if (!heur_best ||
-          s.objective(options.alpha, options.beta) <
-              heur_best->objective(options.alpha, options.beta))
-        heur_best = s;
-    };
-    publish(current);
-    std::uint64_t chunk = 0;
-    while (!cancel_h.cancelled() &&
-           watch.elapsed_seconds() < options.time_limit_seconds) {
-      if (base.cancel.cancelled()) { // forward the caller's cancellation
-        cancel_all();
-        break;
-      }
-      local_search_options lo;
-      lo.alpha = options.alpha;
-      lo.beta = options.beta;
-      lo.iterations = 2000;
-      // Derived per-chunk streams off the caller's seed (uniform with the
-      // other engines' seed discipline), instead of the old hardcoded
-      // 1, 2, 3, ... sequence every run shared.
-      lo.seed = derive_seed(options.seed, 0x52414345ULL + chunk++);
-      lo.cancel = cancel_h.token();
-      schedule improved =
-          improve_schedule(graph, current, options.timing, lo);
-      if (improved.objective(options.alpha, options.beta) <
-          current.objective(options.alpha, options.beta))
-        publish(improved);
-      current = std::move(improved);
-    }
-  };
-
-  std::thread thread_a(run_racer, 0,
-                       racer_options(milp::node_rule::best_estimate, threads_a,
-                                     cancel_a.token()),
-                       std::ref(sol_a));
-  std::thread thread_b(run_racer, 1,
-                       racer_options(milp::node_rule::dfs, threads_b,
-                                     cancel_b.token()),
-                       std::ref(sol_b));
-  try {
-    run_heuristic();
-  } catch (...) {
-    // The tree racers still read this frame: stop and join them first.
-    cancel_all();
-    thread_a.join();
-    thread_b.join();
-    throw;
-  }
-  thread_a.join();
-  thread_b.join();
-
-  portfolio_outcome out;
-  out.threads = 1 + threads_a + threads_b;
-  out.all_joined = !thread_a.joinable() && !thread_b.joinable();
-  out.heuristic_best = heur_best;
-  out.total_nodes = sol_a.nodes_explored + sol_b.nodes_explored;
-  out.total_iterations = sol_a.simplex_iterations + sol_b.simplex_iterations;
-
-  const int proven = winner.load();
-  if (proven == 0 || proven == 1) {
-    out.sol = proven == 0 ? std::move(sol_a) : std::move(sol_b);
-    out.winner = proven == 0 ? "best_estimate" : "dfs";
-    return out;
-  }
-  // No optimality proof: best incumbent wins. The racers adopt board
-  // incumbents mid-search, but a late heuristic offer can still beat both
-  // final incumbents -- check the board last.
-  const bool a_ok = sol_a.has_solution();
-  const bool b_ok = sol_b.has_solution();
-  const bool a_beats_b = a_ok && (!b_ok || sol_a.objective <= sol_b.objective);
-  out.sol = a_beats_b ? std::move(sol_a) : std::move(sol_b);
-  out.winner = a_beats_b ? "best_estimate" : "dfs";
-  std::uint64_t seen = 0;
-  double board_objective = 0.0;
-  std::vector<double> board_values;
-  if (board->fetch(seen, board_objective, board_values) &&
-      (!out.sol.has_solution() || board_objective < out.sol.objective)) {
-    // Synthesize a feasible solution from the board (the heuristic racer
-    // always publishes at least its starting schedule, so in the worst
-    // case this recovers the warm start). The tree racers' dual bounds
-    // stay valid for the shared model -- keep the tighter one.
-    out.winner = "heuristic";
-    out.sol.status = milp::solve_status::feasible;
-    out.sol.objective = board_objective;
-    out.sol.values = std::move(board_values);
-    out.sol.best_bound = std::max(sol_a.best_bound, sol_b.best_bound);
-    out.sol.interrupted = true;
-  }
-  return out;
-}
-
 } // namespace
 
 ilp_schedule_result schedule_with_ilp(const assay::sequencing_graph& graph,
@@ -593,28 +400,12 @@ ilp_schedule_result schedule_with_ilp(const assay::sequencing_graph& graph,
       ilp.warm_assignment = std::move(polished);
   }
 
-  milp::solution sol;
+  solver_options.warm_start = std::move(ilp.warm_assignment);
+  const milp::solution sol = milp::solve(m, solver_options);
   ilp_schedule_result result;
-  std::optional<schedule> heuristic_best;
-  if (options.portfolio) {
-    portfolio_outcome outcome =
-        run_portfolio(graph, ilp, options, solver_options);
-    sol = std::move(outcome.sol);
-    heuristic_best = std::move(outcome.heuristic_best);
-    result.nodes = outcome.total_nodes;
-    result.simplex_iterations = outcome.total_iterations;
-    result.threads_used = outcome.threads;
-    result.portfolio_racers = 3;
-    result.portfolio_winner = std::move(outcome.winner);
-    result.portfolio_all_joined = outcome.all_joined;
-  } else {
-    solver_options.warm_start = std::move(ilp.warm_assignment);
-    sol = milp::solve(m, solver_options);
-    result.nodes = sol.nodes_explored;
-    result.simplex_iterations = sol.simplex_iterations;
-    result.threads_used = sol.threads_used;
-  }
-
+  result.nodes = sol.nodes_explored;
+  result.simplex_iterations = sol.simplex_iterations;
+  result.threads_used = sol.threads_used;
   result.status = sol.status;
   result.interrupted = sol.interrupted;
   result.seconds = sol.seconds;
@@ -637,15 +428,11 @@ ilp_schedule_result schedule_with_ilp(const assay::sequencing_graph& graph,
   // MILP optima the extracted ordering can re-time worse than the warm
   // start (which basis engine / pivot order the LP took picks the vertex).
   // Mirror the combined engine's guard: never return a schedule that
-  // scores worse under objective (6) than the warm start we were given --
-  // or, in portfolio mode, than the heuristic racer's best schedule.
-  auto keep_better = [&](const schedule& alternative) {
-    if (alternative.objective(options.alpha, options.beta) <
-        result.refined.objective(options.alpha, options.beta))
-      result.refined = alternative;
-  };
-  if (options.warm_start) keep_better(*options.warm_start);
-  if (heuristic_best) keep_better(*heuristic_best);
+  // scores worse under objective (6) than the warm start we were given.
+  if (options.warm_start &&
+      options.warm_start->objective(options.alpha, options.beta) <
+          result.refined.objective(options.alpha, options.beta))
+    result.refined = *options.warm_start;
   return result;
 }
 

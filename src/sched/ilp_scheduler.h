@@ -23,8 +23,8 @@
 // protocol as the paper's 30-minute Gurobi budget.
 #pragma once
 
+#include <cstdint>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -59,19 +59,9 @@ struct ilp_scheduler_options {
   /// emitted as singleton rows the presolve folds into bounds); the warm
   /// start is relabeled by first device appearance so it stays feasible.
   bool break_device_symmetry = true;
-  /// Racing portfolio (see schedule_with_ilp): a best_estimate
-  /// branch-and-bound config, a dfs config, and the simulated-annealing
-  /// heuristic race concurrently on the same formulation against one
-  /// shared incumbent board. The first solver to PROVE optimality wins and
-  /// cancels the others through their cancel tokens; with no proof, the
-  /// best incumbent across all racers wins. `milp.threads` is the total
-  /// thread budget T: the heuristic runs on the calling thread and the two
-  /// tree searches split the other T - 1, at least one each, so the race
-  /// runs max(T, 3) threads.
-  bool portfolio = false;
-  /// Base seed for the portfolio's annealing racer; per-chunk streams are
-  /// derived from it (sched::derive_seed) so racer restarts differ while
-  /// staying reproducible.
+  /// Unread: no library code reads this seed. It stays only because
+  /// perfbench/src/layers.cpp (replay_schedule) still sets it, and goes
+  /// together with that replay.
   std::uint64_t seed = 1;
   /// Base MILP solver configuration (branching rule, LP engine ablations).
   /// time_limit_seconds / warm_start above take precedence.
@@ -99,18 +89,10 @@ struct ilp_schedule_result {
   int cuts_added = 0;
   int cut_rounds = 0;
   double root_bound = 0.0;   // objective-(6) LP bound after presolve + cuts
-  /// Threads the solve ran (in portfolio mode, the whole race's, caller
-  /// included), and the winning solve's per-worker breakdown (empty for a
+  /// Threads the solve ran, and its per-worker breakdown (empty for a
   /// one-thread solve; see milp::solution::workers).
   int threads_used = 1;
   std::vector<milp::worker_stats> workers;
-  /// Portfolio bookkeeping (zero / empty when options.portfolio is off):
-  /// racer count, which racer's schedule won ("best_estimate", "dfs" or
-  /// "heuristic"), and whether every racer thread was joined before
-  /// returning (the no-thread-leak invariant tests assert on).
-  int portfolio_racers = 0;
-  std::string portfolio_winner;
-  bool portfolio_all_joined = false;
 };
 
 /// The Table 1 formulation as a standalone MILP, for callers that want to
@@ -125,9 +107,8 @@ struct scheduling_ilp {
   /// Warm-start assignment derived from options.warm_start (when given).
   std::optional<std::vector<double>> warm_assignment;
   // Enough structure to translate ANY feasible schedule into a full MILP
-  // assignment after the fact (schedule_assignment below) -- the portfolio's
-  // heuristic racer uses this to publish annealed schedules to the shared
-  // incumbent board mid-race.
+  // assignment after the fact (schedule_assignment below), as warm starts
+  // and the benches' annealed incumbents are.
   std::vector<std::pair<int, int>> edge_list;      // graph edges (i, j)
   std::vector<std::vector<milp::variable>> same_z; // z_ijk per edge, device
   std::vector<milp::variable> storage;             // w_ij per edge

@@ -36,7 +36,7 @@
 namespace transtore::sched {
 
 /// One SplitMix64 step over base ^ salt: cheap, well-mixed independent
-/// streams for restart/round/racer seeds (so perturbed repeats actually
+/// streams for restart/round seeds (so perturbed repeats actually
 /// differ while staying reproducible from the one caller seed).
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t base, std::uint64_t salt);
 

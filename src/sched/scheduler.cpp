@@ -35,8 +35,6 @@ ilp_scheduler_options ilp_options(const scheduler_options& o,
   io.beta = o.storage_aware ? o.beta : 0.0;
   io.time_limit_seconds = o.ilp_time_limit_seconds;
   io.warm_start = warm;
-  io.portfolio = o.portfolio;
-  io.seed = o.seed;
   io.milp.threads = o.solver_threads;
   io.milp.deterministic = o.solver_deterministic;
   return io;
@@ -183,8 +181,6 @@ scheduling_result make_schedule(const assay::sequencing_graph& graph,
     result.ilp_root_bound = ilp.root_bound;
     result.ilp_threads = ilp.threads_used;
     result.ilp_workers = ilp.workers;
-    result.portfolio_racers = ilp.portfolio_racers;
-    result.portfolio_winner = ilp.portfolio_winner;
     // Keep whichever refined schedule scores better under objective (6);
     // the ILP does not model device-port serialization, so its extraction
     // can occasionally refine worse than the heuristic.

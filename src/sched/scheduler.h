@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "assay/sequencing_graph.h"
@@ -50,7 +49,7 @@ struct scheduler_options {
   /// splits it across its rounds' improvement phases. 0 disables annealing
   /// everywhere.
   int local_search_iterations = 6000;
-  /// Base seed for every stochastic component; per-restart/round/racer
+  /// Base seed for every stochastic component; per-restart/round
   /// streams are derived from it (sched::derive_seed), never reused.
   std::uint64_t seed = 1;
   /// Whole-stage wall-clock budget in seconds (0 = unlimited). The ILP time
@@ -61,16 +60,11 @@ struct scheduler_options {
   /// MILP branch-and-bound loop.
   cancel_token cancel;
   /// Worker threads for the MILP tree search (milp::solver_options::threads):
-  /// 1 = sequential, 0 = hardware_concurrency, > 1 = parallel engine. In
-  /// portfolio mode this is the TOTAL budget split across the racers.
+  /// 1 = sequential, 0 = hardware_concurrency, > 1 = parallel engine.
   int solver_threads = 1;
   /// Round-synchronized deterministic parallel search -- bit-identical
   /// results at any thread count (milp::solver_options::deterministic).
   bool solver_deterministic = false;
-  /// Racing solver portfolio (ilp_scheduler_options::portfolio): two
-  /// branch-and-bound configs and the annealing heuristic race on a shared
-  /// incumbent board; first proof of optimality cancels the rest.
-  bool portfolio = false;
 };
 
 struct scheduling_result {
@@ -97,15 +91,10 @@ struct scheduling_result {
   int ilp_presolve_rows_removed = 0;
   int ilp_cuts_added = 0;
   double ilp_root_bound = 0.0;
-  /// Parallel-search footprint: threads the solve ran (the whole race's in
-  /// portfolio mode) and the (winning) solve's per-worker breakdown (empty
-  /// for a one-thread solve).
+  /// Parallel-search footprint: threads the solve ran and its per-worker
+  /// breakdown (empty for a one-thread solve).
   int ilp_threads = 1;
   std::vector<milp::worker_stats> ilp_workers;
-  /// Portfolio bookkeeping (see ilp_schedule_result); racers is 0 when the
-  /// portfolio was off or the ILP never ran.
-  int portfolio_racers = 0;
-  std::string portfolio_winner;
 };
 
 /// Produce a validated schedule for `graph` under `options`.

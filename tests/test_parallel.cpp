@@ -1,23 +1,15 @@
-// Parallel branch-and-bound + racing portfolio tests (also the CI
-// ThreadSanitizer target together with test_milp / test_sched):
+// Parallel branch-and-bound tests (also the CI ThreadSanitizer target
+// together with test_milp / test_sched):
 //
 //   * deterministic mode is bit-identical across thread counts on the
 //     Table 2 formulations (nodes, iterations, probes, objective, bound,
 //     and the full assignment vector),
 //   * the opportunistic pool engine reaches the sequential optimum and its
 //     per-worker breakdown sums to the solution totals,
-//   * the incumbent board's improvement direction / version / fetch
-//     semantics,
-//   * the racing portfolio returns a verifier-passing schedule, reports a
-//     winner, keeps to its thread count, and joins every racer thread
-//     (no-thread-leak invariant),
 //   * the run_context thread budget and the executor's oversubscription
 //     guard (W x T <= hardware_concurrency) as seen from job results.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdint>
-#include <limits>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -170,98 +162,6 @@ TEST(PoolEngine, MatchesSequentialOptimum) {
   // Worker sums cover the tree search; the totals additionally include the
   // root presolve/cut-loop work done before the workers start.
   EXPECT_LE(iteration_sum, b.simplex_iterations);
-}
-
-// --- incumbent board ---------------------------------------------------------
-
-TEST(IncumbentBoard, MinimizeDirectionVersionAndFetch) {
-  milp::incumbent_board board(/*minimize=*/true);
-  EXPECT_EQ(board.version(), 0u);
-  EXPECT_EQ(board.best_objective(), std::numeric_limits<double>::infinity());
-
-  EXPECT_TRUE(board.offer(10.0, {1.0, 2.0}));
-  EXPECT_EQ(board.version(), 1u);
-  EXPECT_EQ(board.best_objective(), 10.0);
-
-  // A worse (or equal) objective is rejected and does not bump the stamp.
-  EXPECT_FALSE(board.offer(12.0, {9.0, 9.0}));
-  EXPECT_FALSE(board.offer(10.0, {9.0, 9.0}));
-  EXPECT_EQ(board.version(), 1u);
-
-  EXPECT_TRUE(board.offer(8.0, {3.0, 4.0}));
-  EXPECT_EQ(board.version(), 2u);
-
-  std::uint64_t seen = 0;
-  double objective = 0.0;
-  std::vector<double> values;
-  ASSERT_TRUE(board.fetch(seen, objective, values));
-  EXPECT_EQ(seen, board.version());
-  EXPECT_EQ(objective, 8.0);
-  EXPECT_EQ(values, (std::vector<double>{3.0, 4.0}));
-
-  // Unchanged since `seen`: nothing to fetch.
-  EXPECT_FALSE(board.fetch(seen, objective, values));
-}
-
-TEST(IncumbentBoard, MaximizeDirectionFlipsImprovement) {
-  milp::incumbent_board board(/*minimize=*/false);
-  EXPECT_EQ(board.best_objective(), -std::numeric_limits<double>::infinity());
-  EXPECT_TRUE(board.offer(5.0, {1.0}));
-  EXPECT_FALSE(board.offer(4.0, {2.0}));
-  EXPECT_TRUE(board.offer(6.0, {3.0}));
-  EXPECT_EQ(board.best_objective(), 6.0);
-}
-
-TEST(IncumbentBoard, EmptyFetchReportsNothing) {
-  milp::incumbent_board board(true);
-  std::uint64_t seen = 0;
-  double objective = 0.0;
-  std::vector<double> values;
-  EXPECT_FALSE(board.fetch(seen, objective, values));
-}
-
-// --- racing portfolio --------------------------------------------------------
-
-TEST(Portfolio, ReturnsValidScheduleAndJoinsEveryRacer) {
-  const auto graph = assay::make_random_assay(10, 7);
-
-  sched::ilp_scheduler_options base;
-  base.device_count = 2;
-  base.time_limit_seconds = 300.0;
-  const sched::ilp_schedule_result plain = sched::schedule_with_ilp(graph, base);
-  ASSERT_EQ(plain.status, milp::solve_status::optimal);
-
-  for (const int budget : {1, 4}) {
-    SCOPED_TRACE(budget);
-    sched::ilp_scheduler_options po = base;
-    po.portfolio = true;
-    po.milp.threads = budget;
-    const sched::ilp_schedule_result pr = sched::schedule_with_ilp(graph, po);
-
-    // No thread leaks: every racer was joined before schedule_with_ilp
-    // returned, and the race bookkeeping is populated.
-    EXPECT_TRUE(pr.portfolio_all_joined);
-    EXPECT_EQ(pr.portfolio_racers, 3);
-    EXPECT_TRUE(pr.portfolio_winner == "best_estimate" ||
-                pr.portfolio_winner == "dfs" ||
-                pr.portfolio_winner == "heuristic")
-        << pr.portfolio_winner;
-    // The annealing racer runs on the calling thread and the two tree
-    // searches split the rest of the budget, at least one thread each.
-    EXPECT_EQ(pr.threads_used, std::max(budget, 3));
-
-    // The race must deliver a schedule that survives the structural
-    // verifier, and when it proves optimality it must agree with the lone
-    // solver.
-    ASSERT_TRUE(pr.status == milp::solve_status::optimal ||
-                pr.status == milp::solve_status::feasible);
-    EXPECT_NO_THROW(pr.refined.validate(graph));
-    EXPECT_GT(pr.refined.makespan(), 0);
-    if (pr.status == milp::solve_status::optimal)
-      EXPECT_NEAR(pr.ilp_objective, plain.ilp_objective, 1e-6);
-    else
-      EXPECT_GE(pr.ilp_objective, plain.ilp_objective - 1e-6);
-  }
 }
 
 // --- thread budgets ----------------------------------------------------------

@@ -169,9 +169,12 @@ std::vector<corpus_line> hostile_corpus() {
       {R"({"id":19,"op":"synth","assay":"PCR",)"
        R"("options":{"schedule_engine":"decomp"}})",
        "19", "invalid_input", R"(unknown schedule engine "decomp")"},
+      {R"({"id":20,"op":"synth","assay":"PCR",)"
+       R"("options":{"portfolio":true}})",
+       "20", "invalid_input", R"(unknown option "portfolio")"},
       {std::string((std::size_t{1} << 20) + 16, 'x'), "", "invalid_input",
        "1048576-byte limit"},
-      {R"({"id":20,"op":"stats"})", "20", "ok", ""},
+      {R"({"id":21,"op":"stats"})", "21", "ok", ""},
   };
 }
 
