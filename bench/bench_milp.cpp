@@ -1,8 +1,7 @@
 // MILP substrate benchmark: solves the paper's Table 2 scheduling
 // formulations (Table 1 model, objective (6)) with the sparse-LU dual
-// simplex defaults, best-estimate node selection, the no-presolve
-// ablation, the dense-inverse engine ablation, the deterministic parallel
-// engine at 1/4/8 workers
+// simplex defaults, the no-presolve ablation, the dense-inverse engine
+// ablation, the deterministic parallel engine at 1/4/8 workers
 // (threads1/threads4/threads8, bit-identical search, nodes_per_sec extra);
 // reports iterations, nodes and wall time per assay, and dumps
 // BENCH_milp.json for cross-PR tracking.
@@ -33,17 +32,6 @@
 namespace {
 
 using namespace transtore;
-
-std::string status_name(milp::solve_status s) {
-  switch (s) {
-    case milp::solve_status::optimal: return "optimal";
-    case milp::solve_status::feasible: return "feasible";
-    case milp::solve_status::infeasible: return "infeasible";
-    case milp::solve_status::unbounded: return "unbounded";
-    case milp::solve_status::no_solution: return "no_solution";
-  }
-  return "unknown";
-}
 
 std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
@@ -161,13 +149,10 @@ int main(int argc, char** argv) {
       milp::solver_options options;
     };
     milp::solver_options lu_defaults; // presolve + cuts + node propagation
-    milp::solver_options best_estimate = lu_defaults;
-    best_estimate.node_selection = milp::node_rule::best_estimate;
     milp::solver_options no_presolve; // pre-presolve solver (PR 3 behaviour)
     no_presolve.presolve = false;
     no_presolve.cuts = false;
     no_presolve.node_propagation = false;
-    no_presolve.node_selection = milp::node_rule::dfs;
     milp::solver_options dense_devex;
     dense_devex.lp.engine = milp::basis_engine::dense;
     // Parallel-search ablation: the deterministic round engine at 1/4/8
@@ -182,7 +167,6 @@ int main(int argc, char** argv) {
     milp::solver_options threads8 = threads1;
     threads8.threads = 8;
     std::vector<config_spec> specs = {{"lu_dual_devex", lu_defaults},
-                                      {"best_estimate", best_estimate},
                                       {"no_presolve", no_presolve},
                                       {"threads1", threads1},
                                       {"threads4", threads4},
@@ -208,7 +192,7 @@ int main(int argc, char** argv) {
       r.dual_iterations = sol.dual_simplex_iterations;
       r.strong_branch_probes = sol.strong_branch_probes;
       r.objective = sol.objective;
-      r.status = status_name(sol.status);
+      r.status = milp::to_string(sol.status);
       r.variables = ilp.model.variable_count();
       r.constraints = rows;
       if (sol.presolve_rows_removed > 0 || sol.cuts_added > 0)
@@ -233,7 +217,7 @@ int main(int argc, char** argv) {
                   name.c_str(), specs[s].label, rows, sol.nodes_explored,
                   sol.simplex_iterations, sol.dual_simplex_iterations,
                   sol.strong_branch_probes, sol.objective, elapsed,
-                  status_name(sol.status).c_str());
+                  milp::to_string(sol.status));
     }
 
     // Metaheuristic warm start: the identical lu_dual_devex solve, but the
@@ -268,7 +252,7 @@ int main(int argc, char** argv) {
       r.dual_iterations = sol.dual_simplex_iterations;
       r.strong_branch_probes = sol.strong_branch_probes;
       r.objective = sol.objective;
-      r.status = status_name(sol.status);
+      r.status = milp::to_string(sol.status);
       r.variables = ilp.model.variable_count();
       r.constraints = rows;
       r.extras = {
@@ -286,7 +270,7 @@ int main(int argc, char** argv) {
                   name.c_str(), "warm_meta", rows, sol.nodes_explored,
                   sol.simplex_iterations, sol.dual_simplex_iterations,
                   sol.strong_branch_probes, sol.objective, elapsed,
-                  status_name(sol.status).c_str(),
+                  milp::to_string(sol.status),
                   sols[0].nodes_explored > 0
                       ? static_cast<double>(sol.nodes_explored) /
                             static_cast<double>(sols[0].nodes_explored)

@@ -60,6 +60,7 @@
 //
 // <assay> is a built-in name (PCR, IVD, CPA, RA30, RA70, RA100) or a path
 // to a sequencing-graph file in the src/assay/io.h text format.
+#include <cerrno>
 #include <climits>
 #include <cmath>
 #include <cstdio>
@@ -215,20 +216,38 @@ std::shared_ptr<api::result_cache> make_cache(const cli_args& args,
   return std::make_shared<api::result_cache>(co);
 }
 
+/// Prints "error: <flag> expects <expects>, got '<value>'"; returns false.
+bool bad_value(const std::string& flag, const char* value,
+               const char* expects) {
+  std::fprintf(stderr, "error: %s expects %s, got '%s'\n", flag.c_str(),
+               expects, value);
+  return false;
+}
+
 /// Parse an integer flag value in [min, max] into `out`; false (after
-/// printing "error: <flag> expects <expects>, got '<value>'") otherwise.
+/// bad_value) otherwise.
 template <typename T>
 bool parse_count(const std::string& flag, const char* value,
                  const char* expects, T& out, long long min,
                  long long max = LLONG_MAX) {
   char* end = nullptr;
+  errno = 0;
   const long long n = std::strtoll(value, &end, 10);
-  if (end == value || *end != '\0' || n < min || n > max) {
-    std::fprintf(stderr, "error: %s expects %s, got '%s'\n", flag.c_str(),
-                 expects, value);
-    return false;
-  }
+  if (end == value || *end != '\0' || errno == ERANGE || n < min || n > max)
+    return bad_value(flag, value, expects);
   out = static_cast<T>(n);
+  return true;
+}
+
+/// Parse a finite real flag value into `out`; false (after bad_value)
+/// otherwise.
+bool parse_real(const std::string& flag, const char* value,
+                const char* expects, double& out) {
+  char* end = nullptr;
+  const double x = std::strtod(value, &end);
+  if (end == value || *end != '\0' || !std::isfinite(x))
+    return bad_value(flag, value, expects);
+  out = x;
   return true;
 }
 
@@ -246,20 +265,21 @@ bool parse_flags(int argc, char** argv, int from, cli_args& args) {
     };
     const char* value = nullptr;
     if (arg == "--devices") {
-      if ((value = next()) == nullptr) return false;
-      args.options.device_count = std::atoi(value);
+      if ((value = next()) == nullptr ||
+          !parse_count(arg, value, "an integer", args.options.device_count,
+                       INT_MIN, INT_MAX))
+        return false;
       args.devices_set = true;
     } else if (arg == "--grid") {
       if ((value = next()) == nullptr) return false;
       const std::string dims = value;
       const auto x = dims.find('x');
-      if (x == std::string::npos) {
-        std::fprintf(stderr, "error: --grid expects WxH, got '%s'\n",
-                     dims.c_str());
+      if (x == std::string::npos) return bad_value(arg, value, "WxH");
+      if (!parse_count(arg, dims.substr(0, x).c_str(), "WxH integers",
+                       args.options.grid_width, INT_MIN, INT_MAX) ||
+          !parse_count(arg, dims.substr(x + 1).c_str(), "WxH integers",
+                       args.options.grid_height, INT_MIN, INT_MAX))
         return false;
-      }
-      args.options.grid_width = std::atoi(dims.substr(0, x).c_str());
-      args.options.grid_height = std::atoi(dims.substr(x + 1).c_str());
       args.grid_set = true;
     } else if (arg == "--engine") {
       if ((value = next()) == nullptr) return false;
@@ -282,8 +302,9 @@ bool parse_flags(int argc, char** argv, int from, cli_args& args) {
         return false;
       }
     } else if (arg == "--beta") {
-      if ((value = next()) == nullptr) return false;
-      args.options.beta = std::atof(value);
+      if ((value = next()) == nullptr ||
+          !parse_real(arg, value, "a finite number", args.options.beta))
+        return false;
     } else if (arg == "--time-only") {
       args.options.storage_aware = false;
     } else if (arg == "--baseline") {
@@ -295,18 +316,20 @@ bool parse_flags(int argc, char** argv, int from, cli_args& args) {
       if ((value = next()) == nullptr) return false;
       args.svg_path = value;
     } else if (arg == "--seed") {
-      if ((value = next()) == nullptr) return false;
-      args.options.seed = static_cast<std::uint64_t>(std::atoll(value));
-    } else if (arg == "--deadline") {
-      if ((value = next()) == nullptr) return false;
-      args.deadline_seconds = std::atof(value);
-    } else if (arg == "--workers") {
-      if ((value = next()) == nullptr) return false;
-      args.workers = std::atoi(value);
-      if (args.workers < 1) {
-        std::fprintf(stderr, "error: --workers must be >= 1\n");
+      if ((value = next()) == nullptr ||
+          !parse_count(arg, value, "a non-negative integer",
+                       args.options.seed, 0))
         return false;
-      }
+    } else if (arg == "--deadline") {
+      if ((value = next()) == nullptr ||
+          !parse_real(arg, value, "seconds (<= 0 = none)",
+                      args.deadline_seconds))
+        return false;
+    } else if (arg == "--workers") {
+      if ((value = next()) == nullptr ||
+          !parse_count(arg, value, "a positive integer", args.workers, 1,
+                       INT_MAX))
+        return false;
     } else if (arg == "--queue") {
       if ((value = next()) == nullptr ||
           !parse_count(arg, value, "a non-negative integer (0 = unbounded)",
@@ -340,13 +363,10 @@ bool parse_flags(int argc, char** argv, int from, cli_args& args) {
                        args.max_inflight, 0))
         return false;
     } else if (arg == "--threads") {
-      if ((value = next()) == nullptr) return false;
-      args.options.solver_threads = std::atoi(value);
-      if (args.options.solver_threads < 0) {
-        std::fprintf(stderr,
-                     "error: --threads expects >= 0 (0 = all cores)\n");
+      if ((value = next()) == nullptr ||
+          !parse_count(arg, value, "a non-negative integer (0 = all cores)",
+                       args.options.solver_threads, 0, INT_MAX))
         return false;
-      }
     } else if (arg == "--deterministic") {
       args.options.solver_deterministic = true;
     } else if (arg == "--fault") {

@@ -42,6 +42,8 @@ void write_schedule_section(json_writer& w, const assay::sequencing_graph& g,
   w.field("total_cache_time", s.total_cache_time());
   w.field("used_ilp", scheduling.used_ilp);
   if (scheduling.used_ilp) {
+    w.field("ilp_status", milp::to_string(scheduling.ilp_status));
+    w.field("ilp_interrupted", scheduling.ilp_interrupted);
     w.field("ilp_nodes", scheduling.ilp_nodes);
     w.field("ilp_presolve_rows_removed", scheduling.ilp_presolve_rows_removed);
     w.field("ilp_cuts_added", scheduling.ilp_cuts_added);

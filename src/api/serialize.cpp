@@ -100,17 +100,6 @@ namespace {
                             "\"");
 }
 
-[[nodiscard]] const char* to_string(milp::solve_status s) {
-  switch (s) {
-    case milp::solve_status::optimal: return "optimal";
-    case milp::solve_status::feasible: return "feasible";
-    case milp::solve_status::infeasible: return "infeasible";
-    case milp::solve_status::unbounded: return "unbounded";
-    case milp::solve_status::no_solution: return "no_solution";
-  }
-  return "no_solution";
-}
-
 [[nodiscard]] milp::solve_status solve_status_from(const std::string& name) {
   if (name == "optimal") return milp::solve_status::optimal;
   if (name == "feasible") return milp::solve_status::feasible;

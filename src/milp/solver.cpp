@@ -43,9 +43,6 @@ constexpr int strong_branch_candidates = 8;
 constexpr long strong_branch_iteration_limit = 100;
 /// Strong-branching probes allowed across the whole search.
 constexpr long strong_branch_limit = 100;
-/// Under best_estimate, every Nth backtrack (round, in the deterministic
-/// engine) picks the best-bound open node.
-constexpr long backtrack_interval = 8;
 /// Nodes the deterministic engine expands per synchronized round; its
 /// trajectory depends on this value, never on the thread count.
 constexpr int round_width = 8;
@@ -149,14 +146,9 @@ std::shared_ptr<const basis_snapshot> capture_basis(const simplex_solver& lp,
 struct bb_node {
   std::vector<bound_change> changes; // path from root
   double parent_bound = -inf;        // LP bound of the parent (min-form)
-  long id = 0;                       // for deterministic tie-breaking
   /// Fractional distance the branch moved the variable (frac for a down
   /// child, 1-frac for an up child); pseudocosts are recorded per unit.
   double branch_distance = 1.0;
-  /// Pseudocost completion estimate (min-form): parent bound plus the
-  /// branch's own expected degradation plus the cheapest rounding of every
-  /// other fractional variable at the parent.
-  double estimate = -inf;
   /// Parent's optimal basis, which the node re-solves from unless it
   /// continues its parent's dive on an undisturbed instance (null for the
   /// root outside the round engine). Siblings share the one immutable
@@ -167,14 +159,10 @@ struct bb_node {
   int producer = -1;
 };
 
-/// Pseudocost bookkeeping per integer variable and direction, plus the
-/// global per-unit average used as the estimate fallback for unobserved
-/// directions.
+/// Pseudocost bookkeeping per integer variable and direction.
 struct pseudocost_table {
   std::vector<double> up_sum, down_sum;
   std::vector<long> up_count, down_count;
-  double total_sum = 0.0;
-  long total_count = 0;
 
   explicit pseudocost_table(int n)
       : up_sum(n, 0.0), down_sum(n, 0.0), up_count(n, 0), down_count(n, 0) {}
@@ -187,24 +175,14 @@ struct pseudocost_table {
       down_sum[var] += degradation_per_frac;
       ++down_count[var];
     }
-    total_sum += degradation_per_frac;
-    ++total_count;
   }
 
-  [[nodiscard]] double average() const {
-    return total_count > 0 ? total_sum / total_count : 0.0;
-  }
-
-  [[nodiscard]] double up_cost(int var, double fallback) const {
-    return up_count[var] > 0 ? up_sum[var] / up_count[var] : fallback;
-  }
-  [[nodiscard]] double down_cost(int var, double fallback) const {
-    return down_count[var] > 0 ? down_sum[var] / down_count[var] : fallback;
-  }
-
-  [[nodiscard]] double score(int var, double frac, double fallback) const {
-    const double up = up_cost(var, fallback);
-    const double down = down_cost(var, fallback);
+  /// Product score of branching on `var` at fractional part `frac`; a
+  /// direction with no observation yet counts as 1.0 per unit.
+  [[nodiscard]] double score(int var, double frac) const {
+    const double up = up_count[var] > 0 ? up_sum[var] / up_count[var] : 1.0;
+    const double down =
+        down_count[var] > 0 ? down_sum[var] / down_count[var] : 1.0;
     const double up_est = up * (1.0 - frac);
     const double down_est = down * frac;
     constexpr double eps = 1e-6;
@@ -442,66 +420,6 @@ struct branch_output {
   bool down_preferred = true; // the down child is nearer the LP value
 };
 
-// The node-order rule of both node sources.
-
-/// Which open node a selection takes: the newest (LIFO), the best parent
-/// bound, or the best pseudocost completion estimate.
-enum class open_key { newest, bound, estimate };
-
-/// The key of the `turn`-th selection: a backtrack in the pool source, a
-/// round in the deterministic source. dfs always takes the newest node.
-/// best_estimate is hybrid backtracking: most turns stay LIFO (the adjacent
-/// open node shares most of the dive's bound changes); every second one
-/// restarts from the best-estimate node, and every `backtrack_interval`-th
-/// from the best-bound node (pumping the global dual bound). Pure
-/// best-first jumping doubled the LP cost per node when a backtrack
-/// re-solved from the previous node's basis instead of its parent's.
-open_key key_for_turn(node_rule rule, long turn) {
-  if (rule != node_rule::best_estimate) return open_key::newest;
-  if (turn % backtrack_interval == 0) return open_key::bound;
-  return turn % 2 == 0 ? open_key::estimate : open_key::newest;
-}
-
-/// Strict total order of open nodes under `key`; ids are unique, so no
-/// ties remain and a scan or sort under it never depends on where a node
-/// sits in `open`.
-bool comes_first(open_key key, const bb_node& a, const bb_node& b) {
-  switch (key) {
-    case open_key::newest:
-      return a.id > b.id;
-    case open_key::bound:
-      if (a.parent_bound != b.parent_bound)
-        return a.parent_bound < b.parent_bound;
-      if (a.estimate != b.estimate) return a.estimate < b.estimate;
-      return a.id < b.id;
-    case open_key::estimate:
-      if (a.estimate != b.estimate) return a.estimate < b.estimate;
-      if (a.parent_bound != b.parent_bound)
-        return a.parent_bound < b.parent_bound;
-      return a.id < b.id;
-  }
-  return false;
-}
-
-/// Removes and returns the pool source's next open node. Its `newest` is
-/// the back of `open`, taken in O(1): LIFO over push order, which keeps a
-/// dfs backtrack next to the dive it leaves (a best_estimate pick's
-/// swap-removal can move an older node to the back). The other keys scan
-/// with comes_first. The deterministic source, whose open list its partial
-/// sort permutes, ranks `newest` by id instead.
-bb_node take_open(std::vector<bb_node>& open, open_key key) {
-  std::size_t pick = open.size() - 1;
-  if (key != open_key::newest) {
-    pick = 0;
-    for (std::size_t i = 1; i < open.size(); ++i)
-      if (comes_first(key, open[i], open[pick])) pick = i;
-  }
-  bb_node node = std::move(open[pick]);
-  open[pick] = std::move(open.back());
-  open.pop_back();
-  return node;
-}
-
 /// How the shared commit step settled a processed node.
 enum class settled {
   done,      // nothing further: pruned, infeasible, dropped, no gain, stop
@@ -550,7 +468,6 @@ struct tree_search {
   long nodes = 0;
   /// Strong-branching probes run so far; workers add theirs per node.
   std::atomic<long> probes{0};
-  long next_node_id = 1; // the root is node 0
   bool hit_limit = false;
   bool unbounded = false;
   bool stop = false;
@@ -625,7 +542,7 @@ settled tree_search::settle(const bb_node& node, const node_result& nr) {
     return settled::done; // pruned by its parent bound: not counted
   ++nodes;
   ++workers[static_cast<std::size_t>(nr.processed_by)].nodes;
-  if (!root.solved && node.id == 0 && nr.bound != -inf) {
+  if (!root.solved && node.changes.empty() && nr.bound != -inf) {
     root.bound = nr.bound;
     root.solved = true;
   }
@@ -660,8 +577,7 @@ settled tree_search::settle(const bb_node& node, const node_result& nr) {
 /// entry for each one a probe did not prune.
 branch_output tree_search::branch(const bb_node& node, node_result& nr) {
   // Probe observations first (in the order the probes ran), then the
-  // branch-variable pick, then the parent's own pseudocost record; all
-  // precede the children's estimates.
+  // branch-variable pick, then the parent's own pseudocost record.
   pseudocost_table& pc = pseudocosts;
   for (const probe_record& p : nr.probe_records) pc.record(p.var, p.up, p.cost);
 
@@ -671,7 +587,7 @@ branch_output tree_search::branch(const bb_node& node, node_result& nr) {
   double best_score = -1.0;
   for (std::size_t i = 0; i < nr.fractional.size(); ++i) {
     const int j = nr.fractional[i].second;
-    const double score = pc.score(j, nr.x[j] - std::floor(nr.x[j]), 1.0);
+    const double score = pc.score(j, nr.x[j] - std::floor(nr.x[j]));
     if (score > best_score) {
       best_score = score;
       branch_var = j;
@@ -700,22 +616,8 @@ branch_output tree_search::branch(const bb_node& node, node_result& nr) {
                 degradation / std::max(node.branch_distance, 1e-6));
   }
 
-  // Completion estimate: the branch direction's expected degradation plus
-  // the cheapest rounding of every other fractional variable.
   const double floor_val = std::floor(branch_frac);
   const double frac = branch_frac - floor_val;
-  const double fallback = pc.average();
-  double estimate_rest = 0.0;
-  if (options.node_selection == node_rule::best_estimate) {
-    for (const auto& [closeness, j] : nr.fractional) {
-      (void)closeness;
-      if (j == branch_var) continue;
-      const double fj = nr.x[j] - std::floor(nr.x[j]);
-      estimate_rest += std::min(pc.down_cost(j, fallback) * fj,
-                                pc.up_cost(j, fallback) * (1.0 - fj));
-    }
-  }
-
   const auto [eff_lower, eff_upper] = nr.fractional_bounds[branch_idx];
   const auto child = [&](bool up) {
     bb_node c;
@@ -724,12 +626,7 @@ branch_output tree_search::branch(const bb_node& node, node_result& nr) {
                                           eff_upper}
                            : bound_change{branch_var, eff_lower, floor_val});
     c.parent_bound = nr.bound;
-    c.id = next_node_id++;
     c.branch_distance = up ? 1.0 - frac : frac;
-    c.estimate = nr.bound +
-                 (up ? pc.up_cost(branch_var, fallback) * (1.0 - frac)
-                     : pc.down_cost(branch_var, fallback) * frac) +
-                 estimate_rest;
     c.warm = nr.basis;
     c.producer = nr.processed_by;
     return c;
@@ -993,17 +890,18 @@ void run_team(tree_search& search, const Body& body) {
   for (std::thread& t : team) t.join();
 }
 
-/// The deterministic node source: fixed-width rounds. Each round selects
-/// `round_width` open nodes by the node-order rule, processes them
-/// concurrently on the workers' simplex instances (every node re-solved
-/// from its recorded parent basis -- load_basis makes that a pure function
-/// of the node), then commits the results in ascending node-id order.
+/// The deterministic node source: fixed-width rounds. Each round takes the
+/// `round_width` newest open nodes, processes them concurrently on the
+/// workers' simplex instances (every node re-solved from its recorded
+/// parent basis -- load_basis makes that a pure function of the node), then
+/// commits the results in creation order.
 /// Selection, pruning, pseudocost updates, and incumbent acceptance all
 /// happen in the barrier's completion step, which runs on one thread while
 /// every worker waits, so the trajectory depends on the round width but
 /// never on the thread count or on arrival order.
 void run_rounds(tree_search& t) {
-  // The root re-solves from the cut loop's root basis.
+  // Open nodes in creation order: commits append children, and a round
+  // takes the tail. The root re-solves from the cut loop's root basis.
   std::vector<bb_node> open(1);
   if (t.root.solved) open[0].warm = capture_basis(*t.root.lp, t.n);
 
@@ -1015,31 +913,24 @@ void run_rounds(tree_search& t) {
   double prune_obj = inf;
   long probe_allowance = 0;
   std::atomic<std::size_t> cursor{0};
-  long round = 0;
 
-  // Fills `batch` with the next round, in node-id order; leaves it empty
+  // Fills `batch` with the next round, in creation order; leaves it empty
   // when the search is over.
   const auto select_round = [&] {
     batch.clear();
     if (open.empty() || t.gap_closed() || t.should_stop()) return;
-    const open_key key = key_for_turn(t.options.node_selection, ++round);
-    const auto take = static_cast<std::ptrdiff_t>(
-        std::min<std::size_t>(round_width, open.size()));
-    std::partial_sort(open.begin(), open.begin() + take, open.end(),
-                      [key](const bb_node& a, const bb_node& b) {
-                        return comes_first(key, a, b);
-                      });
-    batch.assign(open.begin(), open.begin() + take);
-    open.erase(open.begin(), open.begin() + take);
-    std::sort(batch.begin(), batch.end(),
-              [](const bb_node& a, const bb_node& b) { return a.id < b.id; });
+    const auto first = open.end() - std::min<std::ptrdiff_t>(
+                                        round_width, std::ssize(open));
+    batch.assign(std::make_move_iterator(first),
+                 std::make_move_iterator(open.end()));
+    open.erase(first, open.end());
     prune_obj = t.have_incumbent ? t.incumbent_obj : inf;
     probe_allowance = t.probe_allowance();
     results.assign(batch.size(), node_result{});
     cursor.store(0, std::memory_order_relaxed);
   };
 
-  // Commits the finished round in the batch's node-id order, never in
+  // Commits the finished round in the batch's creation order, never in
   // completion order. A stop still commits the rest of the round: those
   // nodes are already processed.
   const auto commit_round = [&] {
@@ -1069,9 +960,9 @@ void run_rounds(tree_search& t) {
 
 /// The pool node source: a shared open pool under one mutex. Each worker
 /// dives on its own preferred child without touching the pool; a finished
-/// dive pulls the best pool node by the node-order rule -- pulling a node
-/// another worker produced counts as a steal. Worker 0 starts with the root
-/// in hand. Every node starts from its parent's optimal basis, whatever the
+/// dive pulls the newest pool node -- pulling a node another worker
+/// produced counts as a steal. Worker 0 starts with the root in hand.
+/// Every node starts from its parent's optimal basis, whatever the
 /// worker count: a pulled node reloads its recorded parent basis, and so
 /// does a dive child whose parent ran strong-branching probes (they leave
 /// the last probe's basis behind); only a dive child of an unprobed parent
@@ -1083,7 +974,6 @@ void run_pool(tree_search& t) {
   std::mutex mu;
   std::condition_variable cv;
   std::vector<bb_node> pool;
-  long backtracks = 0;
   int active = 1; // worker 0 holds the root
   std::atomic<double> prune_obj{t.have_incumbent ? t.incumbent_obj : inf};
 
@@ -1118,8 +1008,8 @@ void run_pool(tree_search& t) {
             cv.notify_all();
             break;
           }
-          node = take_open(
-              pool, key_for_turn(t.options.node_selection, ++backtracks));
+          node = std::move(pool.back());
+          pool.pop_back();
           if (node.producer >= 0 && node.producer != worker.id)
             ++worker.stats.steals;
           ++active;
@@ -1139,8 +1029,7 @@ void run_pool(tree_search& t) {
             break;
           case settled::branch: {
             // The child nearest the LP value stays in hand for the next
-            // plunge step; its sibling joins the pool (push_back keeps dfs
-            // mode's LIFO order exact).
+            // plunge step; its sibling joins the pool, which is LIFO.
             branch_output br = t.branch(node, nr);
             const bool down = br.down_preferred;
             std::optional<bb_node>& sibling = down ? br.up : br.down;
@@ -1165,6 +1054,17 @@ void run_pool(tree_search& t) {
 }
 
 } // namespace
+
+const char* to_string(solve_status s) {
+  switch (s) {
+    case solve_status::optimal: return "optimal";
+    case solve_status::feasible: return "feasible";
+    case solve_status::infeasible: return "infeasible";
+    case solve_status::unbounded: return "unbounded";
+    case solve_status::no_solution: return "no_solution";
+  }
+  return "no_solution";
+}
 
 double solution::gap() const {
   if (!has_solution()) return inf;

@@ -15,10 +15,12 @@
 //     cover cuts separated in rounds over the optimal root basis;
 //   * per-node bound propagation: branching fixes collapse the big-M
 //     disjunctions, pruning children before their LPs are solved;
-//   * depth-first plunging by default, with best-estimate diving plus
-//     periodic best-bound backtracking available (`node_rule`) for
-//     incumbent quality under tight time limits, and global best-bound
-//     tracking for gap reporting;
+//   * depth-first plunging: every backtrack takes the newest open node,
+//     and every node re-solves from its parent's optimal basis, one bound
+//     change away, so the dual simplex closes it in a few pivots -- which
+//     is what lets the propagation+cuts stack prove optimality (`synth IVD
+//     --devices 2 --engine ilp` closes in 34,339 nodes, 7-9 s on one
+//     thread); global best-bound tracking reports the gap;
 //   * pseudocost branching. A variable's pseudocosts are initialized by
 //     strong-branching probes (cheap dual re-solves of up to 100
 //     iterations) until each direction has a few observations. The
@@ -49,6 +51,9 @@ enum class solve_status {
   no_solution,      // limits hit before any incumbent was found
 };
 
+/// The status as documents and benches spell it ("optimal", "feasible", ...).
+[[nodiscard]] const char* to_string(solve_status s);
+
 /// Per-worker breakdown of a parallel tree search (solution::workers): how
 /// many nodes each thread processed, the simplex work it spent on them, and
 /// how many pool nodes it pulled that another worker produced ("steals").
@@ -60,20 +65,6 @@ struct worker_stats {
   long dual_simplex_iterations = 0;
   long steals = 0;
 };
-
-/// Open-node selection policy.
-///   * dfs: depth-first with plunging, pure LIFO -- the default: every node
-///     re-solves from its parent's optimal basis, one bound change away,
-///     so the dual simplex closes it in a few pivots, which is what lets
-///     the propagation+cuts stack prove optimality (`synth IVD --devices 2
-///     --engine ilp` closes in 34,339 nodes, 8-10 s on one thread).
-///   * best_estimate: dives like dfs, but alternate backtracks restart the
-///     dive from the open node with the best pseudocost completion
-///     estimate, and every eighth backtrack from the best-bound node
-///     (pumping the global dual bound). Trades LP warmth
-///     for incumbent quality under tight time limits (RA16's incumbent
-///     improves 323.5 -> 297.5 in the 15 s bench).
-enum class node_rule { dfs, best_estimate };
 
 struct solver_options {
   double time_limit_seconds = 60.0;
@@ -100,8 +91,6 @@ struct solver_options {
   /// children are often pruned without solving any LP. Off = root-only
   /// propagation.
   bool node_propagation = true;
-  /// Node selection (see node_rule).
-  node_rule node_selection = node_rule::dfs;
   /// LP engine tunables, forwarded to the simplex: the iteration cap per
   /// solve and the basis engine (the dense engine is an ablation).
   simplex_options lp;
@@ -121,9 +110,9 @@ struct solver_options {
   /// in commit order.
   int threads = 1;
   /// Round-synchronized deterministic parallel search: workers expand a
-  /// fixed-width round of eight nodes concurrently, then commit them in
-  /// node-id order (selection, incumbent acceptance, and pseudocost
-  /// updates all resolve by id, never by arrival time). Results are
+  /// fixed-width round of the eight newest open nodes concurrently, then
+  /// commit them in creation order (selection, incumbent acceptance, and
+  /// pseudocost updates never depend on arrival time). Results are
   /// bit-identical for ANY `threads` value, including 1 -- but the
   /// trajectory intentionally differs from the one-worker pool's, which
   /// dives on the child it keeps in hand and commits one node at a time.

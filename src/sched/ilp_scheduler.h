@@ -63,7 +63,8 @@ struct ilp_scheduler_options {
   /// perfbench/src/layers.cpp (replay_schedule) still sets it, and goes
   /// together with that replay.
   std::uint64_t seed = 1;
-  /// Base MILP solver configuration (branching rule, LP engine ablations).
+  /// Base MILP solver configuration (threads, determinism, cancellation,
+  /// LP engine ablations).
   /// time_limit_seconds / warm_start above take precedence.
   milp::solver_options milp{};
 };

@@ -92,6 +92,19 @@ TEST(ApiPipeline, StageJsonIsSelfContained) {
   const std::string json = s->to_json();
   EXPECT_NE(json.find("\"schedule\""), std::string::npos);
   EXPECT_NE(json.find("\"assay\":\"PCR\""), std::string::npos);
+  EXPECT_EQ(json.find("\"ilp_status\""), std::string::npos); // no MILP ran
+
+  // A MILP schedule says whether it proved its answer or stopped at a cap.
+  pipeline_options ilp = heuristic_options();
+  ilp.schedule_engine = sched::schedule_engine::ilp;
+  const pipeline exact(graph, ilp);
+  auto solved = exact.schedule();
+  ASSERT_TRUE(solved.ok()) << solved.message();
+  const std::string solved_json = solved->to_json();
+  EXPECT_NE(solved_json.find("\"ilp_status\":\"optimal\""),
+            std::string::npos);
+  EXPECT_NE(solved_json.find("\"ilp_interrupted\":false"),
+            std::string::npos);
 
   auto chip = s->synthesize();
   ASSERT_TRUE(chip.ok());

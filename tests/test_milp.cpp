@@ -1355,7 +1355,6 @@ solver_options ablation_off_options() {
   o.presolve = false;
   o.cuts = false;
   o.node_propagation = false;
-  o.node_selection = node_rule::dfs;
   return o;
 }
 
@@ -1556,45 +1555,23 @@ TEST(Cuts, TermListsAreDuplicateFreeAndSorted) {
   }
 }
 
-TEST(Milp, NodeRulesAgreeOnTheOptimum) {
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    prng r(seed * 524287 + 1);
-    const model m = random_bounded_milp(seed, r);
-    solver_options dfs = quick_options();
-    dfs.node_selection = node_rule::dfs;
-    solver_options best = quick_options();
-    best.node_selection = node_rule::best_estimate;
-    const solution a = solve(m, dfs);
-    const solution b = solve(m, best);
-    ASSERT_EQ(a.status, b.status) << "seed " << seed;
-    if (a.status == solve_status::optimal) {
-      EXPECT_NEAR(a.objective, b.objective,
-                  1e-6 * std::max(1.0, std::abs(a.objective)))
-          << "seed " << seed;
-    }
-  }
-}
-
 TEST(Milp, DefaultStackIsDeterministic) {
   // Bit-identical repeats with the full presolve + cuts + propagation stack
   // (the pre-existing determinism test pins the LU engine; this one pins
-  // the PR 4 layers and the best-estimate rule).
+  // the presolve, cut and propagation layers).
   const sched::scheduling_ilp ilp = table2_formulation("IVD", 2);
-  for (const node_rule rule : {node_rule::dfs, node_rule::best_estimate}) {
-    solver_options o;
-    o.time_limit_seconds = 600.0; // must never bind: limits break determinism
-    o.max_nodes = 400;
-    o.node_selection = rule;
-    o.warm_start = ilp.warm_assignment;
-    const solution a = solve(ilp.model, o);
-    const solution b = solve(ilp.model, o);
-    EXPECT_EQ(a.nodes_explored, b.nodes_explored);
-    EXPECT_EQ(a.simplex_iterations, b.simplex_iterations);
-    EXPECT_EQ(a.cuts_added, b.cuts_added);
-    EXPECT_EQ(a.objective, b.objective);
-    EXPECT_EQ(a.best_bound, b.best_bound);
-    EXPECT_EQ(a.values, b.values);
-  }
+  solver_options o;
+  o.time_limit_seconds = 600.0; // must never bind: limits break determinism
+  o.max_nodes = 400;
+  o.warm_start = ilp.warm_assignment;
+  const solution a = solve(ilp.model, o);
+  const solution b = solve(ilp.model, o);
+  EXPECT_EQ(a.nodes_explored, b.nodes_explored);
+  EXPECT_EQ(a.simplex_iterations, b.simplex_iterations);
+  EXPECT_EQ(a.cuts_added, b.cuts_added);
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.best_bound, b.best_bound);
+  EXPECT_EQ(a.values, b.values);
 }
 
 TEST(Sched, FormulationStrengtheningPreservesTheOptimum) {
@@ -1643,7 +1620,6 @@ struct pinned_trajectory {
   int operations;
   std::uint64_t seed;
   int devices;
-  node_rule rule;
   long nodes;
   long simplex_iterations;
   long dual_simplex_iterations;
@@ -1661,13 +1637,11 @@ void expect_pinned(const pinned_trajectory (&cases)[N], bool deterministic) {
     solver_options o = quick_options(); // never binds: limits break the pin
     o.threads = 1;
     o.deterministic = deterministic;
-    o.node_selection = c.rule;
     o.warm_start = ilp.warm_assignment;
     const solution s = solve(ilp.model, o);
     const std::string label =
         std::to_string(c.operations) + " ops, seed " + std::to_string(c.seed) +
-        ", " + std::to_string(c.devices) + " devices, " +
-        (c.rule == node_rule::dfs ? "dfs" : "best_estimate");
+        ", " + std::to_string(c.devices) + " devices";
     ASSERT_EQ(s.status, solve_status::optimal) << label;
     EXPECT_EQ(s.nodes_explored, c.nodes) << label;
     EXPECT_EQ(s.simplex_iterations, c.simplex_iterations) << label;
@@ -1681,23 +1655,16 @@ void expect_pinned(const pinned_trajectory (&cases)[N], bool deterministic) {
 
 TEST(Milp, SequentialTrajectoryIsPinned) {
   // The sequential engine's exact search trajectory on generated
-  // formulations, under both node rules: any change to node processing,
-  // probing, branching, child order or the node-order rule shows up here
-  // as a different node or iteration count. Exact equality throughout.
+  // formulations: any change to node processing, probing, branching,
+  // child order or node order shows up here as a different node or
+  // iteration count. Exact equality throughout.
   const pinned_trajectory cases[] = {
-      {8, 2, 2, node_rule::dfs, 70, 5955, 4444, 100, 164.5},
-      {8, 2, 2, node_rule::best_estimate, 119, 6785, 5133, 100, 164.5},
-      {8, 4, 2, node_rule::dfs, 164, 9041, 7264, 100, 164.5},
-      {8, 4, 2, node_rule::best_estimate, 97, 8320, 6656, 100, 164.5},
-      {8, 5, 2, node_rule::dfs, 660, 13640, 10447, 100, 154.49999999999997},
-      {8, 5, 2, node_rule::best_estimate, 491, 11630, 8755, 100, 154.5},
-      {9, 1, 2, node_rule::dfs, 83, 6367, 5530, 100, 193.0},
-      {9, 1, 2, node_rule::best_estimate, 95, 6513, 5659, 100, 193.0},
-      {9, 1, 3, node_rule::dfs, 52, 3322, 2952, 100, 183.00000000000006},
-      {9, 1, 3, node_rule::best_estimate, 15, 3023, 2692, 100,
-       183.00000000000006},
-      {10, 1, 2, node_rule::dfs, 42, 5623, 4464, 100, 220.5},
-      {10, 1, 2, node_rule::best_estimate, 35, 5566, 4414, 100, 220.5},
+      {8, 2, 2, 70, 5955, 4444, 100, 164.5},
+      {8, 4, 2, 164, 9041, 7264, 100, 164.5},
+      {8, 5, 2, 660, 13640, 10447, 100, 154.49999999999997},
+      {9, 1, 2, 83, 6367, 5530, 100, 193.0},
+      {9, 1, 3, 52, 3322, 2952, 100, 183.00000000000006},
+      {10, 1, 2, 42, 5623, 4464, 100, 220.5},
   };
   expect_pinned(cases, /*deterministic=*/false);
 }
@@ -1708,20 +1675,12 @@ TEST(Milp, DeterministicTrajectoryIsPinned) {
   // Every node of a round gets the probe allowance left when the round
   // started, so a search may run more than the 100-probe budget.
   const pinned_trajectory cases[] = {
-      {8, 2, 2, node_rule::dfs, 99, 7318, 6043, 112, 164.5},
-      {8, 2, 2, node_rule::best_estimate, 47, 6745, 5573, 112, 164.5},
-      {8, 4, 2, node_rule::dfs, 81, 7866, 5751, 102, 164.5},
-      {8, 4, 2, node_rule::best_estimate, 89, 8050, 5944, 102, 164.5},
-      {8, 5, 2, node_rule::dfs, 779, 16254, 13407, 112, 154.49999999999997},
-      {8, 5, 2, node_rule::best_estimate, 729, 15806, 12861, 112,
-       154.49999999999997},
-      {9, 1, 2, node_rule::dfs, 419, 11859, 10324, 112, 193.0},
-      {9, 1, 2, node_rule::best_estimate, 158, 9083, 7906, 112, 193.0},
-      {9, 1, 3, node_rule::dfs, 27, 8137, 5722, 138, 183.00000000000003},
-      {9, 1, 3, node_rule::best_estimate, 31, 8165, 5745, 138,
-       183.00000000000003},
-      {10, 1, 2, node_rule::dfs, 63, 6935, 5636, 112, 220.5},
-      {10, 1, 2, node_rule::best_estimate, 59, 6917, 5640, 112, 220.5},
+      {8, 2, 2, 99, 7318, 6043, 112, 164.5},
+      {8, 4, 2, 81, 7866, 5751, 102, 164.5},
+      {8, 5, 2, 779, 16254, 13407, 112, 154.49999999999997},
+      {9, 1, 2, 419, 11859, 10324, 112, 193.0},
+      {9, 1, 3, 27, 8137, 5722, 138, 183.00000000000003},
+      {10, 1, 2, 63, 6935, 5636, 112, 220.5},
   };
   expect_pinned(cases, /*deterministic=*/true);
 }

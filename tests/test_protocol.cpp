@@ -528,6 +528,31 @@ TEST(CliServe, HugeDeadlineIsNoDeadline) {
   EXPECT_EQ(WEXITSTATUS(status), 0) << "3 = the deadline expired at once";
 }
 
+TEST(CliFlags, MalformedNumbersAreUsageErrors) {
+  // Every numeric flag rejects a value with trailing or foreign characters
+  // as a usage error (exit 2) before any work, instead of reading its
+  // numeric prefix or 0 and running.
+  const std::vector<std::vector<std::string>> cases = {
+      {"--threads", "abc"}, {"--devices", "2x"},  {"--seed", "1e3"},
+      {"--beta", "abc"},    {"--grid", "6x6z"},   {"--workers", "2.5"},
+      {"--deadline", "5s"}, {"--beta", "nan"},    {"--threads", ""},
+  };
+  for (const std::vector<std::string>& flag : cases) {
+    std::vector<std::string> args = {"sched", "PCR", "--engine", "heuristic"};
+    args.insert(args.end(), flag.begin(), flag.end());
+    cli_process p = spawn_cli(args);
+    ASSERT_GT(p.pid, 0);
+    ::close(p.stdin_fd);
+    (void)read_lines(p.stdout_fd);
+    ::close(p.stdout_fd);
+    const int status = wait_exit(p.pid, 60.0);
+    const std::string label = flag[0] + " '" + flag[1] + "'";
+    ASSERT_NE(status, -1) << label;
+    ASSERT_TRUE(WIFEXITED(status)) << label;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << label;
+  }
+}
+
 #endif // TRANSTORE_CLI_PATH
 
 } // namespace
