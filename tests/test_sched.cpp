@@ -12,6 +12,7 @@
 #include "sched/metaheuristics.h"
 #include "sched/schedule.h"
 #include "sched/scheduler.h"
+#include "sched/splice.h"
 #include "sched/timing.h"
 
 namespace transtore::sched {
@@ -464,6 +465,160 @@ TEST(Sched, HeuristicTrajectoriesArePinned) {
                         << ", 0x" << std::hex << orders << std::dec << "ULL}";
     }
   }
+}
+
+TEST(Sched, SpliceTrajectoriesArePinned) {
+  // The exact re-planned results of splice_schedule on generated assays:
+  // faults at 1/4, 1/2 and 3/4 of the original makespan, with no failed
+  // device and with one failed device, storage-aware and storage-blind (no
+  // wall-clock limits). The failed device is the lowest-numbered one whose
+  // failure the fault leaves recoverable, or device 0 when there is none.
+  // The original is a one-pass storage-blind list schedule, so the re-plan
+  // has room to differ from it. Any change to the greedy score, its noise,
+  // its tie rule, the restart ladder or the device veto shows up here. A
+  // case whose fault leaves a fluid or an operation stuck on the failed
+  // device pins the infeasible_error instead.
+  struct pinned {
+    bool infeasible;
+    double objective;
+    int makespan;
+    long cache_time;
+    std::uint64_t orders;
+  };
+  struct assay_case {
+    int operations;
+    std::uint64_t seed;
+    int devices;
+    bool reagent_loads;
+  };
+  const assay_case assays[] = {
+      {12, 21, 2, false}, {16, 22, 3, false}, {20, 23, 2, true},
+      {28, 24, 3, false}};
+  // One row per (assay, fault quarter, failed device, storage_aware), in
+  // that nesting order.
+  const pinned expected[] = {
+      {false, 318, 300, 120, 0x8f2d4ba72b1aa5e3ULL},
+      {false, 318, 300, 120, 0x8f2d4ba72b1aa5e3ULL},
+      {true, 0, 0, 0, 0},
+      {true, 0, 0, 0, 0},
+      {false, 318, 300, 120, 0x8f2d4ba72b1aa5e3ULL},
+      {false, 318, 300, 120, 0x8f2d4ba72b1aa5e3ULL},
+      {false, 493, 430, 420, 0x81d7cf20f95d3f5bULL},
+      {false, 493, 430, 420, 0x81d7cf20f95d3f5bULL},
+      {false, 318, 300, 120, 0x8f2d4ba72b1aa5e3ULL},
+      {false, 318, 300, 120, 0x8f2d4ba72b1aa5e3ULL},
+      {true, 0, 0, 0, 0},
+      {true, 0, 0, 0, 0},
+      {false, 420, 420, 0, 0x70d8d93951573848ULL},
+      {false, 421.5, 420, 10, 0x60a1de1af99495a8ULL},
+      {false, 485, 470, 100, 0xca5a835b351fd45cULL},
+      {false, 488, 470, 120, 0xb75bf576f47d7298ULL},
+      {false, 420, 420, 0, 0x70d8d93951573848ULL},
+      {false, 421.5, 420, 10, 0x60a1de1af99495a8ULL},
+      {false, 485, 470, 100, 0xca5a835b351fd45cULL},
+      {false, 448, 430, 120, 0xd7db490b9664855aULL},
+      {false, 420, 420, 0, 0x70d8d93951573848ULL},
+      {false, 421.5, 420, 10, 0x60a1de1af99495a8ULL},
+      {true, 0, 0, 0, 0},
+      {true, 0, 0, 0, 0},
+      {false, 702, 600, 680, 0x6f139d9111a532bULL},
+      {false, 682.5, 570, 750, 0x3b0161a13cc070ffULL},
+      {true, 0, 0, 0, 0},
+      {true, 0, 0, 0, 0},
+      {false, 702, 600, 680, 0xc9a65bf3ef158573ULL},
+      {false, 650.5, 550, 670, 0x2a7f9b4b064bfd97ULL},
+      {true, 0, 0, 0, 0},
+      {true, 0, 0, 0, 0},
+      {false, 682.5, 570, 750, 0x3b0161a13cc070ffULL},
+      {false, 682.5, 570, 750, 0x3b0161a13cc070ffULL},
+      {true, 0, 0, 0, 0},
+      {true, 0, 0, 0, 0},
+      {false, 603.29999999999995, 540, 422, 0xb09b454b2343b332ULL},
+      {false, 590, 530, 400, 0x33711ebc37534a5aULL},
+      {false, 873, 720, 1020, 0x259d256f2db5bcb2ULL},
+      {false, 852.5, 650, 1350, 0x46b913d8e172d84ULL},
+      {false, 590, 530, 400, 0x33711ebc37534a5aULL},
+      {false, 590, 530, 400, 0x33711ebc37534a5aULL},
+      {true, 0, 0, 0, 0},
+      {true, 0, 0, 0, 0},
+      {false, 590, 530, 400, 0x33711ebc37534a5aULL},
+      {false, 590, 530, 400, 0x33711ebc37534a5aULL},
+      {true, 0, 0, 0, 0},
+      {true, 0, 0, 0, 0},
+  };
+  std::size_t row = 0;
+  for (const assay_case& c : assays) {
+    const sequencing_graph g = assay::make_random_assay(c.operations, c.seed);
+    timing_options timing;
+    timing.count_reagent_loads = c.reagent_loads;
+    list_scheduler_options lo;
+    lo.device_count = c.devices;
+    lo.timing = timing;
+    lo.restarts = 1;
+    lo.storage_aware = false;
+    lo.seed = c.seed;
+    const schedule original = schedule_with_list(g, lo);
+    for (int quarter = 1; quarter <= 3; ++quarter) {
+      const int fault_time = original.makespan() * quarter / 4;
+      for (bool one_failed : {false, true}) {
+        std::vector<bool> failed;
+        if (one_failed) {
+          int pick = 0;
+          for (int d = 0; d < c.devices; ++d) {
+            std::vector<bool> only(static_cast<std::size_t>(c.devices), false);
+            only[static_cast<std::size_t>(d)] = true;
+            if (!blocking_resource(g, original, fault_time, only)) {
+              pick = d;
+              break;
+            }
+          }
+          failed.assign(static_cast<std::size_t>(c.devices), false);
+          failed[static_cast<std::size_t>(pick)] = true;
+        }
+        for (bool storage_aware : {true, false}) {
+          ASSERT_LT(row, std::size(expected));
+          const pinned& e = expected[row++];
+          splice_options o;
+          o.device_count = c.devices;
+          o.timing = timing;
+          o.failed_devices = failed;
+          o.storage_aware = storage_aware;
+          o.seed = c.seed;
+          const std::string where =
+              std::to_string(c.operations) + " ops, fault " +
+              std::to_string(fault_time) +
+              (one_failed ? ", one device failed" : ", none failed") +
+              (storage_aware ? ", storage-aware" : ", storage-blind");
+          if (e.infeasible) {
+            EXPECT_THROW((void)splice_schedule(g, original, fault_time, o),
+                         infeasible_error)
+                << where;
+            continue;
+          }
+          schedule s;
+          try {
+            s = splice_schedule(g, original, fault_time, o).spliced;
+          } catch (const infeasible_error&) {
+            ADD_FAILURE() << where << ": got {true, 0, 0, 0, 0}";
+            continue;
+          }
+          s.validate(g);
+          const double objective = s.objective(1.0, 0.15);
+          const std::uint64_t orders = order_fingerprint(s);
+          const bool same = objective == e.objective &&
+                            s.makespan() == e.makespan &&
+                            s.total_cache_time() == e.cache_time &&
+                            orders == e.orders;
+          EXPECT_TRUE(same) << where << ": got {false, "
+                            << std::setprecision(17) << objective << ", "
+                            << s.makespan() << ", " << s.total_cache_time()
+                            << ", 0x" << std::hex << orders << std::dec
+                            << "ULL}";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(row, std::size(expected));
 }
 
 // Property sweep: random assays, random device counts -- every schedule
