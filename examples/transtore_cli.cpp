@@ -283,24 +283,15 @@ bool parse_flags(int argc, char** argv, int from, cli_args& args) {
       args.grid_set = true;
     } else if (arg == "--engine") {
       if ((value = next()) == nullptr) return false;
-      const std::string engine = value;
-      if (engine == "heuristic")
-        args.options.schedule_engine = sched::schedule_engine::heuristic;
-      else if (engine == "ilp")
-        args.options.schedule_engine = sched::schedule_engine::ilp;
-      else if (engine == "combined")
-        args.options.schedule_engine = sched::schedule_engine::combined;
-      else if (engine == "sa")
-        args.options.schedule_engine = sched::schedule_engine::sa;
-      else if (engine == "grasp")
-        args.options.schedule_engine = sched::schedule_engine::grasp;
-      else {
+      const auto engine = sched::schedule_engine_named(value);
+      if (!engine) {
         std::fprintf(stderr,
                      "error: --engine expects heuristic|ilp|combined|sa|"
                      "grasp, got '%s'\n",
-                     engine.c_str());
+                     value);
         return false;
       }
+      args.options.schedule_engine = *engine;
     } else if (arg == "--beta") {
       if ((value = next()) == nullptr ||
           !parse_real(arg, value, "a finite number", args.options.beta))

@@ -63,24 +63,9 @@ namespace {
 
 // ------------------------------------------------------------- enum tables
 
-[[nodiscard]] const char* to_string(sched::schedule_engine e) {
-  switch (e) {
-    case sched::schedule_engine::heuristic: return "heuristic";
-    case sched::schedule_engine::ilp: return "ilp";
-    case sched::schedule_engine::combined: return "combined";
-    case sched::schedule_engine::sa: return "sa";
-    case sched::schedule_engine::grasp: return "grasp";
-  }
-  return "combined";
-}
-
 [[nodiscard]] sched::schedule_engine schedule_engine_from(
     const std::string& name) {
-  if (name == "heuristic") return sched::schedule_engine::heuristic;
-  if (name == "ilp") return sched::schedule_engine::ilp;
-  if (name == "combined") return sched::schedule_engine::combined;
-  if (name == "sa") return sched::schedule_engine::sa;
-  if (name == "grasp") return sched::schedule_engine::grasp;
+  if (const auto engine = sched::schedule_engine_named(name)) return *engine;
   throw invalid_input_error("serialize: unknown schedule engine \"" + name +
                             "\"");
 }

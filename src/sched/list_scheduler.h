@@ -14,13 +14,20 @@
 // Multiple seeded restarts perturb the scoring to escape ties; the best
 // schedule under the final objective (6) is returned. Deterministic in the
 // options' seed.
+//
+// The same pass (greedy_pass below) is the only greedy construction in
+// `sched`: GRASP builds its randomized starts with it and the fault
+// splicer re-plans a schedule's remainder with it.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "assay/sequencing_graph.h"
 #include "common/interrupt.h"
+#include "common/prng.h"
+#include "common/stopwatch.h"
 #include "sched/timing.h"
 
 namespace transtore::sched {
@@ -45,6 +52,64 @@ struct list_scheduler_options {
 /// re-scheduler (splice.h) uses it too.
 [[nodiscard]] std::vector<int> remaining_path(
     const assay::sequencing_graph& graph);
+
+/// One greedy construction rule: each step scores every ready (operation,
+/// device) pair by objective (6)'s increment,
+///
+///     alpha * end + beta * cache_time_added,
+///
+/// and commits one of them. The candidate buffer is reused, so once warm a
+/// pass allocates nothing per step.
+class greedy_pass {
+public:
+  /// `beta` weighs storage only when `storage_aware`; a storage-blind pass
+  /// scores by completion time alone and breaks ties by lowest id.
+  greedy_pass(const assay::sequencing_graph& graph, int device_count,
+              double alpha, double beta, bool storage_aware);
+
+  /// 0 commits the best pair: lowest score, then the longest remaining
+  /// chain (storage-aware) and the lowest id. Above 0, each step draws one
+  /// pair uniformly from those scoring within rcl_alpha * (max - min) of
+  /// the best: GRASP's restricted candidate list.
+  double rcl_alpha = 0.0;
+  /// When set, pairs for which it returns true are never placed; the fault
+  /// splicer keeps failed devices and pinned consumers out this way.
+  std::function<bool(int op, int device)> veto;
+
+  /// Commit every operation `builder` has not committed yet, which is all
+  /// of them on a reset builder or the remainder after a seeded prefix.
+  /// With `noise` > 0, every candidate's score gets a draw from
+  /// [0, noise), in enumeration order. Returns objective (6) summed over
+  /// this pass's own commits.
+  double run(timeline_builder& builder, prng& rng, double noise = 0.0);
+
+  /// The restart ladder: up to `restarts` runs, each on `builder` after
+  /// reset() and, when set, `seed(builder)`. The first run is pure
+  /// greedy; each later one adds noise transport_time * (0.5 + 2u), u
+  /// drawn from `rng`, and none starts once `budget` has expired. Without
+  /// a seed a run scores by its own commits; with one, by its built
+  /// schedule's objective (6), which counts the seeded prefix. Returns the
+  /// best run's schedule.
+  [[nodiscard]] schedule best_of_restarts(
+      timeline_builder& builder,
+      const std::function<void(timeline_builder&)>& seed, int restarts,
+      int transport_time, prng& rng, const deadline& budget);
+
+private:
+  struct candidate {
+    int op = -1;
+    int device = -1;
+    double score = 0.0;
+  };
+
+  const assay::sequencing_graph& graph_;
+  int device_count_;
+  double alpha_;
+  double beta_; // 0 when storage-blind
+  bool storage_aware_;
+  std::vector<int> priority_; // remaining_path(graph_)
+  std::vector<candidate> candidates_; // one step's pairs, for the RCL pick
+};
 
 /// Build a schedule heuristically. Throws invalid_input_error for malformed
 /// inputs (empty graph, non-positive device count).

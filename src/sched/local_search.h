@@ -3,12 +3,15 @@
 // The greedy list scheduler commits operations one at a time and cannot
 // undo an early mistake; the paper's ILP explores orders globally but only
 // within its solver budget. This pass bridges the gap: starting from any
-// valid schedule it perturbs the binding -- swapping adjacent operations on
-// a device, relocating an operation to another queue position, or moving
-// it to another device -- re-times each candidate with the full device-port
-// model, and anneals on objective (6). All moves preserve precedence
+// valid schedule it perturbs the binding -- relocating an operation to
+// another queue position, on its own device or another -- re-times each
+// candidate with the full device-port model, and anneals on objective (6). All moves preserve precedence
 // feasibility by construction; every accepted candidate is a valid
 // schedule. Deterministic in the seed.
+//
+// improve_schedule is the annealing loop of metaheuristics.cpp with the
+// plain relocation move set (an operation to another queue position, on
+// its own device or another), seeded with `seed` itself.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +33,9 @@ struct local_search_options {
   cancel_token cancel;
 };
 
-/// Anneal `start` and return the best schedule found (never worse than
-/// `start` under alpha/beta).
+/// Anneal `start` and return the best binding found, re-timed by
+/// refine_timing even when no move improved on it; `start` itself only
+/// when that re-timed schedule is worse under alpha/beta.
 [[nodiscard]] schedule improve_schedule(const assay::sequencing_graph& graph,
                                         const schedule& start,
                                         const timing_options& timing,

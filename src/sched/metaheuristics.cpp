@@ -7,6 +7,7 @@
 #include "common/prng.h"
 #include "common/stopwatch.h"
 #include "sched/list_scheduler.h"
+#include "sched/local_search.h"
 #include "sched/moves.h"
 
 namespace transtore::sched {
@@ -21,8 +22,8 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t salt) {
 namespace {
 
 // Annealing and construction tuning constants.
-/// Starting temperature of the first SA restart, in objective units
-/// (seconds-ish).
+/// Starting temperature of an anneal (the first SA restart, the post-pass),
+/// in objective units (seconds-ish).
 constexpr double initial_temperature = 60.0;
 /// Each reheated restart starts at initial_temperature *
 /// reheat_factor^restart.
@@ -49,17 +50,34 @@ schedule greedy_seed(const assay::sequencing_graph& graph,
   return schedule_with_list(graph, lo);
 }
 
-// ------------------------------------------------------------------- SA ---
+// ------------------------------------------------------------ moves ---
 
-/// Mutate `candidate` with one randomly chosen neighborhood move, recorded
-/// in `move`. `timed` is the realized schedule of `candidate` before the
-/// move and supplies the transfer kinds the storage-aware flips target.
-/// Returns false when the sampled move is infeasible; either way
+/// The plain relocation move: a random operation to a random slot of its
+/// own queue or, with probability 0.35 on several devices, of a random
+/// device's queue. Returns false when the slot is precedence-infeasible;
+/// either way undo_relocation(candidate, move) takes it back.
+bool relocate_random(const assay::reachability& reach, binding& candidate,
+                     int devices, prng& rng, relocation& move) {
+  const int op = static_cast<int>(rng.index(candidate.device_of.size()));
+  const int from = candidate.device_of[static_cast<std::size_t>(op)];
+  const int to =
+      devices > 1 && rng.bernoulli(0.35)
+          ? static_cast<int>(rng.index(static_cast<std::size_t>(devices)))
+          : from;
+  const std::size_t slots =
+      candidate.device_order[static_cast<std::size_t>(to)].size() +
+      (to == from ? 0 : 1);
+  return relocate_op(reach, candidate, op, to, rng.index(slots), move);
+}
+
+/// SA's move set: the storage-aware flips and adjacent swaps, falling
+/// through to relocate_random. `timed` is the realized schedule of
+/// `candidate` before the move and supplies the transfer kinds the flips
+/// target. Returns false when the sampled move is infeasible; either way
 /// undo_relocation(candidate, move) takes it back.
 bool propose_move(const assay::reachability& reach, binding& candidate,
                   const schedule& timed, int devices, prng& rng,
                   relocation& move) {
-  const std::size_t n = candidate.device_of.size();
   const double r = rng.uniform_real();
 
   if (r < 0.25 && !timed.transfers.empty()) {
@@ -106,75 +124,78 @@ bool propose_move(const assay::reachability& reach, binding& candidate,
     }
     // Queue too short: fall through to relocation.
   }
-  const int op = static_cast<int>(rng.index(n));
-  const int to =
-      devices > 1 && rng.bernoulli(0.35)
-          ? static_cast<int>(rng.index(static_cast<std::size_t>(devices)))
-          : candidate.device_of[static_cast<std::size_t>(op)];
-  const std::size_t len =
-      candidate.device_order[static_cast<std::size_t>(to)].size() +
-      (to == candidate.device_of[static_cast<std::size_t>(op)] ? 0 : 1);
-  return relocate_op(reach, candidate, op, to, rng.index(len), move);
+  return relocate_random(reach, candidate, devices, rng, move);
 }
 
-/// The annealer behind schedule_with_sa, on a caller-owned timer (GRASP
-/// keeps one across its rounds). Options are already checked.
-schedule anneal(const assay::sequencing_graph& graph,
-                const sa_scheduler_options& options, binding_timer& timer) {
-  const double beta = options.storage_aware ? options.beta : 0.0;
-  const deadline budget(options.time_budget_seconds, options.cancel);
+// ----------------------------------------------------------- anneal ---
 
-  const schedule start =
-      options.start ? *options.start
-                    : greedy_seed(graph, options.device_count, options.timing,
-                                  options.alpha, options.beta,
-                                  options.storage_aware, options.seed);
-  const double start_cost = start.objective(options.alpha, beta);
+/// The best binding an anneal has found, its objective (6) and, when the
+/// move set has flips, its timed schedule.
+struct incumbent {
+  binding order;
+  double cost = 0.0;
+  schedule timed;
+};
 
-  binding best = extract_binding(start, options.device_count);
-  double best_cost = start_cost;
-  schedule best_timed = start;
+/// The one annealing loop of `sched`. It serves SA's reheated restarts,
+/// GRASP's per-round polish, `combined`'s pre-MILP anneal and the
+/// post-pass (improve_schedule). The reachability closure and the timer
+/// are built once and reused by every run.
+class annealer {
+public:
+  annealer(const assay::sequencing_graph& graph, int devices,
+           const timing_options& timing, double alpha, double beta)
+      : graph_(graph), reach_(graph), timer_(graph, devices, timing),
+        devices_(devices), alpha_(alpha), beta_(beta) {}
 
-  const assay::reachability reach(graph);
-  const int per_restart =
-      std::max(1, options.iterations / options.restarts);
-  const double cooling = std::pow(0.05, 1.0 / per_restart);
+  [[nodiscard]] double cost(const schedule& s) const {
+    return s.objective(alpha_, beta_);
+  }
 
-  for (int restart = 0; restart < options.restarts; ++restart) {
-    if (budget.expired() || options.iterations == 0) break;
-    prng rng(derive_seed(options.seed, static_cast<std::uint64_t>(restart)));
-    // Reheat: resume from the incumbent at a (decaying) high temperature.
-    double temperature =
-        initial_temperature * std::pow(reheat_factor, restart);
+  /// `iterations` moves from `best` at `temperature`, cooling
+  /// geometrically to 5% of it, on an RNG seeded with `seed`. A move is
+  /// kept when it does not worsen objective (6) or passes the Metropolis
+  /// test; `best` follows every improvement. `flips` selects SA's move
+  /// set, whose flips read the accepted schedule's transfers, so only a
+  /// run with flips builds that schedule and keeps `best.timed`; without
+  /// it every move is a plain relocation.
+  void run(incumbent& best, int iterations, double temperature,
+           std::uint64_t seed, bool flips, const deadline& budget) {
+    if (iterations <= 0) return;
+    prng rng(seed);
+    const double cooling = std::pow(0.05, 1.0 / iterations);
     // One binding, moved in place: a rejected move is undone, an accepted
-    // one kept along with its schedule (the flips read its transfers).
-    binding current = best;
+    // one kept.
+    binding current = best.order;
     reserve_queues(current, current.device_of.size());
-    double current_cost = best_cost;
-    schedule current_timed = best_timed;
+    double current_cost = best.cost;
+    schedule current_timed;
+    if (flips) current_timed = best.timed;
     relocation move;
 
-    for (int iter = 0; iter < per_restart; ++iter) {
+    for (int iter = 0; iter < iterations; ++iter) {
       if ((iter & 127) == 0 && budget.expired()) break;
-      if (!propose_move(reach, current, current_timed, options.device_count,
-                        rng, move) ||
-          !timer.time(current)) {
+      const bool moved =
+          flips ? propose_move(reach_, current, current_timed, devices_,
+                               rng, move)
+                : relocate_random(reach_, current, devices_, rng, move);
+      if (!moved || !timer_.time(current)) {
         // Infeasible move or a cross-device deadlock: reject.
         undo_relocation(current, move);
         temperature *= cooling;
         continue;
       }
-      const double cost = timer.objective(options.alpha, beta);
+      const double cost = timer_.objective(alpha_, beta_);
       const double delta = cost - current_cost;
       if (delta <= 0.0 ||
           rng.uniform_real() <
               std::exp(-delta / std::max(1e-9, temperature))) {
         current_cost = cost;
-        timer.build_into(current_timed);
-        if (cost < best_cost) {
-          best_cost = cost;
-          best = current;
-          best_timed = current_timed;
+        if (flips) timer_.build_into(current_timed);
+        if (cost < best.cost) {
+          best.cost = cost;
+          best.order = current;
+          if (flips) best.timed = current_timed;
         }
       } else {
         undo_relocation(current, move);
@@ -183,10 +204,36 @@ schedule anneal(const assay::sequencing_graph& graph,
     }
   }
 
-  best_timed.validate(graph);
-  if (best_timed.objective(options.alpha, beta) > start_cost) return start;
-  return best_timed;
-}
+  /// SA: `restarts` runs with flips sharing `iterations`, each resuming
+  /// from the incumbent, restart k at initial_temperature *
+  /// reheat_factor^k on the stream derive_seed(seed, k). Returns the best
+  /// schedule, or `start` itself when nothing improved on it.
+  [[nodiscard]] schedule reheated(schedule start, int iterations,
+                                  int restarts, std::uint64_t seed,
+                                  const deadline& budget) {
+    const double start_cost = cost(start);
+    incumbent best{extract_binding(start, devices_), start_cost, start};
+    const int per_restart = std::max(1, iterations / restarts);
+    for (int restart = 0; restart < restarts; ++restart) {
+      if (budget.expired() || iterations == 0) break;
+      run(best, per_restart,
+          initial_temperature * std::pow(reheat_factor, restart),
+          derive_seed(seed, static_cast<std::uint64_t>(restart)),
+          /*flips=*/true, budget);
+    }
+    best.timed.validate(graph_);
+    if (cost(best.timed) > start_cost) return start;
+    return std::move(best.timed);
+  }
+
+private:
+  const assay::sequencing_graph& graph_;
+  assay::reachability reach_;
+  binding_timer timer_;
+  int devices_;
+  double alpha_;
+  double beta_;
+};
 
 } // namespace
 
@@ -196,64 +243,40 @@ schedule schedule_with_sa(const assay::sequencing_graph& graph,
   require(options.device_count > 0, "sa scheduler: device count must be positive");
   require(options.iterations >= 0, "sa scheduler: negative iterations");
   require(options.restarts >= 1, "sa scheduler: need at least one restart");
-  binding_timer timer(graph, options.device_count, options.timing);
-  return anneal(graph, options, timer);
+  const double beta = options.storage_aware ? options.beta : 0.0;
+  annealer sa(graph, options.device_count, options.timing, options.alpha,
+              beta);
+  const deadline budget(options.time_budget_seconds, options.cancel);
+  schedule start =
+      options.start ? *options.start
+                    : greedy_seed(graph, options.device_count, options.timing,
+                                  options.alpha, options.beta,
+                                  options.storage_aware, options.seed);
+  return sa.reheated(std::move(start), options.iterations, options.restarts,
+                     options.seed, budget);
+}
+
+schedule improve_schedule(const assay::sequencing_graph& graph,
+                          const schedule& start,
+                          const timing_options& timing,
+                          const local_search_options& options) {
+  require(options.iterations >= 0, "improve_schedule: negative iterations");
+  const int devices = start.device_count;
+  annealer post(graph, devices, timing, options.alpha, options.beta);
+  const double start_cost = post.cost(start);
+  incumbent best{extract_binding(start, devices), start_cost, {}};
+  post.run(best, options.iterations, initial_temperature, options.seed,
+           /*flips=*/false,
+           deadline(options.time_budget_seconds, options.cancel));
+  // Re-time the best binding even when no move improved on it, and keep
+  // `start` only when that is worse.
+  schedule result = refine_timing(graph, best.order, devices, timing);
+  result.validate(graph);
+  if (post.cost(result) > start_cost) return start;
+  return result;
 }
 
 // ---------------------------------------------------------------- GRASP ---
-
-namespace {
-
-/// One randomized-greedy construction on `builder` (reset first): the
-/// list scheduler's scoring rule, but each step picks uniformly from the
-/// restricted candidate list of placements scoring within
-/// rcl_alpha * (max - min) of the best.
-schedule rcl_pass(const assay::sequencing_graph& graph,
-                  const grasp_scheduler_options& options, prng& rng,
-                  timeline_builder& builder) {
-  builder.reset();
-  const int n = graph.operation_count();
-  const double beta = options.storage_aware ? options.beta : 0.0;
-
-  struct candidate {
-    int op = -1;
-    int device = -1;
-    double score = 0.0;
-  };
-  std::vector<candidate> candidates;
-  std::vector<std::size_t> rcl;
-
-  for (int step = 0; step < n; ++step) {
-    candidates.clear();
-    double min_score = std::numeric_limits<double>::infinity();
-    double max_score = -std::numeric_limits<double>::infinity();
-    for (int op = 0; op < n; ++op) {
-      if (!builder.ready(op)) continue;
-      for (int d = 0; d < options.device_count; ++d) {
-        const auto placement = builder.preview(op, d);
-        const double score =
-            options.alpha * placement.end +
-            beta * static_cast<double>(placement.cache_time_added);
-        candidates.push_back({op, d, score});
-        min_score = std::min(min_score, score);
-        max_score = std::max(max_score, score);
-      }
-    }
-    check(!candidates.empty(), "grasp: no ready operation (cycle?)");
-
-    const double threshold =
-        min_score + rcl_alpha * (max_score - min_score) + 1e-9;
-    rcl.clear();
-    for (std::size_t i = 0; i < candidates.size(); ++i)
-      if (candidates[i].score <= threshold) rcl.push_back(i);
-
-    const std::size_t pick = rcl[rng.index(rcl.size())];
-    builder.commit(candidates[pick].op, candidates[pick].device);
-  }
-  return builder.build();
-}
-
-} // namespace
 
 schedule schedule_with_grasp(const assay::sequencing_graph& graph,
                              const grasp_scheduler_options& options) {
@@ -267,10 +290,14 @@ schedule schedule_with_grasp(const assay::sequencing_graph& graph,
 
   schedule best;
   double best_cost = std::numeric_limits<double>::infinity();
-  // One builder for the constructions, one timer for the anneals: every
-  // round reuses their edge index and scratch.
+  // One builder and pass for the constructions, one annealer for the
+  // polish: every round reuses their buffers.
   timeline_builder builder(graph, options.device_count, options.timing);
-  binding_timer timer(graph, options.device_count, options.timing);
+  greedy_pass construct(graph, options.device_count, options.alpha,
+                        options.beta, options.storage_aware);
+  construct.rcl_alpha = rcl_alpha;
+  annealer polish(graph, options.device_count, options.timing,
+                  options.alpha, beta);
 
   for (int round = 0; round < options.rounds; ++round) {
     if (round > 0 && budget.expired()) break;
@@ -283,25 +310,15 @@ schedule schedule_with_grasp(const assay::sequencing_graph& graph,
                                 options.storage_aware, options.seed);
     } else {
       prng rng(derive_seed(options.seed, 0x47524153ULL + round));
-      constructed = rcl_pass(graph, options, rng, builder);
+      builder.reset();
+      construct.run(builder, rng);
+      constructed = builder.build();
     }
 
-    if (options.improvement_iterations > 0 && !budget.expired()) {
-      sa_scheduler_options sa;
-      sa.device_count = options.device_count;
-      sa.timing = options.timing;
-      sa.alpha = options.alpha;
-      sa.beta = options.beta;
-      sa.storage_aware = options.storage_aware;
-      sa.iterations = options.improvement_iterations;
-      sa.restarts = 1;
-      sa.seed = derive_seed(options.seed, 0x53415F49ULL + round);
-      sa.cancel = options.cancel;
-      if (options.time_budget_seconds > 0.0)
-        sa.time_budget_seconds = std::max(budget.remaining_seconds(), 1e-3);
-      sa.start = std::move(constructed);
-      constructed = anneal(graph, sa, timer);
-    }
+    if (options.improvement_iterations > 0 && !budget.expired())
+      constructed = polish.reheated(
+          std::move(constructed), options.improvement_iterations, 1,
+          derive_seed(options.seed, 0x53415F49ULL + round), budget);
 
     const double cost = constructed.objective(options.alpha, beta);
     if (cost < best_cost) {

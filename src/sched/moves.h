@@ -1,16 +1,17 @@
-// Shared neighborhood-move primitives for the annealing engines.
+// Shared neighborhood-move primitives for the annealing loop.
 //
-// Both the post-pass annealer (local_search.h) and the standalone
-// metaheuristic engines (metaheuristics.h) perturb a binding by removing
-// one operation from its device queue and reinserting it elsewhere. The
+// The one annealing loop in metaheuristics.cpp serves the post-pass
+// (local_search.h) and the SA and GRASP engines (metaheuristics.h). Every
+// move it makes removes one operation from its device queue and reinserts
+// it elsewhere. The
 // feasibility rule is purely structural -- no descendant may sit earlier in
 // the target queue and no ancestor later, answered from the graph's
 // precomputed reachability closure -- so every move that passes it
 // yields a binding refine_timing can realize (up to cross-device deadlock,
 // which the callers detect and reject).
 //
-// The annealers move their one current binding in place and undo a
-// rejected move with the relocation record, so no move copies a binding.
+// The loop moves its one current binding in place and undoes a rejected
+// move with the relocation record, so no move copies a binding.
 #pragma once
 
 #include <algorithm>

@@ -1,6 +1,7 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -9,6 +10,16 @@
 
 namespace transtore::sched {
 namespace {
+
+/// The one table of engine names: to_string and schedule_engine_named
+/// read it.
+constexpr std::pair<schedule_engine, const char*> engine_names[] = {
+    {schedule_engine::heuristic, "heuristic"},
+    {schedule_engine::ilp, "ilp"},
+    {schedule_engine::combined, "combined"},
+    {schedule_engine::sa, "sa"},
+    {schedule_engine::grasp, "grasp"},
+};
 
 bool is_metaheuristic(schedule_engine engine) {
   return engine == schedule_engine::sa || engine == schedule_engine::grasp;
@@ -54,6 +65,18 @@ long estimate_ilp_rows(const assay::sequencing_graph& graph,
 }
 
 } // namespace
+
+const char* to_string(schedule_engine engine) {
+  for (const auto& [e, name] : engine_names)
+    if (e == engine) return name;
+  return "combined";
+}
+
+std::optional<schedule_engine> schedule_engine_named(std::string_view name) {
+  for (const auto& [e, spelled] : engine_names)
+    if (name == spelled) return e;
+  return std::nullopt;
+}
 
 scheduling_result make_schedule(const assay::sequencing_graph& graph,
                                 const scheduler_options& options) {

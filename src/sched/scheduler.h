@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "assay/sequencing_graph.h"
@@ -23,6 +25,13 @@ enum class schedule_engine {
   sa,        // restart/reheating simulated annealing, storage-aware moves
   grasp,     // randomized-greedy (RCL) construction + SA improvement
 };
+
+/// The engine's name as documents, requests and the CLI spell it.
+[[nodiscard]] const char* to_string(schedule_engine engine);
+
+/// The engine spelled `name`, or nullopt when no engine is.
+[[nodiscard]] std::optional<schedule_engine> schedule_engine_named(
+    std::string_view name);
 
 struct scheduler_options {
   int device_count = 1;
@@ -45,9 +54,9 @@ struct scheduler_options {
   /// improvement post-pass after the list scheduler; for ilp/combined
   /// it first polishes the heuristic incumbent BEFORE the MILP sees it (so
   /// the warm start is the best metaheuristic schedule) and then polishes
-  /// the winner; the sa engine spends it as its main anneal and grasp
-  /// splits it across its rounds' improvement phases. 0 disables annealing
-  /// everywhere.
+  /// the winner; the sa engine spends it as its main anneal, and grasp
+  /// gives each of its 8 rounds' improvement phases iterations / 4 (twice
+  /// what sa gets in total). 0 disables annealing everywhere.
   int local_search_iterations = 6000;
   /// Base seed for every stochastic component; per-restart/round
   /// streams are derived from it (sched::derive_seed), never reused.

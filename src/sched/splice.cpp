@@ -1,10 +1,7 @@
 #include "sched/splice.h"
 
 #include <algorithm>
-#include <limits>
 
-#include "common/prng.h"
-#include "common/stopwatch.h"
 #include "sched/list_scheduler.h"
 
 namespace transtore::sched {
@@ -150,8 +147,8 @@ splice_result splice_schedule(const assay::sequencing_graph& graph,
     return a < b;
   });
 
-  auto seeded_builder = [&]() {
-    timeline_builder builder(graph, options.device_count, options.timing);
+  // Installs the executed prefix on a reset builder before every attempt.
+  auto seed_prefix = [&](timeline_builder& builder) {
     for (int op : seed_order) {
       const scheduled_op& so = original.ops[static_cast<std::size_t>(op)];
       builder.seed_operation(op, so.device, so.start, so.end);
@@ -178,72 +175,23 @@ splice_result splice_schedule(const assay::sequencing_graph& graph,
       }
     }
     builder.floor_ports(fault_time);
-    return builder;
   };
 
-  const std::vector<int> priority = remaining_path(graph);
-  const double beta = options.storage_aware ? options.beta : 0.0;
+  // The list scheduler's greedy pass and restart ladder re-plan the
+  // remainder. No op goes to a failed device, and a pinned consumer goes
+  // only to its pinned device.
+  greedy_pass pass(graph, options.device_count, options.alpha, options.beta,
+                   options.storage_aware);
+  pass.veto = [&](int op, int d) {
+    const int pin = pinned[static_cast<std::size_t>(op)];
+    return dev_failed(d) || (pin >= 0 && d != pin);
+  };
   prng rng(options.seed);
-
-  auto greedy_remainder = [&](double noise) {
-    timeline_builder builder = seeded_builder();
-    for (std::size_t step = 0; step < out.remainder_ops.size(); ++step) {
-      int best_op = -1;
-      int best_device = -1;
-      double best_score = std::numeric_limits<double>::infinity();
-      int best_priority = -1;
-      for (int op : out.remainder_ops) {
-        if (!builder.ready(op)) continue;
-        for (int d = 0; d < options.device_count; ++d) {
-          if (dev_failed(d)) continue;
-          if (pinned[static_cast<std::size_t>(op)] >= 0 &&
-              d != pinned[static_cast<std::size_t>(op)])
-            continue;
-          const auto placement = builder.preview(op, d);
-          double score =
-              options.alpha * placement.end +
-              beta * static_cast<double>(placement.cache_time_added);
-          if (noise > 0.0) score += rng.uniform_real(0.0, noise);
-          const int prio = priority[static_cast<std::size_t>(op)];
-          bool tie_better;
-          if (options.storage_aware)
-            tie_better = prio > best_priority ||
-                         (prio == best_priority && op < best_op);
-          else
-            tie_better = op < best_op;
-          const bool better = score < best_score - 1e-9 ||
-                              (score < best_score + 1e-9 && tie_better);
-          if (better) {
-            best_score = score;
-            best_op = op;
-            best_device = d;
-            best_priority = prio;
-          }
-        }
-      }
-      check(best_op >= 0, "splice_schedule: no placeable remainder op");
-      builder.commit(best_op, best_device);
-    }
-    return builder.build();
-  };
-
-  const double final_beta = options.storage_aware ? options.beta : 0.0;
-  schedule best;
-  double best_objective = std::numeric_limits<double>::infinity();
   const deadline budget(options.time_budget_seconds, options.cancel);
-  for (int attempt = 0; attempt < options.restarts; ++attempt) {
-    if (attempt > 0 && budget.expired()) break;
-    const double noise = attempt == 0
-                             ? 0.0
-                             : options.timing.transport_time *
-                                   (0.5 + 2.0 * rng.uniform_real());
-    schedule candidate = greedy_remainder(noise);
-    const double objective = candidate.objective(options.alpha, final_beta);
-    if (objective < best_objective) {
-      best_objective = objective;
-      best = std::move(candidate);
-    }
-  }
+  timeline_builder builder(graph, options.device_count, options.timing);
+  schedule best =
+      pass.best_of_restarts(builder, seed_prefix, options.restarts,
+                            options.timing.transport_time, rng, budget);
   best.validate(graph);
   out.spliced = std::move(best);
   return out;

@@ -527,6 +527,8 @@ binding extract_binding(const schedule& s, int device_count) {
   });
   for (int op : order) {
     const int d = s.ops[static_cast<std::size_t>(op)].device;
+    require(d >= 0 && d < device_count,
+            "extract_binding: operation on a device out of range");
     b.device_of[static_cast<std::size_t>(op)] = d;
     b.device_order[static_cast<std::size_t>(d)].push_back(op);
   }

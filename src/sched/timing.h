@@ -207,6 +207,8 @@ private:
                                      const timing_options& options = {});
 
 /// Extract the binding (assignment + order by start time) from a schedule.
+/// Throws invalid_input_error when an operation's device is outside
+/// [0, device_count).
 [[nodiscard]] binding extract_binding(const schedule& s, int device_count);
 
 } // namespace transtore::sched

@@ -147,6 +147,32 @@ TEST(Alloc, RepeatedPreviewAllocatesNothing) {
   EXPECT_GT(warm, 0);
 }
 
+TEST(Alloc, RepeatedGreedyPassAllocatesNothing) {
+  // The list restarts' and GRASP rounds' hot loop: one greedy pass on a
+  // reset builder. The first pass sizes the builder's scratch, its leg
+  // list and the candidate buffer; repeating it (same seed, so the same
+  // commits) allocates nothing at any step, in both pick modes.
+  const assay::sequencing_graph g = assay::make_random_assay(24, 5);
+  sched::timing_options timing;
+  timing.count_reagent_loads = true;
+  sched::timeline_builder builder(g, 3, timing);
+  sched::greedy_pass pass(g, 3, 1.0, 0.15, true);
+  for (const double rcl_alpha : {0.0, 0.3}) {
+    pass.rcl_alpha = rcl_alpha;
+    double objective = 0.0;
+    auto one_pass = [&] {
+      prng rng(7);
+      builder.reset();
+      objective = pass.run(builder, rng, rcl_alpha > 0.0 ? 0.0 : 5.0);
+    };
+    one_pass();
+    const double warm = objective;
+    EXPECT_EQ(allocations_of(one_pass), 0) << "rcl_alpha " << rcl_alpha;
+    EXPECT_EQ(objective, warm);
+    EXPECT_EQ(builder.committed_count(), g.operation_count());
+  }
+}
+
 TEST(Alloc, RejectedAnnealingMoveAllocatesNothing) {
   // The annealers' rejection path: move the one binding in place, time
   // it, score it, and undo the move when the objective test says no.

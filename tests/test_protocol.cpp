@@ -531,11 +531,13 @@ TEST(CliServe, HugeDeadlineIsNoDeadline) {
 TEST(CliFlags, MalformedNumbersAreUsageErrors) {
   // Every numeric flag rejects a value with trailing or foreign characters
   // as a usage error (exit 2) before any work, instead of reading its
-  // numeric prefix or 0 and running.
+  // numeric prefix or 0 and running; so does --engine with a name no
+  // engine has.
   const std::vector<std::vector<std::string>> cases = {
       {"--threads", "abc"}, {"--devices", "2x"},  {"--seed", "1e3"},
       {"--beta", "abc"},    {"--grid", "6x6z"},   {"--workers", "2.5"},
       {"--deadline", "5s"}, {"--beta", "nan"},    {"--threads", ""},
+      {"--engine", "decomp"},
   };
   for (const std::vector<std::string>& flag : cases) {
     std::vector<std::string> args = {"sched", "PCR", "--engine", "heuristic"};

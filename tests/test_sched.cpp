@@ -166,6 +166,16 @@ TEST(Timing, RejectsMalformedBindings) {
   dup.device_order = {{0, 1, 2, 3, 4, 5, 6, 0}};
   EXPECT_THROW(refine_timing(g, dup, 1, timing_options{}),
                invalid_input_error);
+
+  // A start schedule on more devices than the engine is given: its ops'
+  // devices fall outside the binding's queues.
+  const sequencing_graph ra30 = make_benchmark("RA30");
+  list_scheduler_options lo;
+  lo.device_count = 3;
+  sa_scheduler_options so;
+  so.device_count = 2;
+  so.start = schedule_with_list(ra30, lo);
+  EXPECT_THROW((void)schedule_with_sa(ra30, so), invalid_input_error);
 }
 
 TEST(Timing, DetectsCrossDeviceDeadlock) {
