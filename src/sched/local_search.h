@@ -5,13 +5,12 @@
 // within its solver budget. This pass bridges the gap: starting from any
 // valid schedule it perturbs the binding -- relocating an operation to
 // another queue position, on its own device or another -- re-times each
-// candidate with the full device-port model, and anneals on objective (6). All moves preserve precedence
-// feasibility by construction; every accepted candidate is a valid
-// schedule. Deterministic in the seed.
+// candidate with the full device-port model, and anneals on objective (6).
+// All moves preserve precedence feasibility by construction; every
+// accepted candidate is a valid schedule. Deterministic in the seed.
 //
-// improve_schedule is the annealing loop of metaheuristics.cpp with the
-// plain relocation move set (an operation to another queue position, on
-// its own device or another), seeded with `seed` itself.
+// improve_schedule is the annealing loop of metaheuristics.cpp with that
+// plain relocation move set, on an RNG seeded with `seed` itself.
 #pragma once
 
 #include <cstdint>

@@ -3,12 +3,11 @@
 // The one annealing loop in metaheuristics.cpp serves the post-pass
 // (local_search.h) and the SA and GRASP engines (metaheuristics.h). Every
 // move it makes removes one operation from its device queue and reinserts
-// it elsewhere. The
-// feasibility rule is purely structural -- no descendant may sit earlier in
-// the target queue and no ancestor later, answered from the graph's
-// precomputed reachability closure -- so every move that passes it
-// yields a binding refine_timing can realize (up to cross-device deadlock,
-// which the callers detect and reject).
+// it elsewhere. The feasibility rule is purely structural -- no descendant
+// may sit earlier in the target queue and no ancestor later, answered from
+// the graph's precomputed reachability closure -- so every move that
+// passes it yields a binding refine_timing can realize (up to cross-device
+// deadlock, which the loop detects and rejects).
 //
 // The loop moves its one current binding in place and undoes a rejected
 // move with the relocation record, so no move copies a binding.
