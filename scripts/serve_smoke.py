@@ -10,7 +10,12 @@ long-lived server process on stdin/stdout and assert
   * a `recover` request (auto fault at 50% execution) reuses the cached
     base result and answers ok or degraded with a spliced schedule,
   * the stats op reports exactly six stores and seven memory hits (the
-    six replays plus the recovery's base lookup).
+    six replays plus the recovery's base lookup),
+  * a disk-cache restart: two `serve --cache-dir D` processes in turn
+    take the six assays plus one CPA request under the default `combined`
+    engine at a 1 s MILP limit (its document holds a -inf bound); every
+    reply of the second process is a cache hit whose result is
+    byte-identical to the first process's.
 
 Socket mode (--socket) -- the same server behind its unix-socket listener,
 under many concurrent connections:
@@ -179,14 +184,70 @@ def stdio_smoke(cli):
             failures.append(f"expected 0 negative stores, "
                             f"got {cache['negative_stores']}")
 
+    restart_failures, restart_seconds = disk_restart_smoke(cli, names)
+    failures.extend(restart_failures)
+
     if failures:
         print(f"serve_smoke: {len(failures)} failure(s):", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
     print(f"serve_smoke: ok -- {n} assays replayed twice, "
-          f"{n} cache hits, byte-identical results, 1 fault recovery")
+          f"{n} cache hits, byte-identical results, 1 fault recovery; "
+          f"disk-cache restart: {n + 1} byte-identical disk hits "
+          f"(second process {restart_seconds:.2f} s)")
     return 0
+
+
+def disk_restart_smoke(cli, names):
+    """Runs `serve --cache-dir D` twice over one directory. Returns the
+    failures and the second process's wall time."""
+    requests = [{"id": name, "op": "synth", "assay": name,
+                 "options": {"schedule_engine": "heuristic"}}
+                for name in names]
+    requests.append({"id": "CPA combined", "op": "synth", "assay": "CPA",
+                     "options": {"schedule_engine": "combined",
+                                 "sched_ilp_time_limit": 1.0}})
+    stdin = "".join(json.dumps(r) + "\n"
+                    for r in requests + [{"op": "shutdown"}])
+    passes = []
+    with tempfile.TemporaryDirectory(prefix="transtore_disk_cache_") as d:
+        for _ in range(2):
+            start = time.monotonic()
+            proc = subprocess.run([cli, "serve", "--workers", "2",
+                                   "--cache-dir", d], input=stdin,
+                                  capture_output=True, text=True,
+                                  timeout=600)
+            seconds = time.monotonic() - start
+            if proc.returncode != 0:
+                raise RuntimeError(f"serve --cache-dir exited "
+                                   f"{proc.returncode}\n{proc.stderr}")
+            replies = {}
+            for line in proc.stdout.splitlines():
+                if line.strip():
+                    replies[json.loads(line).get("id")] = line
+            passes.append(replies)
+
+    failures = []
+    for request in requests:
+        rid = request["id"]
+        first, second = passes[0].get(rid), passes[1].get(rid)
+        if first is None or second is None:
+            failures.append(f"restart {rid}: missing response")
+            continue
+        f, s = json.loads(first), json.loads(second)
+        if f.get("status") != "ok" or s.get("status") != "ok":
+            failures.append(f"restart {rid}: status {f.get('status')} then "
+                            f"{s.get('status')} ({s.get('message', '')})")
+        elif f.get("cache_hit"):
+            failures.append(f"restart {rid}: first process hit the cache")
+        elif not s.get("cache_hit"):
+            failures.append(f"restart {rid}: second process missed the "
+                            f"disk cache")
+        elif result_doc(first) != result_doc(second):
+            failures.append(f"restart {rid}: second-process result is not "
+                            f"byte-identical to the first process's")
+    return failures, seconds
 
 
 # ---------------------------------------------------------------- socket

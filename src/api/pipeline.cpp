@@ -6,7 +6,6 @@
 
 #include "api/result_cache.h"
 #include "api/serialize.h"
-#include "common/json.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 
@@ -29,80 +28,6 @@ result<T> finish_stage(const run_context& ctx, const char* stage, T value) {
   return result<T>::success(std::move(value));
 }
 
-// ---------------------------------------------------------- JSON sections
-
-void write_schedule_section(json_writer& w, const assay::sequencing_graph& g,
-                            const sched::scheduling_result& scheduling) {
-  const sched::schedule& s = scheduling.best;
-  w.key("schedule").begin_object();
-  w.field("makespan", s.makespan());
-  w.field("device_count", s.device_count);
-  w.field("stores", s.store_count());
-  w.field("peak_concurrent_caches", s.peak_concurrent_caches());
-  w.field("total_cache_time", s.total_cache_time());
-  w.field("used_ilp", scheduling.used_ilp);
-  if (scheduling.used_ilp) {
-    w.field("ilp_status", milp::to_string(scheduling.ilp_status));
-    w.field("ilp_interrupted", scheduling.ilp_interrupted);
-    w.field("ilp_nodes", scheduling.ilp_nodes);
-    w.field("ilp_presolve_rows_removed", scheduling.ilp_presolve_rows_removed);
-    w.field("ilp_cuts_added", scheduling.ilp_cuts_added);
-    w.field("ilp_root_bound", scheduling.ilp_root_bound);
-    // Parallel-search footprint: emitted only when the parallel engine
-    // actually ran, so sequential documents are unchanged.
-    if (scheduling.ilp_threads > 1) w.field("ilp_threads", scheduling.ilp_threads);
-    if (!scheduling.ilp_workers.empty()) {
-      w.begin_array("ilp_workers");
-      for (const auto& ws : scheduling.ilp_workers) {
-        w.begin_object();
-        w.field("nodes", ws.nodes);
-        w.field("simplex_iterations", ws.simplex_iterations);
-        w.field("steals", ws.steals);
-        w.end_object();
-      }
-      w.end_array();
-    }
-  }
-  w.begin_array("operations");
-  for (const auto& op : s.ops) {
-    w.begin_object();
-    w.field("name", g.at(op.op).name);
-    w.field("device", op.device);
-    w.field("start", op.start);
-    w.field("end", op.end);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
-void write_architecture_section(json_writer& w,
-                                const arch::arch_result& architecture) {
-  w.key("architecture").begin_object();
-  w.field("grid_width", architecture.result.grid().width());
-  w.field("grid_height", architecture.result.grid().height());
-  w.field("used_edges", architecture.result.used_edge_count());
-  w.field("valves", architecture.result.valve_count());
-  w.field("edge_ratio", architecture.result.edge_ratio());
-  w.field("valve_ratio", architecture.result.valve_ratio());
-  w.field("paths", static_cast<long>(architecture.result.paths.size()));
-  w.field("caches", static_cast<long>(architecture.result.caches.size()));
-  w.end_object();
-}
-
-void write_layout_section(json_writer& w, const phys::layout_result& layout) {
-  w.key("layout").begin_object();
-  w.field("dr_width", layout.after_synthesis.width);
-  w.field("dr_height", layout.after_synthesis.height);
-  w.field("de_width", layout.after_devices.width);
-  w.field("de_height", layout.after_devices.height);
-  w.field("dp_width", layout.after_compression.width);
-  w.field("dp_height", layout.after_compression.height);
-  w.field("compression_iterations", layout.compression_iterations);
-  w.field("bend_points", layout.bend_points);
-  w.end_object();
-}
-
 void check_range(const char* field, long value, long lo, long hi) {
   if (value < lo || value > hi)
     throw invalid_input_error("pipeline_options." + std::string(field) +
@@ -121,10 +46,16 @@ void check_arch_ranges(int width, int height, int growth, int attempts) {
   check_range("arch_attempts", attempts, 1, max_arch_attempts);
 }
 
-void write_assay_header(json_writer& w, const assay::sequencing_graph& g) {
-  w.field("assay", g.name());
-  w.field("operations", g.operation_count());
-  w.field("edges", g.edge_count());
+/// The dedicated-storage baseline's configuration: the options' timing,
+/// grid and seed.
+baseline::baseline_options baseline_options_for(const pipeline_options& o) {
+  baseline::baseline_options bo;
+  bo.timing = o.timing;
+  bo.grid_width = o.grid_width;
+  bo.grid_height = o.grid_height;
+  bo.placement.seed = o.seed;
+  bo.router.seed = o.seed;
+  return bo;
 }
 
 } // namespace
@@ -161,36 +92,6 @@ std::string flow_result::report(const assay::sequencing_graph& graph) const {
         << "s, cells=" << baseline->storage_cells
         << ", valves=" << baseline->total_valves << "\n";
   return out.str();
-}
-
-std::string to_json(const assay::sequencing_graph& graph,
-                    const flow_result& result, bool include_timing) {
-  json_writer w;
-  w.begin_object();
-  write_assay_header(w, graph);
-  write_schedule_section(w, graph, result.scheduling);
-  write_architecture_section(w, result.architecture);
-  write_layout_section(w, result.layout);
-  if (result.stats) {
-    w.key("verification").begin_object();
-    w.field("transport_legs", result.stats->transport_legs);
-    w.field("cached_samples", result.stats->cached_samples);
-    w.field("max_active_segments", result.stats->max_active_segments);
-    w.field("mean_active_segments", result.stats->mean_active_segments);
-    w.field("device_utilization", result.stats->device_utilization);
-    w.end_object();
-  }
-  if (result.baseline) {
-    w.key("dedicated_storage_baseline").begin_object();
-    w.field("makespan", result.baseline->makespan);
-    w.field("storage_cells", result.baseline->storage_cells);
-    w.field("unit_valves", result.baseline->unit_valves);
-    w.field("total_valves", result.baseline->total_valves);
-    w.end_object();
-  }
-  if (include_timing) w.field("total_seconds", result.total_seconds);
-  w.end_object();
-  return w.str();
 }
 
 // ---------------------------------------------------------------- pipeline
@@ -268,15 +169,6 @@ result<scheduled> pipeline::schedule(const run_context& ctx) const {
 
 // --------------------------------------------------------------- scheduled
 
-std::string scheduled::to_json() const {
-  json_writer w;
-  w.begin_object();
-  write_assay_header(w, state_->graph);
-  write_schedule_section(w, state_->graph, *scheduling_);
-  w.end_object();
-  return w.str();
-}
-
 result<synthesized> scheduled::synthesize(const run_context& ctx) const {
   return synthesize(synthesize_overrides{}, ctx);
 }
@@ -336,15 +228,6 @@ result<synthesized> scheduled::synthesize(const synthesize_overrides& over,
 
 // ------------------------------------------------------------- synthesized
 
-std::string synthesized::to_json() const {
-  json_writer w;
-  w.begin_object();
-  write_assay_header(w, state_->graph);
-  write_architecture_section(w, *architecture_);
-  w.end_object();
-  return w.str();
-}
-
 result<compressed> synthesized::compress(const run_context& ctx) const {
   return compress(state_->options.physical, ctx);
 }
@@ -378,15 +261,6 @@ result<compressed> synthesized::compress(const phys::phys_options& physical,
 
 // -------------------------------------------------------------- compressed
 
-std::string compressed::to_json() const {
-  json_writer w;
-  w.begin_object();
-  write_assay_header(w, state_->graph);
-  write_layout_section(w, *layout_);
-  w.end_object();
-  return w.str();
-}
-
 flow_result compressed::result_without_verification() const {
   flow_result r;
   r.scheduling = *scheduling_;
@@ -413,14 +287,9 @@ result<verified> compressed::verify(const run_context& ctx) const {
                       architecture_->workload, architecture_->result));
     if (state_->options.run_baseline) {
       ctx.report("verify", "dedicated-storage baseline");
-      baseline::baseline_options bo;
-      bo.timing = state_->options.timing;
-      bo.grid_width = state_->options.grid_width;
-      bo.grid_height = state_->options.grid_height;
-      bo.placement.seed = state_->options.seed;
-      bo.router.seed = state_->options.seed;
       stage.baseline_ = std::make_shared<const baseline::baseline_result>(
-          baseline::evaluate_baseline(state_->graph, scheduling_->best, bo));
+          baseline::evaluate_baseline(state_->graph, scheduling_->best,
+                                      baseline_options_for(state_->options)));
     }
     ctx.report("verify", "done");
     return finish_stage(ctx, "verify", std::move(stage));
@@ -561,15 +430,9 @@ result<flow_result> pipeline::run_uncached(const run_context& ctx) const {
     if (state_->options.run_baseline) {
       // Baseline evaluation is independent of simulator verification.
       try {
-        baseline::baseline_options bo;
-        bo.timing = state_->options.timing;
-        bo.grid_width = state_->options.grid_width;
-        bo.grid_height = state_->options.grid_height;
-        bo.placement.seed = state_->options.seed;
-        bo.router.seed = state_->options.seed;
-        flow.baseline =
-            baseline::evaluate_baseline(state_->graph, flow.scheduling.best,
-                                        bo);
+        flow.baseline = baseline::evaluate_baseline(
+            state_->graph, flow.scheduling.best,
+            baseline_options_for(state_->options));
       } catch (...) {
         return failure_from_current_exception<flow_result>(ctx);
       }

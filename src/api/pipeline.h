@@ -117,10 +117,11 @@ struct flow_result {
   [[nodiscard]] std::string report(const assay::sequencing_graph& graph) const;
 };
 
-/// Flatten a flow result (plus the assay identity) to one JSON document.
-/// With include_timing = false every wall-clock field is omitted, making
-/// reports for deterministic runs byte-comparable across machines and
-/// worker counts.
+/// The flow result as a JSON report (plus the assay identity): a
+/// projection of the flow document (api/serialize.h) with derived
+/// summaries. Wall-clock seconds, per stage and total_seconds, appear only
+/// with include_timing; without them reports of deterministic runs are
+/// byte-comparable across machines and worker counts.
 [[nodiscard]] std::string to_json(const assay::sequencing_graph& graph,
                                   const flow_result& result,
                                   bool include_timing = true);

@@ -14,10 +14,8 @@
 namespace transtore::api {
 namespace {
 
-/// Assemble the recovered flow_result: compact the chip, replay the
-/// schedule through the independent simulator, and zero every wall-clock
-/// field so recovery documents are byte-identical across runs, machines,
-/// and worker counts.
+/// Assemble the recovered flow_result: compact the chip and replay the
+/// schedule through the independent simulator.
 flow_result assemble_recovered(const assay::sequencing_graph& graph,
                                const sched::schedule& s,
                                arch::arch_result architecture,
@@ -31,10 +29,6 @@ flow_result assemble_recovered(const assay::sequencing_graph& graph,
   flow.stats = sim::simulate(graph, s, architecture.workload,
                              architecture.result);
   flow.architecture = std::move(architecture);
-  flow.scheduling.seconds = 0.0;
-  flow.architecture.seconds = 0.0;
-  flow.layout.seconds = 0.0;
-  flow.total_seconds = 0.0;
   return flow;
 }
 

@@ -1,6 +1,9 @@
 #include "api/serialize.h"
 
 #include <charconv>
+#include <cmath>
+#include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "arch/chip_io.h"
@@ -11,49 +14,35 @@
 namespace transtore::api {
 namespace detail {
 
+/// The stage sections a document holds, already re-validated against its
+/// graph: scheduling always, architecture and layout when the document
+/// reaches them.
+struct stage_parts {
+  job_state state;
+  sched::scheduling_result scheduling;
+  std::optional<arch::arch_result> architecture;
+  std::optional<phys::layout_result> layout;
+};
+
 struct stage_access {
-  static scheduled make_scheduled(
-      std::shared_ptr<const job_state> state,
-      std::shared_ptr<const sched::scheduling_result> scheduling) {
-    scheduled s;
-    s.state_ = std::move(state);
-    s.scheduling_ = std::move(scheduling);
-    return s;
-  }
-  static synthesized make_synthesized(
-      std::shared_ptr<const job_state> state,
-      std::shared_ptr<const sched::scheduling_result> scheduling,
-      std::shared_ptr<const arch::arch_result> architecture) {
-    synthesized s;
-    s.state_ = std::move(state);
-    s.scheduling_ = std::move(scheduling);
-    s.architecture_ = std::move(architecture);
-    return s;
-  }
-  static compressed make_compressed(
-      std::shared_ptr<const job_state> state,
-      std::shared_ptr<const sched::scheduling_result> scheduling,
-      std::shared_ptr<const arch::arch_result> architecture,
-      std::shared_ptr<const phys::layout_result> layout) {
-    compressed s;
-    s.state_ = std::move(state);
-    s.scheduling_ = std::move(scheduling);
-    s.architecture_ = std::move(architecture);
-    s.layout_ = std::move(layout);
+  template <typename Stage>
+  static Stage make(stage_parts&& parts) {
+    Stage s;
+    s.state_ = std::make_shared<const job_state>(std::move(parts.state));
+    s.scheduling_ = std::make_shared<const sched::scheduling_result>(
+        std::move(parts.scheduling));
+    if constexpr (!std::is_same_v<Stage, scheduled>)
+      s.architecture_ = std::make_shared<const arch::arch_result>(
+          std::move(*parts.architecture));
+    if constexpr (std::is_same_v<Stage, compressed>)
+      s.layout_ = std::make_shared<const phys::layout_result>(
+          std::move(*parts.layout));
     return s;
   }
 
-  static const job_state& state(const scheduled& s) { return *s.state_; }
-  static const job_state& state(const synthesized& s) { return *s.state_; }
-  static const job_state& state(const compressed& s) { return *s.state_; }
-  static const arch::arch_result& architecture(const synthesized& s) {
-    return *s.architecture_;
-  }
-  static const arch::arch_result& architecture(const compressed& s) {
-    return *s.architecture_;
-  }
-  static const phys::layout_result& layout(const compressed& s) {
-    return *s.layout_;
+  template <typename Stage>
+  static const job_state& state(const Stage& s) {
+    return *s.state_;
   }
 };
 
@@ -63,36 +52,14 @@ namespace {
 
 // ------------------------------------------------------------- enum tables
 
-[[nodiscard]] sched::schedule_engine schedule_engine_from(
-    const std::string& name) {
-  if (const auto engine = sched::schedule_engine_named(name)) return *engine;
-  throw invalid_input_error("serialize: unknown schedule engine \"" + name +
-                            "\"");
-}
-
-[[nodiscard]] const char* to_string(arch::synthesis_engine e) {
-  switch (e) {
-    case arch::synthesis_engine::heuristic: return "heuristic";
-    case arch::synthesis_engine::ilp: return "ilp";
-  }
-  return "heuristic";
-}
-
-[[nodiscard]] arch::synthesis_engine arch_engine_from(const std::string& name) {
-  if (name == "heuristic") return arch::synthesis_engine::heuristic;
-  if (name == "ilp") return arch::synthesis_engine::ilp;
-  throw invalid_input_error("serialize: unknown synthesis engine \"" + name +
-                            "\"");
-}
-
-[[nodiscard]] milp::solve_status solve_status_from(const std::string& name) {
-  if (name == "optimal") return milp::solve_status::optimal;
-  if (name == "feasible") return milp::solve_status::feasible;
-  if (name == "infeasible") return milp::solve_status::infeasible;
-  if (name == "unbounded") return milp::solve_status::unbounded;
-  if (name == "no_solution") return milp::solve_status::no_solution;
-  throw invalid_input_error("serialize: unknown solve status \"" + name +
-                            "\"");
+/// The enum `lookup` finds for the name `v` spells, or invalid_input.
+template <typename Lookup>
+[[nodiscard]] auto enum_from(Lookup lookup, const char* what,
+                             const json_value& v) {
+  const std::string& name = v.as_string();
+  if (const auto e = lookup(name)) return *e;
+  throw invalid_input_error(std::string("serialize: unknown ") + what +
+                            " \"" + name + "\"");
 }
 
 [[nodiscard]] const char* to_string(sched::crossing_state s) {
@@ -115,24 +82,70 @@ namespace {
                             "\"");
 }
 
-// --------------------------------------------------------- result sections
+// ----------------------------------------------------------- result doubles
 
-void write_scheduling(json_writer& w, const sched::scheduling_result& r) {
-  w.begin_object();
-  w.field_exact("seconds", r.seconds);
+/// A result double: the shortest round-trip number, or the string "inf",
+/// "-inf" or "nan", which JSON numbers cannot spell (an unsettled MILP
+/// root leaves a -inf bound). Only document readers accept the strings;
+/// request options stay numbers.
+void field_double(json_writer& w, const char* key, double v) {
+  w.key(key);
+  if (std::isnan(v))
+    w.value("nan");
+  else if (std::isinf(v))
+    w.value(v < 0 ? "-inf" : "inf");
+  else
+    w.value_exact(v);
+}
+
+[[nodiscard]] double double_from(const json_value& v) {
+  if (!v.is_string()) return v.as_double();
+  const std::string& text = v.as_string();
+  if (text == "inf") return std::numeric_limits<double>::infinity();
+  if (text == "-inf") return -std::numeric_limits<double>::infinity();
+  if (text == "nan") return std::numeric_limits<double>::quiet_NaN();
+  throw invalid_input_error("serialize: \"" + text + "\" is not a number");
+}
+
+void write_ints(json_writer& w, const std::string& key,
+                const std::vector<int>& values) {
+  w.begin_array(key);
+  for (int v : values) w.value(v);
+  w.end_array();
+}
+
+[[nodiscard]] std::vector<int> ints_from(const json_value& v,
+                                         const char* key) {
+  std::vector<int> out;
+  for (const json_value& e : v.at(key).elements()) out.push_back(e.as_int());
+  return out;
+}
+
+// --------------------------------------------------------- result sections
+//
+// Each section's fields have one writer, shared by the document (which
+// adds the payload: schedule, chip, layout positions) and the report
+// (which adds summaries derived from that payload). Wall-clock seconds are
+// in neither document nor writer: only a timed report prints them. A
+// MILP's outcome fields are written only when that MILP ran; otherwise
+// they hold their defaults.
+
+void write_scheduling_fields(json_writer& w,
+                             const sched::scheduling_result& r) {
   w.field("used_ilp", r.used_ilp);
   w.field("ilp_skipped_too_large", r.ilp_skipped_too_large);
   w.field("ilp_interrupted", r.ilp_interrupted);
   w.field("ilp_deadline_clamped", r.ilp_deadline_clamped);
-  w.field("ilp_status", to_string(r.ilp_status));
-  w.field_exact("ilp_objective", r.ilp_objective);
-  w.field_exact("ilp_bound", r.ilp_bound);
+  if (!r.used_ilp) return;
+  w.field("ilp_status", milp::to_string(r.ilp_status));
+  field_double(w, "ilp_objective", r.ilp_objective);
+  field_double(w, "ilp_bound", r.ilp_bound);
   w.field("ilp_variables", r.ilp_variables);
   w.field("ilp_constraints", r.ilp_constraints);
   w.field("ilp_nodes", r.ilp_nodes);
   w.field("ilp_presolve_rows_removed", r.ilp_presolve_rows_removed);
   w.field("ilp_cuts_added", r.ilp_cuts_added);
-  w.field_exact("ilp_root_bound", r.ilp_root_bound);
+  field_double(w, "ilp_root_bound", r.ilp_root_bound);
   // Parallel footprint, only when present -- sequential documents
   // keep the pre-parallel byte layout.
   if (r.ilp_threads != 1) w.field("ilp_threads", r.ilp_threads);
@@ -148,6 +161,11 @@ void write_scheduling(json_writer& w, const sched::scheduling_result& r) {
     }
     w.end_array();
   }
+}
+
+void write_scheduling(json_writer& w, const sched::scheduling_result& r) {
+  w.begin_object();
+  write_scheduling_fields(w, r);
   w.key("best");
   sched::write_schedule(w, r.best);
   w.end_object();
@@ -156,20 +174,22 @@ void write_scheduling(json_writer& w, const sched::scheduling_result& r) {
 [[nodiscard]] sched::scheduling_result scheduling_from_value(
     const json_value& v) {
   sched::scheduling_result r;
-  r.seconds = v.at("seconds").as_double();
   r.used_ilp = v.at("used_ilp").as_bool();
   r.ilp_skipped_too_large = v.at("ilp_skipped_too_large").as_bool();
   r.ilp_interrupted = v.at("ilp_interrupted").as_bool();
   r.ilp_deadline_clamped = v.at("ilp_deadline_clamped").as_bool();
-  r.ilp_status = solve_status_from(v.at("ilp_status").as_string());
-  r.ilp_objective = v.at("ilp_objective").as_double();
-  r.ilp_bound = v.at("ilp_bound").as_double();
+  r.best = sched::schedule_from_value(v.at("best"));
+  if (!r.used_ilp) return r;
+  r.ilp_status =
+      enum_from(milp::solve_status_named, "solve status", v.at("ilp_status"));
+  r.ilp_objective = double_from(v.at("ilp_objective"));
+  r.ilp_bound = double_from(v.at("ilp_bound"));
   r.ilp_variables = v.at("ilp_variables").as_int();
   r.ilp_constraints = v.at("ilp_constraints").as_int();
   r.ilp_nodes = v.at("ilp_nodes").as_long();
   r.ilp_presolve_rows_removed = v.at("ilp_presolve_rows_removed").as_int();
   r.ilp_cuts_added = v.at("ilp_cuts_added").as_int();
-  r.ilp_root_bound = v.at("ilp_root_bound").as_double();
+  r.ilp_root_bound = double_from(v.at("ilp_root_bound"));
   if (const json_value* threads = v.find("ilp_threads"))
     r.ilp_threads = threads->as_int();
   if (const json_value* workers = v.find("ilp_workers")) {
@@ -182,21 +202,24 @@ void write_scheduling(json_writer& w, const sched::scheduling_result& r) {
       r.ilp_workers.push_back(ws);
     }
   }
-  r.best = sched::schedule_from_value(v.at("best"));
   return r;
+}
+
+void write_architecture_fields(json_writer& w, const arch::arch_result& r) {
+  w.field("attempts_used", r.attempts_used);
+  w.field("interrupted", r.interrupted);
+  w.field("used_ilp", r.used_ilp);
+  if (!r.used_ilp) return;
+  w.field("ilp_status", milp::to_string(r.ilp_status));
+  field_double(w, "ilp_objective", r.ilp_objective);
+  field_double(w, "ilp_bound", r.ilp_bound);
+  w.field("ilp_variables", r.ilp_variables);
+  w.field("ilp_constraints", r.ilp_constraints);
 }
 
 void write_architecture(json_writer& w, const arch::arch_result& r) {
   w.begin_object();
-  w.field_exact("seconds", r.seconds);
-  w.field("attempts_used", r.attempts_used);
-  w.field("interrupted", r.interrupted);
-  w.field("used_ilp", r.used_ilp);
-  w.field("ilp_status", to_string(r.ilp_status));
-  w.field_exact("ilp_objective", r.ilp_objective);
-  w.field_exact("ilp_bound", r.ilp_bound);
-  w.field("ilp_variables", r.ilp_variables);
-  w.field("ilp_constraints", r.ilp_constraints);
+  write_architecture_fields(w, r);
   w.key("chip");
   arch::write_chip(w, r.result);
   w.end_object();
@@ -207,22 +230,22 @@ void write_architecture(json_writer& w, const arch::arch_result& r) {
 [[nodiscard]] arch::arch_result architecture_from_value(
     const json_value& v, const sched::schedule& s) {
   arch::arch_result r;
-  r.seconds = v.at("seconds").as_double();
   r.attempts_used = v.at("attempts_used").as_int();
   r.interrupted = v.at("interrupted").as_bool();
   r.used_ilp = v.at("used_ilp").as_bool();
-  r.ilp_status = solve_status_from(v.at("ilp_status").as_string());
-  r.ilp_objective = v.at("ilp_objective").as_double();
-  r.ilp_bound = v.at("ilp_bound").as_double();
-  r.ilp_variables = v.at("ilp_variables").as_int();
-  r.ilp_constraints = v.at("ilp_constraints").as_int();
   r.result = arch::chip_from_value(v.at("chip"));
   r.workload = arch::derive_workload(s);
+  if (!r.used_ilp) return r;
+  r.ilp_status =
+      enum_from(milp::solve_status_named, "solve status", v.at("ilp_status"));
+  r.ilp_objective = double_from(v.at("ilp_objective"));
+  r.ilp_bound = double_from(v.at("ilp_bound"));
+  r.ilp_variables = v.at("ilp_variables").as_int();
+  r.ilp_constraints = v.at("ilp_constraints").as_int();
   return r;
 }
 
-void write_layout(json_writer& w, const phys::layout_result& r) {
-  w.begin_object();
+void write_layout_fields(json_writer& w, const phys::layout_result& r) {
   w.field("dr_width", r.after_synthesis.width);
   w.field("dr_height", r.after_synthesis.height);
   w.field("de_width", r.after_devices.width);
@@ -231,16 +254,15 @@ void write_layout(json_writer& w, const phys::layout_result& r) {
   w.field("dp_height", r.after_compression.height);
   w.field("compression_iterations", r.compression_iterations);
   w.field("bend_points", r.bend_points);
-  w.field_exact("seconds", r.seconds);
-  auto ints = [&w](const std::string& key, const std::vector<int>& values) {
-    w.begin_array(key);
-    for (int v : values) w.value(v);
-    w.end_array();
-  };
-  ints("column_position", r.column_position);
-  ints("row_position", r.row_position);
-  ints("used_columns", r.used_columns);
-  ints("used_rows", r.used_rows);
+}
+
+void write_layout(json_writer& w, const phys::layout_result& r) {
+  w.begin_object();
+  write_layout_fields(w, r);
+  write_ints(w, "column_position", r.column_position);
+  write_ints(w, "row_position", r.row_position);
+  write_ints(w, "used_columns", r.used_columns);
+  write_ints(w, "used_rows", r.used_rows);
   w.end_object();
 }
 
@@ -252,16 +274,10 @@ void write_layout(json_writer& w, const phys::layout_result& r) {
                          v.at("dp_height").as_int()};
   r.compression_iterations = v.at("compression_iterations").as_int();
   r.bend_points = v.at("bend_points").as_int();
-  r.seconds = v.at("seconds").as_double();
-  auto ints = [&v](const char* key) {
-    std::vector<int> out;
-    for (const json_value& e : v.at(key).elements()) out.push_back(e.as_int());
-    return out;
-  };
-  r.column_position = ints("column_position");
-  r.row_position = ints("row_position");
-  r.used_columns = ints("used_columns");
-  r.used_rows = ints("used_rows");
+  r.column_position = ints_from(v, "column_position");
+  r.row_position = ints_from(v, "row_position");
+  r.used_columns = ints_from(v, "used_columns");
+  r.used_rows = ints_from(v, "used_rows");
   return r;
 }
 
@@ -272,9 +288,9 @@ void write_stats(json_writer& w, const sim::sim_stats& s) {
   w.field("transport_legs", s.transport_legs);
   w.field("cached_samples", s.cached_samples);
   w.field("max_active_segments", s.max_active_segments);
-  w.field_exact("mean_active_segments", s.mean_active_segments);
+  field_double(w, "mean_active_segments", s.mean_active_segments);
   w.field("device_busy_time", s.device_busy_time);
-  w.field_exact("device_utilization", s.device_utilization);
+  field_double(w, "device_utilization", s.device_utilization);
   w.end_object();
 }
 
@@ -285,21 +301,24 @@ void write_stats(json_writer& w, const sim::sim_stats& s) {
   s.transport_legs = v.at("transport_legs").as_int();
   s.cached_samples = v.at("cached_samples").as_int();
   s.max_active_segments = v.at("max_active_segments").as_int();
-  s.mean_active_segments = v.at("mean_active_segments").as_double();
+  s.mean_active_segments = double_from(v.at("mean_active_segments"));
   s.device_busy_time = v.at("device_busy_time").as_long();
-  s.device_utilization = v.at("device_utilization").as_double();
+  s.device_utilization = double_from(v.at("device_utilization"));
   return s;
 }
 
-void write_baseline(json_writer& w, const baseline::baseline_result& b) {
-  w.begin_object();
+void write_baseline_fields(json_writer& w, const baseline::baseline_result& b) {
   w.field("makespan", b.makespan);
   w.field("storage_cells", b.storage_cells);
   w.field("unit_valves", b.unit_valves);
   w.field("chip_valves", b.chip_valves);
   w.field("total_valves", b.total_valves);
   w.field("used_edges", b.used_edges);
-  w.field_exact("seconds", b.seconds);
+}
+
+void write_baseline(json_writer& w, const baseline::baseline_result& b) {
+  w.begin_object();
+  write_baseline_fields(w, b);
   w.key("retimed");
   sched::write_schedule(w, b.retimed);
   w.end_object();
@@ -314,7 +333,6 @@ void write_baseline(json_writer& w, const baseline::baseline_result& b) {
   b.chip_valves = v.at("chip_valves").as_int();
   b.total_valves = v.at("total_valves").as_int();
   b.used_edges = v.at("used_edges").as_int();
-  b.seconds = v.at("seconds").as_double();
   b.retimed = sched::schedule_from_value(v.at("retimed"));
   return b;
 }
@@ -324,13 +342,8 @@ void write_checkpoint_state(json_writer& w, const sim::checkpoint& cp) {
   w.key("faults");
   arch::write_fault_set(w, cp.faults);
   w.field("fault_time", cp.fault_time);
-  auto ints = [&w](const std::string& key, const std::vector<int>& values) {
-    w.begin_array(key);
-    for (int v : values) w.value(v);
-    w.end_array();
-  };
-  ints("completed", cp.completed);
-  ints("in_flight", cp.in_flight);
+  write_ints(w, "completed", cp.completed);
+  write_ints(w, "in_flight", cp.in_flight);
   w.begin_array("fluids");
   for (const sim::fluid_position& fp : cp.fluids) {
     w.begin_object();
@@ -348,13 +361,8 @@ void write_checkpoint_state(json_writer& w, const sim::checkpoint& cp) {
   sim::checkpoint cp;
   cp.faults = arch::fault_set_from_value(v.at("faults"));
   cp.fault_time = v.at("fault_time").as_int();
-  auto ints = [&v](const char* key) {
-    std::vector<int> out;
-    for (const json_value& e : v.at(key).elements()) out.push_back(e.as_int());
-    return out;
-  };
-  cp.completed = ints("completed");
-  cp.in_flight = ints("in_flight");
+  cp.completed = ints_from(v, "completed");
+  cp.in_flight = ints_from(v, "in_flight");
   for (const json_value& f : v.at("fluids").elements()) {
     sim::fluid_position fp;
     fp.transfer_index = f.at("transfer").as_int();
@@ -367,15 +375,47 @@ void write_checkpoint_state(json_writer& w, const sim::checkpoint& cp) {
 
 // ------------------------------------------------------- document plumbing
 
-void write_header(json_writer& w, const char* kind,
-                  const assay::sequencing_graph& graph,
-                  const pipeline_options& options) {
+/// The header and stage sections every document starts with; a stage
+/// document ends there, a flow document adds stats and baseline.
+void write_stage_document(json_writer& w, const char* kind,
+                          const assay::sequencing_graph& graph,
+                          const pipeline_options& options,
+                          const sched::scheduling_result& scheduling,
+                          const arch::arch_result* architecture,
+                          const phys::layout_result* layout) {
   w.field("format", flow_format_version);
   w.field("kind", kind);
   w.key("graph");
   write_graph(w, graph);
   w.key("options");
   write_options(w, options);
+  w.key("scheduling");
+  write_scheduling(w, scheduling);
+  if (architecture) {
+    w.key("architecture");
+    write_architecture(w, *architecture);
+  }
+  if (layout) {
+    w.key("layout");
+    write_layout(w, *layout);
+  }
+}
+
+/// The flow document's members; a checkpoint document adds one more.
+void write_flow_document(json_writer& w, const char* kind,
+                         const assay::sequencing_graph& graph,
+                         const pipeline_options& options,
+                         const flow_result& flow) {
+  write_stage_document(w, kind, graph, options, flow.scheduling,
+                       &flow.architecture, &flow.layout);
+  if (flow.stats) {
+    w.key("stats");
+    write_stats(w, *flow.stats);
+  }
+  if (flow.baseline) {
+    w.key("baseline");
+    write_baseline(w, *flow.baseline);
+  }
 }
 
 /// Parses a document, checks version + kind, and returns the root.
@@ -392,6 +432,40 @@ void write_header(json_writer& w, const char* kind,
   return doc;
 }
 
+/// Reads a document's stage sections: scheduling, then architecture when
+/// `stages` >= 2 and layout when `stages` == 3.
+[[nodiscard]] detail::stage_parts parts_from(const json_value& doc,
+                                             int stages) {
+  detail::stage_parts parts;
+  parts.state.graph = graph_from_value(doc.at("graph"));
+  parts.state.options = options_from_value(doc.at("options"));
+  parts.scheduling = scheduling_from_value(doc.at("scheduling"));
+  parts.scheduling.best.validate(parts.state.graph);
+  if (stages >= 2) {
+    parts.architecture = architecture_from_value(doc.at("architecture"),
+                                                 parts.scheduling.best);
+    parts.architecture->result.validate(parts.architecture->workload);
+  }
+  if (stages >= 3) parts.layout = layout_from_value(doc.at("layout"));
+  return parts;
+}
+
+/// The members write_flow_document wrote.
+[[nodiscard]] flow_document flow_from(const json_value& doc) {
+  detail::stage_parts parts = parts_from(doc, 3);
+  flow_document out;
+  out.graph = std::move(parts.state.graph);
+  out.options = std::move(parts.state.options);
+  out.flow.scheduling = std::move(parts.scheduling);
+  out.flow.architecture = std::move(*parts.architecture);
+  out.flow.layout = std::move(*parts.layout);
+  if (const json_value* stats = doc.find("stats"))
+    out.flow.stats = stats_from_value(*stats);
+  if (const json_value* baseline = doc.find("baseline"))
+    out.flow.baseline = baseline_from_value(*baseline);
+  return out;
+}
+
 template <typename T>
 [[nodiscard]] result<T> failure_from_current_exception() {
   try {
@@ -405,22 +479,84 @@ template <typename T>
   }
 }
 
-/// Common prefix of every stage document: graph, options, scheduling (with
-/// the schedule re-validated against the graph).
-struct stage_parts {
-  std::shared_ptr<detail::job_state> state;
-  std::shared_ptr<sched::scheduling_result> scheduling;
-};
+template <typename Stage>
+[[nodiscard]] result<Stage> deserialize_stage(const std::string& text,
+                                              const char* kind, int stages) {
+  try {
+    return result<Stage>::success(detail::stage_access::make<Stage>(
+        parts_from(parse_document(text, kind), stages)));
+  } catch (...) {
+    return failure_from_current_exception<Stage>();
+  }
+}
 
-[[nodiscard]] stage_parts parts_from(const json_value& doc) {
-  stage_parts parts;
-  parts.state = std::make_shared<detail::job_state>();
-  parts.state->graph = graph_from_value(doc.at("graph"));
-  parts.state->options = options_from_value(doc.at("options"));
-  parts.scheduling = std::make_shared<sched::scheduling_result>(
-      scheduling_from_value(doc.at("scheduling")));
-  parts.scheduling->best.validate(parts.state->graph);
-  return parts;
+// ----------------------------------------------------------------- reports
+//
+// A report is a projection of the flow document: each section prints the
+// document's fields through the section's one writer, plus summaries
+// derived from the payload, plus wall-clock seconds when timed.
+
+void write_schedule_report(json_writer& w, const assay::sequencing_graph& g,
+                           const sched::scheduling_result& r, bool timed) {
+  const sched::schedule& s = r.best;
+  w.key("schedule").begin_object();
+  w.field("makespan", s.makespan());
+  w.field("device_count", s.device_count);
+  w.field("stores", s.store_count());
+  w.field("peak_concurrent_caches", s.peak_concurrent_caches());
+  w.field("total_cache_time", s.total_cache_time());
+  write_scheduling_fields(w, r);
+  w.begin_array("operations");
+  for (const auto& op : s.ops) {
+    w.begin_object();
+    w.field("name", g.at(op.op).name);
+    w.field("device", op.device);
+    w.field("start", op.start);
+    w.field("end", op.end);
+    w.end_object();
+  }
+  w.end_array();
+  if (timed) w.field("seconds", r.seconds);
+  w.end_object();
+}
+
+void write_architecture_report(json_writer& w, const arch::arch_result& r,
+                               bool timed) {
+  const arch::chip& c = r.result;
+  w.key("architecture").begin_object();
+  w.field("grid_width", c.grid().width());
+  w.field("grid_height", c.grid().height());
+  w.field("used_edges", c.used_edge_count());
+  w.field("valves", c.valve_count());
+  w.field("edge_ratio", c.edge_ratio());
+  w.field("valve_ratio", c.valve_ratio());
+  w.field("paths", static_cast<long>(c.paths.size()));
+  w.field("caches", static_cast<long>(c.caches.size()));
+  write_architecture_fields(w, r);
+  if (timed) w.field("seconds", r.seconds);
+  w.end_object();
+}
+
+void write_layout_report(json_writer& w, const phys::layout_result& r,
+                         bool timed) {
+  w.key("layout").begin_object();
+  write_layout_fields(w, r);
+  if (timed) w.field("seconds", r.seconds);
+  w.end_object();
+}
+
+/// {"assay":...,"operations":...,"edges":..., <sections>}
+template <typename Sections>
+[[nodiscard]] std::string report(const assay::sequencing_graph& g,
+                                 Sections sections) {
+  json_writer w;
+  w.begin_object();
+  w.field("assay", g.name());
+  w.field("operations", g.operation_count());
+  w.field("edges", g.edge_count());
+  sections(w);
+  w.end_object();
+  return w.str();
 }
 
 } // namespace
@@ -470,11 +606,11 @@ void write_options(json_writer& w, const pipeline_options& o) {
   w.field_exact("alpha", o.alpha);
   w.field_exact("beta", o.beta);
   w.field("storage_aware", o.storage_aware);
-  w.field("schedule_engine", to_string(o.schedule_engine));
+  w.field("schedule_engine", sched::to_string(o.schedule_engine));
   w.field_exact("sched_ilp_time_limit", o.sched_ilp_time_limit);
   w.field("heuristic_restarts", o.heuristic_restarts);
   w.field("local_search_iterations", o.local_search_iterations);
-  w.field("arch_engine", to_string(o.arch_engine));
+  w.field("arch_engine", arch::to_string(o.arch_engine));
   w.field_exact("arch_ilp_time_limit", o.arch_ilp_time_limit);
   w.field("arch_attempts", o.arch_attempts);
   w.field("grid_growth", o.grid_growth);
@@ -528,7 +664,8 @@ pipeline_options options_from_value(const json_value& v,
     else if (key == "beta") o.beta = value.as_double();
     else if (key == "storage_aware") o.storage_aware = value.as_bool();
     else if (key == "schedule_engine")
-      o.schedule_engine = schedule_engine_from(value.as_string());
+      o.schedule_engine =
+          enum_from(sched::schedule_engine_named, "schedule engine", value);
     else if (key == "sched_ilp_time_limit")
       o.sched_ilp_time_limit = value.as_double();
     else if (key == "heuristic_restarts")
@@ -536,7 +673,8 @@ pipeline_options options_from_value(const json_value& v,
     else if (key == "local_search_iterations")
       o.local_search_iterations = value.as_int();
     else if (key == "arch_engine")
-      o.arch_engine = arch_engine_from(value.as_string());
+      o.arch_engine = enum_from(arch::synthesis_engine_named,
+                                "synthesis engine", value);
     else if (key == "arch_ilp_time_limit")
       o.arch_ilp_time_limit = value.as_double();
     else if (key == "arch_attempts") o.arch_attempts = value.as_int();
@@ -600,44 +738,15 @@ std::string serialize_flow(const assay::sequencing_graph& graph,
                            const flow_result& flow) {
   json_writer w;
   w.begin_object();
-  write_header(w, "flow", graph, options);
-  w.key("scheduling");
-  write_scheduling(w, flow.scheduling);
-  w.key("architecture");
-  write_architecture(w, flow.architecture);
-  w.key("layout");
-  write_layout(w, flow.layout);
-  if (flow.stats) {
-    w.key("stats");
-    write_stats(w, *flow.stats);
-  }
-  if (flow.baseline) {
-    w.key("baseline");
-    write_baseline(w, *flow.baseline);
-  }
-  w.field_exact("total_seconds", flow.total_seconds);
+  write_flow_document(w, "flow", graph, options, flow);
   w.end_object();
   return w.str();
 }
 
 result<flow_document> deserialize_flow(const std::string& text) {
   try {
-    const json_value doc = parse_document(text, "flow");
-    flow_document out;
-    out.graph = graph_from_value(doc.at("graph"));
-    out.options = options_from_value(doc.at("options"));
-    out.flow.scheduling = scheduling_from_value(doc.at("scheduling"));
-    out.flow.scheduling.best.validate(out.graph);
-    out.flow.architecture = architecture_from_value(
-        doc.at("architecture"), out.flow.scheduling.best);
-    out.flow.architecture.result.validate(out.flow.architecture.workload);
-    out.flow.layout = layout_from_value(doc.at("layout"));
-    if (const json_value* stats = doc.find("stats"))
-      out.flow.stats = stats_from_value(*stats);
-    if (const json_value* baseline = doc.find("baseline"))
-      out.flow.baseline = baseline_from_value(*baseline);
-    out.flow.total_seconds = doc.at("total_seconds").as_double();
-    return result<flow_document>::success(std::move(out));
+    return result<flow_document>::success(
+        flow_from(parse_document(text, "flow")));
   } catch (...) {
     return failure_from_current_exception<flow_document>();
   }
@@ -651,22 +760,7 @@ std::string serialize_checkpoint(const assay::sequencing_graph& graph,
                                  const sim::checkpoint& state) {
   json_writer w;
   w.begin_object();
-  write_header(w, "checkpoint", graph, options);
-  w.key("scheduling");
-  write_scheduling(w, flow.scheduling);
-  w.key("architecture");
-  write_architecture(w, flow.architecture);
-  w.key("layout");
-  write_layout(w, flow.layout);
-  if (flow.stats) {
-    w.key("stats");
-    write_stats(w, *flow.stats);
-  }
-  if (flow.baseline) {
-    w.key("baseline");
-    write_baseline(w, *flow.baseline);
-  }
-  w.field_exact("total_seconds", flow.total_seconds);
+  write_flow_document(w, "checkpoint", graph, options, flow);
   w.key("checkpoint");
   write_checkpoint_state(w, state);
   w.end_object();
@@ -677,19 +771,7 @@ result<checkpoint_document> deserialize_checkpoint(const std::string& text) {
   try {
     const json_value doc = parse_document(text, "checkpoint");
     checkpoint_document out;
-    out.graph = graph_from_value(doc.at("graph"));
-    out.options = options_from_value(doc.at("options"));
-    out.flow.scheduling = scheduling_from_value(doc.at("scheduling"));
-    out.flow.scheduling.best.validate(out.graph);
-    out.flow.architecture = architecture_from_value(
-        doc.at("architecture"), out.flow.scheduling.best);
-    out.flow.architecture.result.validate(out.flow.architecture.workload);
-    out.flow.layout = layout_from_value(doc.at("layout"));
-    if (const json_value* stats = doc.find("stats"))
-      out.flow.stats = stats_from_value(*stats);
-    if (const json_value* baseline = doc.find("baseline"))
-      out.flow.baseline = baseline_from_value(*baseline);
-    out.flow.total_seconds = doc.at("total_seconds").as_double();
+    static_cast<flow_document&>(out) = flow_from(doc);
     out.state = checkpoint_state_from_value(doc.at("checkpoint"));
     return result<checkpoint_document>::success(std::move(out));
   } catch (...) {
@@ -702,10 +784,9 @@ result<checkpoint_document> deserialize_checkpoint(const std::string& text) {
 std::string serialize_stage(const scheduled& stage) {
   json_writer w;
   w.begin_object();
-  write_header(w, "stage.scheduled", stage.graph(),
-               detail::stage_access::state(stage).options);
-  w.key("scheduling");
-  write_scheduling(w, stage.scheduling());
+  const detail::job_state& state = detail::stage_access::state(stage);
+  write_stage_document(w, "stage.scheduled", state.graph, state.options,
+                       stage.scheduling(), nullptr, nullptr);
   w.end_object();
   return w.str();
 }
@@ -713,12 +794,9 @@ std::string serialize_stage(const scheduled& stage) {
 std::string serialize_stage(const synthesized& stage) {
   json_writer w;
   w.begin_object();
-  write_header(w, "stage.synthesized", stage.graph(),
-               detail::stage_access::state(stage).options);
-  w.key("scheduling");
-  write_scheduling(w, stage.scheduling());
-  w.key("architecture");
-  write_architecture(w, detail::stage_access::architecture(stage));
+  const detail::job_state& state = detail::stage_access::state(stage);
+  write_stage_document(w, "stage.synthesized", state.graph, state.options,
+                       stage.scheduling(), &stage.architecture(), nullptr);
   w.end_object();
   return w.str();
 }
@@ -726,62 +804,64 @@ std::string serialize_stage(const synthesized& stage) {
 std::string serialize_stage(const compressed& stage) {
   json_writer w;
   w.begin_object();
-  write_header(w, "stage.compressed", stage.graph(),
-               detail::stage_access::state(stage).options);
-  w.key("scheduling");
-  write_scheduling(w, stage.scheduling());
-  w.key("architecture");
-  write_architecture(w, detail::stage_access::architecture(stage));
-  w.key("layout");
-  write_layout(w, detail::stage_access::layout(stage));
+  const detail::job_state& state = detail::stage_access::state(stage);
+  write_stage_document(w, "stage.compressed", state.graph, state.options,
+                       stage.scheduling(), &stage.architecture(),
+                       &stage.layout());
   w.end_object();
   return w.str();
 }
 
 result<scheduled> deserialize_scheduled(const std::string& text) {
-  try {
-    const json_value doc = parse_document(text, "stage.scheduled");
-    stage_parts parts = parts_from(doc);
-    return result<scheduled>::success(detail::stage_access::make_scheduled(
-        std::move(parts.state), std::move(parts.scheduling)));
-  } catch (...) {
-    return failure_from_current_exception<scheduled>();
-  }
+  return deserialize_stage<scheduled>(text, "stage.scheduled", 1);
 }
 
 result<synthesized> deserialize_synthesized(const std::string& text) {
-  try {
-    const json_value doc = parse_document(text, "stage.synthesized");
-    stage_parts parts = parts_from(doc);
-    auto architecture = std::make_shared<arch::arch_result>(
-        architecture_from_value(doc.at("architecture"),
-                                parts.scheduling->best));
-    architecture->result.validate(architecture->workload);
-    return result<synthesized>::success(
-        detail::stage_access::make_synthesized(std::move(parts.state),
-                                               std::move(parts.scheduling),
-                                               std::move(architecture)));
-  } catch (...) {
-    return failure_from_current_exception<synthesized>();
-  }
+  return deserialize_stage<synthesized>(text, "stage.synthesized", 2);
 }
 
 result<compressed> deserialize_compressed(const std::string& text) {
-  try {
-    const json_value doc = parse_document(text, "stage.compressed");
-    stage_parts parts = parts_from(doc);
-    auto architecture = std::make_shared<arch::arch_result>(
-        architecture_from_value(doc.at("architecture"),
-                                parts.scheduling->best));
-    architecture->result.validate(architecture->workload);
-    auto layout = std::make_shared<phys::layout_result>(
-        layout_from_value(doc.at("layout")));
-    return result<compressed>::success(detail::stage_access::make_compressed(
-        std::move(parts.state), std::move(parts.scheduling),
-        std::move(architecture), std::move(layout)));
-  } catch (...) {
-    return failure_from_current_exception<compressed>();
-  }
+  return deserialize_stage<compressed>(text, "stage.compressed", 3);
+}
+
+// ----------------------------------------------------------------- reports
+
+std::string to_json(const assay::sequencing_graph& graph,
+                    const flow_result& result, bool include_timing) {
+  return report(graph, [&](json_writer& w) {
+    write_schedule_report(w, graph, result.scheduling, include_timing);
+    write_architecture_report(w, result.architecture, include_timing);
+    write_layout_report(w, result.layout, include_timing);
+    if (result.stats) {
+      w.key("verification");
+      write_stats(w, *result.stats);
+    }
+    if (result.baseline) {
+      w.key("dedicated_storage_baseline").begin_object();
+      write_baseline_fields(w, *result.baseline);
+      if (include_timing) w.field("seconds", result.baseline->seconds);
+      w.end_object();
+    }
+    if (include_timing) w.field("total_seconds", result.total_seconds);
+  });
+}
+
+std::string scheduled::to_json() const {
+  return report(graph(), [this](json_writer& w) {
+    write_schedule_report(w, graph(), scheduling(), false);
+  });
+}
+
+std::string synthesized::to_json() const {
+  return report(graph(), [this](json_writer& w) {
+    write_architecture_report(w, architecture(), false);
+  });
+}
+
+std::string compressed::to_json() const {
+  return report(graph(), [this](json_writer& w) {
+    write_layout_report(w, layout(), false);
+  });
 }
 
 } // namespace transtore::api

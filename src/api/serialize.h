@@ -3,9 +3,13 @@
 // boundary:
 //
 //   * flow documents  -- graph + options + every stage output of one run
-//     ({"format":1,"kind":"flow",...}); the unit the result cache stores
+//     ({"format":2,"kind":"flow",...}); the unit the result cache stores
 //     and `transtore_cli serve` replies with. serialize -> deserialize ->
-//     serialize is byte-identical.
+//     serialize is byte-identical, and so are the documents of two fresh
+//     solves that do not stop on the wall clock: no document holds a
+//     wall-clock time.
+//   * checkpoint documents -- a flow document plus one `checkpoint` member
+//     (the frozen execution state at a fault time).
 //   * stage documents -- a scheduled/synthesized/compressed stage value
 //     with everything needed to resume the pipeline in another process:
 //     deserialize_scheduled(doc)->synthesize(ctx) continues where the
@@ -13,6 +17,13 @@
 //   * building blocks -- graph and pipeline_options readers/writers, also
 //     used by the service front end to parse requests (options_from_value
 //     applies partial overrides on top of a base configuration).
+//
+// Each field of a result has one writer and one reader, here. The reports
+// (api::to_json and the stage to_json()s, defined in serialize.cpp) print
+// the same fields through the same writers, plus derived summaries and,
+// when timed, the wall-clock seconds. Result doubles are shortest
+// round-trip numbers, or the strings "inf", "-inf" and "nan" (an unsettled
+// MILP root reports a -inf bound).
 //
 // The schedule and chip payloads embed the sched/schedule_io.h and
 // arch/chip_io.h object layouts. The routing workload is not stored: it is
@@ -29,8 +40,10 @@
 
 namespace transtore::api {
 
-/// Version stamp shared by flow and stage documents.
-inline constexpr int flow_format_version = 1;
+/// Version stamp shared by flow, checkpoint and stage documents. Format 2
+/// dropped the wall-clock seconds and spelled non-finite doubles; a
+/// document of another version reads as invalid_input (a cache miss).
+inline constexpr int flow_format_version = 2;
 
 // ---------------------------------------------------------- building blocks
 
@@ -68,10 +81,7 @@ struct flow_document {
 /// original (pre-fault) result, and the frozen execution state at the fault
 /// time. api::recover resumes from this in any process -- the
 /// cross-process analogue of handing recover() the in-memory pieces.
-struct checkpoint_document {
-  assay::sequencing_graph graph;
-  pipeline_options options;
-  flow_result flow;
+struct checkpoint_document : flow_document {
   sim::checkpoint state;
 };
 

@@ -1,11 +1,34 @@
 #include "arch/synthesis.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
 
 namespace transtore::arch {
+namespace {
+
+/// The one table of engine names: to_string and synthesis_engine_named
+/// read it.
+constexpr std::pair<synthesis_engine, const char*> engine_names[] = {
+    {synthesis_engine::heuristic, "heuristic"},
+    {synthesis_engine::ilp, "ilp"},
+};
+
+} // namespace
+
+const char* to_string(synthesis_engine engine) {
+  for (const auto& [e, name] : engine_names)
+    if (e == engine) return name;
+  return "heuristic";
+}
+
+std::optional<synthesis_engine> synthesis_engine_named(std::string_view name) {
+  for (const auto& [e, spelled] : engine_names)
+    if (name == spelled) return e;
+  return std::nullopt;
+}
 
 arch_result synthesize_architecture(const sched::schedule& s,
                                     const arch_options& options) {

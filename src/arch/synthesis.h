@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string_view>
 
 #include "arch/fault.h"
 #include "arch/ilp_synthesis.h"
@@ -18,6 +19,13 @@ enum class synthesis_engine {
   heuristic, // SA placement + time-multiplexed A* routing
   ilp,       // heuristic first, then ILP (8)-(12) warm-started with it
 };
+
+/// The engine's name as documents and requests spell it.
+[[nodiscard]] const char* to_string(synthesis_engine engine);
+
+/// The engine spelled `name`, or nullopt when no engine is.
+[[nodiscard]] std::optional<synthesis_engine> synthesis_engine_named(
+    std::string_view name);
 
 struct arch_options {
   int grid_width = 4;

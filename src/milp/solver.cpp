@@ -10,6 +10,7 @@
 #include <optional>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -1053,17 +1054,27 @@ void run_pool(tree_search& t) {
   });
 }
 
+/// The one table of status names: to_string and solve_status_named read it.
+constexpr std::pair<solve_status, const char*> status_names[] = {
+    {solve_status::optimal, "optimal"},
+    {solve_status::feasible, "feasible"},
+    {solve_status::infeasible, "infeasible"},
+    {solve_status::unbounded, "unbounded"},
+    {solve_status::no_solution, "no_solution"},
+};
+
 } // namespace
 
 const char* to_string(solve_status s) {
-  switch (s) {
-    case solve_status::optimal: return "optimal";
-    case solve_status::feasible: return "feasible";
-    case solve_status::infeasible: return "infeasible";
-    case solve_status::unbounded: return "unbounded";
-    case solve_status::no_solution: return "no_solution";
-  }
+  for (const auto& [status, name] : status_names)
+    if (status == s) return name;
   return "no_solution";
+}
+
+std::optional<solve_status> solve_status_named(std::string_view name) {
+  for (const auto& [status, spelled] : status_names)
+    if (name == spelled) return status;
+  return std::nullopt;
 }
 
 double solution::gap() const {

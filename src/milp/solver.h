@@ -36,6 +36,7 @@
 #pragma once
 
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "milp/model.h"
@@ -53,6 +54,10 @@ enum class solve_status {
 
 /// The status as documents and benches spell it ("optimal", "feasible", ...).
 [[nodiscard]] const char* to_string(solve_status s);
+
+/// The status spelled `name`, or nullopt when no status is.
+[[nodiscard]] std::optional<solve_status> solve_status_named(
+    std::string_view name);
 
 /// Per-worker breakdown of a parallel tree search (solution::workers): how
 /// many nodes each thread processed, the simplex work it spent on them, and

@@ -111,9 +111,9 @@ TEST(Flow, Table2ConfigsComplete) {
 // random assays of 6-16 operations on 1-3 devices, two seeds each, under
 // both timing models (distributed channel storage and the dedicated storage
 // unit), through the whole flow with simulator verification, and a rerun
-// at the same seed reproduces the flow document byte for byte. The
-// MILP-backed `combined` engine runs only up to 10 operations, where it
-// proves optimality well inside its time limit, so its rerun is
+// at the same seed reproduces the report and the flow document byte for
+// byte. The MILP-backed `combined` engine runs only up to 10 operations,
+// where it proves optimality well inside its time limit, so its rerun is
 // deterministic too.
 struct sweep_case {
   int operations;
@@ -151,8 +151,10 @@ TEST_P(GeneratedFlowSweep, VerifiedAndReproducible) {
         EXPECT_EQ(to_json(graph, first, /*include_timing=*/false),
                   to_json(graph, again, /*include_timing=*/false))
             << label;
-        // The flow document round-trips byte-identically.
+        // The rerun's flow document is byte-identical too, and it
+        // round-trips byte-identically.
         const std::string doc = serialize_flow(graph, o, first);
+        EXPECT_EQ(serialize_flow(graph, o, again), doc) << label;
         const auto restored = deserialize_flow(doc);
         ASSERT_TRUE(restored.ok()) << label << ": " << restored.message();
         EXPECT_EQ(serialize_flow(restored->graph, restored->options,

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
@@ -178,24 +179,33 @@ TEST(SerializeFlow, ByteIdenticalRoundTripAcrossAllSixAssays) {
   for (const assay::benchmark_resources& r :
        assay::benchmark_resource_table()) {
     const auto graph = assay::make_benchmark(r.name);
-    const api::pipeline_options options = cheap_pipeline(r);
-    auto outcome = api::pipeline(graph, options).run();
-    ASSERT_TRUE(outcome.ok()) << r.name << ": " << outcome.message();
+    // The default engine too, at a MILP time limit that stops CPA's root
+    // before it settles a bound: its document holds a -inf `ilp_bound`.
+    api::pipeline_options combined = cheap_pipeline(r);
+    combined.schedule_engine = sched::schedule_engine::combined;
+    combined.sched_ilp_time_limit = 1.0;
+    for (const api::pipeline_options& options :
+         {cheap_pipeline(r), combined}) {
+      const std::string label = std::string(r.name) + " " +
+                                sched::to_string(options.schedule_engine);
+      auto outcome = api::pipeline(graph, options).run();
+      ASSERT_TRUE(outcome.ok()) << label << ": " << outcome.message();
 
-    const std::string doc =
-        api::serialize_flow(graph, options, outcome.value());
-    auto restored = api::deserialize_flow(doc);
-    ASSERT_TRUE(restored.ok()) << r.name << ": " << restored.message();
-    EXPECT_EQ(api::serialize_flow(restored->graph, restored->options,
-                                  restored->flow),
-              doc)
-        << r.name;
+      const std::string doc =
+          api::serialize_flow(graph, options, outcome.value());
+      auto restored = api::deserialize_flow(doc);
+      ASSERT_TRUE(restored.ok()) << label << ": " << restored.message();
+      EXPECT_EQ(api::serialize_flow(restored->graph, restored->options,
+                                    restored->flow),
+                doc)
+          << label;
 
-    // The summary report derived from the restored flow matches the
-    // original byte for byte (timing included: it was serialized exactly).
-    EXPECT_EQ(api::to_json(restored->graph, restored->flow),
-              api::to_json(graph, outcome.value()))
-        << r.name;
+      // The report derived from the restored flow matches the original
+      // byte for byte (wall-clock seconds are not in the document).
+      EXPECT_EQ(api::to_json(restored->graph, restored->flow, false),
+                api::to_json(graph, outcome.value(), false))
+          << label;
+    }
   }
 }
 
@@ -548,6 +558,10 @@ TEST(ResultCache, DiskTierSurvivesProcessBoundary) {
   api::pipeline_options o;
   o.schedule_engine = sched::schedule_engine::heuristic;
   const api::cache_key key = api::make_cache_key(graph, o);
+  // A MILP stopped before its root settled: -inf bounds, NaN objectives.
+  api::pipeline_options unsettled = o;
+  unsettled.seed = 2;
+  const api::cache_key unsettled_key = api::make_cache_key(graph, unsettled);
 
   {
     auto cache = std::make_shared<api::result_cache>(
@@ -560,26 +574,57 @@ TEST(ResultCache, DiskTierSurvivesProcessBoundary) {
     ASSERT_NE(first.document, nullptr);
     EXPECT_TRUE(std::filesystem::exists(
         std::filesystem::path(dir) / (key.digest() + ".json")));
+
+    auto run = api::pipeline(graph, unsettled).run();
+    ASSERT_TRUE(run.ok()) << run.message();
+    api::flow_result flow = std::move(run).take();
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    flow.scheduling.used_ilp = true;
+    flow.scheduling.ilp_status = milp::solve_status::feasible;
+    flow.scheduling.ilp_bound = -inf;
+    flow.scheduling.ilp_objective = nan;
+    flow.architecture.used_ilp = true;
+    flow.architecture.ilp_bound = -inf;
+    flow.architecture.ilp_objective = nan;
+    api::result_cache::entry entry;
+    entry.document = std::make_shared<const std::string>(
+        api::serialize_flow(graph, unsettled, flow));
+    entry.flow = std::make_shared<const api::flow_result>(std::move(flow));
+    cache->store(unsettled_key, entry);
   }
 
   // A brand-new cache instance (a "new process") over the same directory
-  // serves the result from disk -- and byte-identically.
+  // serves each result from disk -- and byte-identically.
   auto cache = std::make_shared<api::result_cache>(
       api::result_cache_options{4, dir});
-  auto hit = cache->lookup(key);
-  ASSERT_TRUE(static_cast<bool>(hit));
-  EXPECT_EQ(cache->stats().disk_hits, 1u);
+  std::uint64_t disk_hits = 0;
+  for (const api::pipeline_options& options : {o, unsettled}) {
+    const api::cache_key k = api::make_cache_key(graph, options);
+    auto hit = cache->lookup(k);
+    ASSERT_TRUE(static_cast<bool>(hit)) << options.seed;
+    EXPECT_EQ(cache->stats().disk_hits, ++disk_hits);
 
-  api::pipeline p(graph, o);
-  p.set_cache(cache);
-  auto replay = p.run_cached();
-  ASSERT_TRUE(replay.outcome.ok());
-  EXPECT_TRUE(replay.cache_hit);
-  ASSERT_NE(replay.document, nullptr);
-  EXPECT_EQ(*replay.document, *hit->document);
-  EXPECT_EQ(api::serialize_flow(graph, o, *replay.outcome.value()),
-            *replay.document);
-
+    api::pipeline p(graph, options);
+    p.set_cache(cache);
+    auto replay = p.run_cached();
+    ASSERT_TRUE(replay.outcome.ok());
+    EXPECT_TRUE(replay.cache_hit);
+    ASSERT_NE(replay.document, nullptr);
+    EXPECT_EQ(*replay.document, *hit->document);
+    EXPECT_EQ(api::serialize_flow(graph, options, *replay.outcome.value()),
+              *replay.document);
+  }
+  // The non-finite values came back from disk exactly.
+  const auto read_back = cache->lookup(unsettled_key);
+  ASSERT_TRUE(static_cast<bool>(read_back));
+  const api::flow_result& flow = *read_back->flow;
+  EXPECT_EQ(flow.scheduling.ilp_bound,
+            -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(flow.architecture.ilp_bound,
+            -std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(flow.scheduling.ilp_objective));
+  EXPECT_TRUE(std::isnan(flow.architecture.ilp_objective));
   std::filesystem::remove_all(dir);
 }
 
@@ -590,20 +635,50 @@ TEST(ResultCache, CorruptDiskEntryIsAMissNotAWrongResult) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
-  const api::cache_key key = key_for_seed(7);
-  {
+  // A well-formed format-1 document: the current document of a PCR MILP
+  // run with format 1's members put back -- the wall-clock seconds, and
+  // the architecture MILP's fields, which format 1 wrote even when that
+  // MILP did not run.
+  const auto graph = assay::make_pcr();
+  api::pipeline_options o;
+  o.seed = 7;
+  o.schedule_engine = sched::schedule_engine::ilp;
+  auto run = api::pipeline(graph, o).run();
+  ASSERT_TRUE(run.ok()) << run.message();
+  ASSERT_TRUE(run->scheduling.used_ilp);
+  std::string format1 = api::serialize_flow(graph, o, run.value());
+  const auto replace_first = [&format1](const std::string& from,
+                                        const std::string& to) {
+    const std::size_t at = format1.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    format1.replace(at, from.size(), to);
+  };
+  replace_first("{\"format\":2,", "{\"format\":1,");
+  for (const char* section : {"scheduling", "architecture", "layout"})
+    replace_first("\"" + std::string(section) + "\":{",
+                  "\"" + std::string(section) + "\":{\"seconds\":0.5,");
+  replace_first("\"used_ilp\":false,",
+                "\"used_ilp\":false,\"ilp_status\":\"no_solution\","
+                "\"ilp_objective\":0,\"ilp_bound\":0,\"ilp_variables\":0,"
+                "\"ilp_constraints\":0,");
+  format1.insert(format1.size() - 1, ",\"total_seconds\":1.5");
+
+  const api::cache_key key = api::make_cache_key(graph, o);
+  for (const std::string& doc :
+       {std::string("{\"format\":1,\"kind\":\"flow\",\"garbage\":true}"),
+        format1}) {
     std::FILE* f = std::fopen(
         ((std::filesystem::path(dir) / (key.digest() + ".json")).string())
             .c_str(),
         "w");
     ASSERT_NE(f, nullptr);
-    std::fputs("{\"format\":1,\"kind\":\"flow\",\"garbage\":true}", f);
+    std::fputs(doc.c_str(), f);
     std::fclose(f);
+    api::result_cache cache(api::result_cache_options{4, dir});
+    EXPECT_FALSE(static_cast<bool>(cache.lookup(key))) << doc;
+    EXPECT_EQ(cache.stats().disk_errors, 1u);
+    EXPECT_EQ(cache.stats().misses, 1u);
   }
-  api::result_cache cache(api::result_cache_options{4, dir});
-  EXPECT_FALSE(static_cast<bool>(cache.lookup(key)));
-  EXPECT_EQ(cache.stats().disk_errors, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
   std::filesystem::remove_all(dir);
 }
 
